@@ -14,293 +14,40 @@ package main
 // SIGINT at the end; an unclean exit from any process fails the run.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
 
+	"repro/internal/ringharness"
 	"repro/internal/sentring"
 	"repro/internal/sentry"
-	"repro/internal/simrand"
 )
 
-const (
-	peerListenPrefix   = "sentryd: listening on "
-	routerListenPrefix = "sentryrouter: listening on "
-	probeDevice        = "probe-swap"
-)
-
-// proc is one spawned ring process (a sentryd peer or the router).
-type proc struct {
-	label string
-	bin   string
-	args  []string
-
-	mu   sync.Mutex
-	cmd  *exec.Cmd
-	addr string
-	done chan error
-}
-
-// spawn starts the process and waits for its "<label>: listening on
-// ADDR" line, mirroring how scripts/verify.sh finds ephemeral ports.
-// All process output is forwarded to our stdout, prefixed.
-func spawn(label, bin string, args []string, listenPrefix string) (*proc, error) {
-	p := &proc{label: label, bin: bin, args: args}
-	if err := p.start(listenPrefix); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (p *proc) start(listenPrefix string) error {
-	cmd := exec.Command(p.bin, p.args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	addrc := make(chan string, 1)
-	done := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if a, ok := strings.CutPrefix(line, listenPrefix); ok {
-				select {
-				case addrc <- strings.Fields(a)[0]:
-				default:
-				}
-			}
-			fmt.Printf("  [%s] %s\n", p.label, line)
-		}
-		done <- cmd.Wait()
-	}()
-	select {
-	case addr := <-addrc:
-		p.mu.Lock()
-		p.cmd, p.addr, p.done = cmd, addr, done
-		p.mu.Unlock()
-		return nil
-	case err := <-done:
-		return fmt.Errorf("%s exited before listening: %v", p.label, err)
-	case <-time.After(10 * time.Second):
-		cmd.Process.Kill()
-		return fmt.Errorf("%s: no listening line within 10s", p.label)
-	}
-}
-
-// kill SIGKILLs the process and reaps it.
-func (p *proc) kill() {
-	p.mu.Lock()
-	cmd, done := p.cmd, p.done
-	p.mu.Unlock()
-	if cmd != nil && cmd.Process != nil {
-		cmd.Process.Kill()
-		<-done
-	}
-}
-
-// restart re-execs the process on its previous concrete address (the
-// restart path of a crashed peer: same identity, same store).
-func (p *proc) restart(listenPrefix string) error {
-	p.mu.Lock()
-	args := make([]string, len(p.args))
-	copy(args, p.args)
-	for i := 0; i < len(args)-1; i++ {
-		if args[i] == "-addr" {
-			args[i+1] = p.addr
-		}
-	}
-	p.args = args
-	p.mu.Unlock()
-	return p.start(listenPrefix)
-}
-
-// interrupt SIGINTs the process and returns its exit error (nil for a
-// clean exit 0).
-func (p *proc) interrupt(timeout time.Duration) error {
-	p.mu.Lock()
-	cmd, done := p.cmd, p.done
-	p.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return fmt.Errorf("%s: not running", p.label)
-	}
-	cmd.Process.Signal(syscall.SIGINT)
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(timeout):
-		cmd.Process.Kill()
-		<-done
-		return fmt.Errorf("%s: no clean exit within %v; killed", p.label, timeout)
-	}
-}
-
-// ringHarness owns the spawned topology.
-type ringHarness struct {
-	peers  []*proc
-	router *proc
-
-	chaosStop chan struct{}
-	chaosDone chan struct{}
-	kills     int
-}
+const probeDevice = "probe-swap"
 
 // startRing spawns cfg.ring sentryd peers (each journaling to its own
 // store directory) and the router, returning the router's base URL.
-func startRing(cfg config) (*ringHarness, string, error) {
-	storeRoot := cfg.storeDir
-	if storeRoot == "" {
-		dir, err := os.MkdirTemp("", "fleetload-ring-")
-		if err != nil {
-			return nil, "", err
-		}
-		storeRoot = dir
-	}
-	h := &ringHarness{}
-	for i := 0; i < cfg.ring; i++ {
-		dir := filepath.Join(storeRoot, fmt.Sprintf("peer%d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			h.stopAll()
-			return nil, "", err
-		}
-		p, err := spawn(fmt.Sprintf("sentryd%d", i), cfg.sentrydBin, []string{
-			"-addr", "127.0.0.1:0", "-queue", "256", "-store", dir,
-		}, peerListenPrefix)
-		if err != nil {
-			h.stopAll()
-			return nil, "", err
-		}
-		h.peers = append(h.peers, p)
-	}
-	peerAddrs := make([]string, len(h.peers))
-	for i, p := range h.peers {
-		peerAddrs[i] = p.addr
-	}
-	router, err := spawn("router", cfg.routerBin, []string{
-		"-addr", "127.0.0.1:0",
-		"-peers", strings.Join(peerAddrs, ","),
-		"-replicas", strconv.Itoa(cfg.replicas),
-		"-net-faults", cfg.netFaults,
-		"-net-seed", strconv.FormatInt(cfg.netSeed, 10),
-		"-seed", strconv.FormatInt(cfg.seed, 10),
-	}, routerListenPrefix)
-	if err != nil {
-		h.stopAll()
-		return nil, "", err
-	}
-	h.router = router
-	return h, "http://" + router.addr, nil
-}
-
-// startChaos begins the seeded kill/restart schedule: every interval
-// (jittered) one seeded-chosen peer is SIGKILLed, left down briefly,
-// and restarted on the same address and store — for exactly
-// cfg.chaosKills cycles.
-func (h *ringHarness) startChaos(cfg config) {
-	h.chaosStop = make(chan struct{})
-	h.chaosDone = make(chan struct{})
-	rng := simrand.New(cfg.seed).Derive("fleetload/chaos")
-	go func() {
-		defer close(h.chaosDone)
-		for h.kills < cfg.chaosKills {
-			wait := time.Duration(float64(cfg.chaos) * (0.5 + rng.Float64()))
-			select {
-			case <-h.chaosStop:
-				return
-			case <-time.After(wait):
-			}
-			victim := h.peers[rng.Intn(len(h.peers))]
-			fmt.Printf("fleetload: chaos: SIGKILL %s (%s)\n", victim.label, victim.addr)
-			victim.kill()
-			h.kills++
-			downFor := time.Duration(float64(cfg.chaos) * 0.25 * (0.5 + rng.Float64()))
-			select {
-			case <-h.chaosStop:
-				// Restart even when stopping, so the final shutdown pass
-				// finds every peer alive and can verify clean exits.
-				if err := victim.restart(peerListenPrefix); err != nil {
-					fmt.Fprintf(os.Stderr, "fleetload: chaos: restart %s: %v\n", victim.label, err)
-				}
-				return
-			case <-time.After(downFor):
-			}
-			if err := victim.restart(peerListenPrefix); err != nil {
-				fmt.Fprintf(os.Stderr, "fleetload: chaos: restart %s: %v\n", victim.label, err)
-				return
-			}
-			fmt.Printf("fleetload: chaos: restarted %s on %s\n", victim.label, victim.addr)
-		}
-	}()
-}
-
-// waitChaos blocks until the scheduled kill/restart cycles finish.
-func (h *ringHarness) waitChaos() {
-	if h.chaosDone != nil {
-		select {
-		case <-h.chaosDone:
-		case <-time.After(60 * time.Second):
-			close(h.chaosStop)
-			<-h.chaosDone
-		}
-	}
-}
-
-// restartAllPeers SIGKILLs every peer and restarts each on its address
-// and store — the fleet-wide power-cycle behind the byte-stability
-// check on /v1/flagged.
-func (h *ringHarness) restartAllPeers() error {
-	for _, p := range h.peers {
-		fmt.Printf("fleetload: power-cycle: SIGKILL %s (%s)\n", p.label, p.addr)
-		p.kill()
-	}
-	for _, p := range h.peers {
-		if err := p.restart(peerListenPrefix); err != nil {
-			return fmt.Errorf("restart %s: %w", p.label, err)
-		}
-	}
-	return nil
-}
-
-// shutdown SIGINTs the router then every peer, requiring clean exits.
-func (h *ringHarness) shutdown() error {
-	var firstErr error
-	if h.router != nil {
-		if err := h.router.interrupt(10 * time.Second); err != nil {
-			firstErr = fmt.Errorf("router: %w", err)
-		}
-	}
-	for _, p := range h.peers {
-		if err := p.interrupt(10 * time.Second); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", p.label, err)
-		}
-	}
-	return firstErr
-}
-
-// stopAll is the error-path cleanup: kill everything, ignore outcomes.
-func (h *ringHarness) stopAll() {
-	if h.router != nil {
-		h.router.kill()
-	}
-	for _, p := range h.peers {
-		p.kill()
-	}
+func startRing(cfg config) (*ringharness.Harness, string, error) {
+	return ringharness.Start(ringharness.Config{
+		Tool:       "fleetload",
+		Seed:       cfg.seed,
+		Peers:      cfg.ring,
+		StoreDir:   cfg.storeDir,
+		PeerBin:    cfg.sentrydBin,
+		PeerName:   "sentryd",
+		PeerArgs:   []string{"-queue", "256"},
+		RouterBin:  cfg.routerBin,
+		RouterName: "sentryrouter",
+		RouterArgs: []string{"-replicas", strconv.Itoa(cfg.replicas), "-net-faults", cfg.netFaults,
+			"-net-seed", strconv.FormatInt(cfg.netSeed, 10), "-seed", strconv.FormatInt(cfg.seed, 10)},
+	})
 }
 
 // swapUpdate is the mid-run rule change: detection-equivalent on the
@@ -344,7 +91,7 @@ func runRing(cfg config, fl *sentry.Fleet) int {
 	ok := false
 	defer func() {
 		if !ok {
-			h.stopAll()
+			h.KillAll()
 		}
 	}()
 	client := &http.Client{Timeout: 15 * time.Second}
@@ -352,16 +99,16 @@ func runRing(cfg config, fl *sentry.Fleet) int {
 	fmt.Printf("fleetload: replaying %d devices (%d records) through %s (ring %d, replicas %d, chaos %v x%d)\n",
 		len(fl.Devices), fl.Records(), base, cfg.ring, cfg.replicas, cfg.chaos, cfg.chaosKills)
 	if cfg.chaos > 0 {
-		h.startChaos(cfg)
+		h.StartChaos(cfg.chaos, cfg.chaosKills)
 	}
 	rs := sentry.ReplayFleetOpts(client, base, fl, sentry.ReplayOptions{
 		Clients: cfg.clients, Batch: cfg.batch, Retry429: cfg.retry429, Seed: cfg.seed,
 	})
 	if cfg.chaos > 0 {
-		h.waitChaos()
-		fmt.Printf("fleetload: chaos complete: %d kill/restart cycles\n", h.kills)
-		if h.kills < cfg.chaosKills {
-			fmt.Fprintf(os.Stderr, "fleetload: chaos ran only %d of %d cycles\n", h.kills, cfg.chaosKills)
+		h.WaitChaos(60 * time.Second)
+		fmt.Printf("fleetload: chaos complete: %d kill/restart cycles\n", h.Kills())
+		if h.Kills() < cfg.chaosKills {
+			fmt.Fprintf(os.Stderr, "fleetload: chaos ran only %d of %d cycles\n", h.Kills(), cfg.chaosKills)
 			return 1
 		}
 	}
@@ -431,7 +178,7 @@ func runRing(cfg config, fl *sentry.Fleet) int {
 		fmt.Fprintf(os.Stderr, "fleetload: flagged (pre-restart): %v\n", err)
 		return 1
 	}
-	if err := h.restartAllPeers(); err != nil {
+	if err := h.RestartPeers(); err != nil {
 		fmt.Fprintf(os.Stderr, "fleetload: %v\n", err)
 		return 1
 	}
@@ -449,19 +196,10 @@ func runRing(cfg config, fl *sentry.Fleet) int {
 	}
 	fmt.Printf("fleetload: %d flagged answers byte-stable across a fleet-wide SIGKILL restart\n", len(before))
 
-	c := sentry.Evaluate(snap, fl)
-	if !c.AccountingOK {
-		fmt.Fprintf(os.Stderr, "fleetload: ACCOUNTING VIOLATION: detected %d + clean %d + shed %d != reported %d\n",
-			snap.Detected, snap.Clean, snap.Shed, snap.DevicesReported)
-		return 1
+	if code := conform(cfg, snap, fl); code != 0 {
+		return code
 	}
-	if cfg.requirePerf && !c.Perfect() {
-		fmt.Fprintf(os.Stderr, "fleetload: conformance FAILED: TP=%d FP=%d FN=%d mismatches=%d\n",
-			c.TP, c.FP, c.FN, c.PatternMismatches)
-		return 1
-	}
-
-	if err := h.shutdown(); err != nil {
+	if err := h.Shutdown(); err != nil {
 		fmt.Fprintf(os.Stderr, "fleetload: shutdown: %v\n", err)
 		return 1
 	}

@@ -29,18 +29,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/sentry"
 	"repro/internal/sentrystore"
 )
@@ -115,38 +110,9 @@ func run() int {
 			store.Path(), st.Recovered, st.TornTail)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sentryd: listen: %v\n", err)
-		return 1
-	}
-	httpSrv := &http.Server{Handler: srv}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Printf("sentryd: listening on %s\n", ln.Addr())
-
-	select {
-	case <-ctx.Done():
-		fmt.Println("sentryd: signal received, shutting down")
-	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "sentryd: serve: %v\n", err)
-		return 1
-	}
-
-	srv.Close() // refuse new batches while the listener drains
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "sentryd: shutdown: %v\n", err)
-		return 1
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "sentryd: serve: %v\n", err)
-		return 1
+	// srv.Close refuses new batches while the listener drains.
+	if code := ring.Serve("sentryd", *addr, srv, "", srv.Close); code != 0 {
+		return code
 	}
 	snap := srv.Engine().Snapshot()
 	fmt.Printf("sentryd: shutdown complete (reported=%d detected=%d clean=%d shed=%d)\n",

@@ -25,18 +25,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetd"
 	"repro/internal/vetstore"
@@ -123,37 +118,8 @@ func run() int {
 	srv := vetd.New(cfg)
 	defer srv.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vetd: listen: %v\n", err)
-		return 1
-	}
-	httpSrv := &http.Server{Handler: srv}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Printf("vetd: listening on %s\n", ln.Addr())
-
-	select {
-	case <-ctx.Done():
-		fmt.Println("vetd: signal received, shutting down")
-	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "vetd: serve: %v\n", err)
-		return 1
-	}
-
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "vetd: shutdown: %v\n", err)
-		return 1
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "vetd: serve: %v\n", err)
-		return 1
+	if code := ring.Serve("vetd", *addr, srv, "", nil); code != 0 {
+		return code
 	}
 	srv.Close()
 	stats := srv.Metrics().Snapshot()

@@ -23,9 +23,10 @@
 // Ring mode (-ring N) turns vetload into the chaos harness for the
 // distributed serving plane: it spawns N vetd peers (each with its own
 // crash-safe store under -store-dir) plus a vetrouter on ephemeral
-// ports, replays the corpus against the router while -chaos SIGKILLs
-// and restarts seeded-chosen peers mid-run, and requires a clean SIGINT
-// shutdown from every process. -check works unchanged — replicated,
+// ports (internal/ringharness), replays the corpus against the router
+// while -chaos SIGKILLs and restarts seeded-chosen peers mid-run, and
+// requires a clean SIGINT shutdown from every process. -check works
+// unchanged — replicated,
 // degraded and recovered-from-store verdicts must all match the direct
 // analysis byte-for-byte.
 //
@@ -54,6 +55,8 @@ import (
 
 	"repro/internal/appstore"
 	"repro/internal/defense"
+	"repro/internal/ring"
+	"repro/internal/ringharness"
 	"repro/internal/simrand"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetd"
@@ -149,13 +152,26 @@ func run() int {
 		return 2
 	}
 
-	var harness *ringHarness
+	var harness *ringharness.Harness
 	if cfg.ring > 0 {
 		if cfg.vetdBin == "" || cfg.routerBin == "" {
 			fmt.Fprintln(os.Stderr, "vetload: -ring requires -vetd-bin and -router-bin")
 			return 2
 		}
-		h, routerURL, err := startRing(cfg)
+		tier, seed := strconv.Itoa(int(cfg.tier)), strconv.FormatInt(cfg.seed, 10)
+		h, routerURL, err := ringharness.Start(ringharness.Config{
+			Tool:       "vetload",
+			Seed:       cfg.seed,
+			Peers:      cfg.ring,
+			StoreDir:   cfg.storeDir,
+			PeerBin:    cfg.vetdBin,
+			PeerName:   "vetd",
+			PeerArgs:   []string{"-tier", tier},
+			RouterBin:  cfg.routerBin,
+			RouterName: "vetrouter",
+			RouterArgs: []string{"-replicas", strconv.Itoa(cfg.replicas), "-tier", tier,
+				"-net-faults", cfg.netFaults, "-net-seed", seed, "-seed", seed},
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vetload: ring: %v\n", err)
 			return 1
@@ -170,7 +186,7 @@ func run() int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vetload: corpus: %v\n", err)
 		if harness != nil {
-			harness.stopAll()
+			harness.KillAll()
 		}
 		return 1
 	}
@@ -190,7 +206,7 @@ func run() int {
 	}
 
 	if harness != nil && cfg.chaos > 0 {
-		harness.startChaos(cfg)
+		harness.StartChaos(cfg.chaos, -1)
 	}
 	samples := make([]sample, cfg.clients)
 	start := time.Now()
@@ -205,13 +221,13 @@ func run() int {
 	wg.Wait()
 	elapsed := time.Since(start)
 	if harness != nil {
-		harness.stopChaos()
+		harness.StopChaos()
 	}
 
 	code := report(cfg, samples, elapsed, client)
 	if harness != nil {
-		fmt.Printf("vetload: chaos: %d peer kill/restart cycles\n", harness.kills)
-		if err := harness.shutdown(); err != nil {
+		fmt.Printf("vetload: chaos: %d peer kill/restart cycles\n", harness.Kills())
+		if err := harness.Shutdown(); err != nil {
 			fmt.Fprintf(os.Stderr, "vetload: ring shutdown: %v\n", err)
 			return 1
 		}
@@ -327,54 +343,45 @@ func urlSuffix(cfg config) string {
 	return ""
 }
 
-// retryAfterCap bounds how long a client honors a Retry-After hint —
-// servers hint in whole seconds, which would stall a short replay.
-const retryAfterCap = 300 * time.Millisecond
-
-// retryDelay converts a 429's Retry-After header into the wait before
-// the next attempt: the hinted duration, capped, with seeded jitter in
-// [0.5x, 1.5x] so retrying clients don't re-converge on the same
-// instant (the thundering-herd shape Retry-After exists to prevent).
-func retryDelay(resp *http.Response, rng *simrand.Source) time.Duration {
-	d := retryAfterCap
-	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && sec > 0 {
-		if hinted := time.Duration(sec) * time.Second; hinted < d {
-			d = hinted
+// post sends one logical request of n items to path, honoring up to
+// -retry429 Retry-After waits, and returns the final status and body.
+// A transport error counts all n items as errors and returns !ok.
+func post(cfg config, client *http.Client, path string, body []byte, n int, rng *simrand.Source, out *sample) (int, []byte, bool) {
+	for attempt := 0; ; attempt++ {
+		resp, err := client.Post(cfg.addr+path+urlSuffix(cfg), "application/json", bytes.NewReader(body))
+		if err != nil {
+			out.errs += n
+			return 0, nil, false
 		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusTooManyRequests && attempt < cfg.retry429 {
+			time.Sleep(ring.RetryDelay(resp, rng))
+			continue
+		}
+		if attempt > 0 {
+			if resp.StatusCode == http.StatusOK {
+				out.retried += n
+			} else {
+				out.abandoned += n
+			}
+		}
+		return resp.StatusCode, raw, true
 	}
-	return time.Duration(float64(d) * (0.5 + rng.Float64()))
 }
 
 func doVet(cfg config, client *http.Client, tg *target, rng *simrand.Source, out *sample) {
 	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(cfg.addr+"/v1/vet"+urlSuffix(cfg), "application/json", bytes.NewReader(tg.body))
-		if err != nil {
-			out.errs++
-			return
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests && attempt < cfg.retry429 {
-			time.Sleep(retryDelay(resp, rng))
-			continue
-		}
-		// Final outcome: one logical request, classified once; the
-		// latency includes any Retry-After waits (the client-observed
-		// truth under shedding).
-		out.latencies = append(out.latencies, time.Since(start))
-		classify(resp.StatusCode, out)
-		if attempt > 0 {
-			if resp.StatusCode == http.StatusOK {
-				out.retried++
-			} else {
-				out.abandoned++
-			}
-		}
-		if resp.StatusCode == http.StatusOK {
-			checkVerdict(cfg, tg, body, out)
-		}
+	status, body, ok := post(cfg, client, "/v1/vet", tg.body, 1, rng, out)
+	if !ok {
 		return
+	}
+	// One logical request, classified once; the latency includes any
+	// Retry-After waits (the client-observed truth under shedding).
+	out.latencies = append(out.latencies, time.Since(start))
+	classify(status, out)
+	if status == http.StatusOK {
+		checkVerdict(cfg, tg, body, out)
 	}
 }
 
@@ -387,33 +394,13 @@ func doBatch(cfg config, client *http.Client, targets []target, picker *zipf, rn
 	}
 	body, _ := json.Marshal(map[string]any{"apps": apps})
 	start := time.Now()
-	var resp *http.Response
-	var err error
-	var raw []byte
-	for attempt := 0; ; attempt++ {
-		resp, err = client.Post(cfg.addr+"/v1/vet/batch"+urlSuffix(cfg), "application/json", bytes.NewReader(body))
-		if err != nil {
-			out.errs += cfg.batch
-			return
-		}
-		raw, _ = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests && attempt < cfg.retry429 {
-			time.Sleep(retryDelay(resp, rng))
-			continue
-		}
-		if attempt > 0 {
-			if resp.StatusCode == http.StatusOK {
-				out.retried += cfg.batch
-			} else {
-				out.abandoned += cfg.batch
-			}
-		}
-		break
+	status, raw, ok := post(cfg, client, "/v1/vet/batch", body, cfg.batch, rng, out)
+	if !ok {
+		return
 	}
 	out.latencies = append(out.latencies, time.Since(start))
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusTooManyRequests {
+	if status != http.StatusOK {
+		if status == http.StatusTooManyRequests {
 			out.shed += cfg.batch
 		} else {
 			out.other += cfg.batch

@@ -19,19 +19,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/ring"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetring"
 )
@@ -61,24 +56,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "vetrouter: %v\n", err)
 		return 2
 	}
-	if *peersArg == "" {
-		fmt.Fprintln(os.Stderr, "vetrouter: -peers is required")
-		return 2
-	}
-	var peers []string
-	for _, p := range strings.Split(*peersArg, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	prof, err := faults.NetByName(*netProf)
+	peers, plane, prof, err := ring.ParsePeers(*peersArg, *netProf, *netSeed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vetrouter: %v\n", err)
 		return 2
-	}
-	var plane *faults.NetPlane
-	if !prof.Zero() {
-		plane = faults.NewNetPlane(prof, *netSeed)
 	}
 
 	router, err := vetring.New(vetring.Config{
@@ -99,38 +80,9 @@ func run() int {
 	}
 	defer router.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vetrouter: listen: %v\n", err)
-		return 1
-	}
-	httpSrv := &http.Server{Handler: router}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Printf("vetrouter: listening on %s (peers %s, replicas %d, faults %s)\n",
-		ln.Addr(), router.PeerNames(), router.Ring().ReplicaCount(), prof.Name)
-
-	select {
-	case <-ctx.Done():
-		fmt.Println("vetrouter: signal received, shutting down")
-	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "vetrouter: serve: %v\n", err)
-		return 1
-	}
-
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "vetrouter: shutdown: %v\n", err)
-		return 1
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "vetrouter: serve: %v\n", err)
-		return 1
+	detail := fmt.Sprintf(" (peers %s, replicas %d, faults %s)", router.PeerNames(), router.Ring().ReplicaCount(), prof.Name)
+	if code := ring.Serve("vetrouter", *addr, router, detail, nil); code != 0 {
+		return code
 	}
 	router.Close()
 	st := router.Snapshot()

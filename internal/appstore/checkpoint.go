@@ -2,12 +2,9 @@ package appstore
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"strings"
-	"sync"
 
+	"repro/internal/applog"
 	"repro/internal/staticanalysis"
 )
 
@@ -65,14 +62,13 @@ type checkpointLine struct {
 	Report Report `json:"report"`
 }
 
-// checkpoint is the crash-safe chunk journal: a JSONL file with a header
-// line plus one line per finished chunk, fsynced per append so a kill at
-// any instant loses at most the chunk being written (a torn trailing line
-// is detected on load and that chunk simply re-runs).
+// checkpoint is the crash-safe chunk journal: an internal/applog log
+// with a header line plus one line per finished chunk, fsynced per
+// append so a kill at any instant loses at most the chunk being written
+// (a torn trailing line is truncated away on load and that chunk simply
+// re-runs).
 type checkpoint struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	log  *applog.Log
 	done map[int]Report
 }
 
@@ -80,84 +76,38 @@ type checkpoint struct {
 // identity. An existing file with a different identity is an error.
 func openCheckpoint(path string, seed int64, n int, tier staticanalysis.Tier, rates Rates) (*checkpoint, error) {
 	hdr := checkpointHeader{V: 1, Seed: seed, N: n, ChunkSize: studyChunkSize, Tier: int(tier), Rates: ratesID(rates)}
-	done := make(map[int]Report)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("appstore: read checkpoint: %w", err)
-	}
-	if err == nil && len(data) > 0 {
-		lines := strings.Split(string(data), "\n")
+	cp := &checkpoint{done: make(map[int]Report)}
+	check := func(line []byte) error {
 		var got checkpointHeader
-		if jerr := json.Unmarshal([]byte(lines[0]), &got); jerr != nil || got != hdr {
-			return nil, fmt.Errorf("appstore: checkpoint %s belongs to a different study (want v=%d seed=%d n=%d chunk_size=%d tier=%d); delete it to start over",
+		if jerr := json.Unmarshal(line, &got); jerr != nil || got != hdr {
+			return fmt.Errorf("appstore: checkpoint %s belongs to a different study (want v=%d seed=%d n=%d chunk_size=%d tier=%d); delete it to start over",
 				path, hdr.V, hdr.Seed, hdr.N, hdr.ChunkSize, hdr.Tier)
 		}
-		for _, ln := range lines[1:] {
-			if strings.TrimSpace(ln) == "" {
-				continue
-			}
-			var cl checkpointLine
-			if jerr := json.Unmarshal([]byte(ln), &cl); jerr != nil {
-				// Torn trailing line from a crash mid-append: drop it; the
-				// chunk re-runs.
-				continue
-			}
-			done[cl.Chunk] = cl.Report
+		return nil
+	}
+	replay := func(line []byte) bool {
+		var cl checkpointLine
+		if json.Unmarshal(line, &cl) != nil {
+			return false
 		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("appstore: open checkpoint: %w", err)
-		}
-		return &checkpoint{f: f, path: path, done: done}, nil
+		cp.done[cl.Chunk] = cl.Report
+		return true
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	log, _, err := applog.Open(path, "appstore", hdr, check, replay)
 	if err != nil {
-		return nil, fmt.Errorf("appstore: create checkpoint: %w", err)
+		return nil, err
 	}
-	b, err := json.Marshal(hdr)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("appstore: encode checkpoint header: %w", err)
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("appstore: write checkpoint header: %w", err)
-	}
-	return &checkpoint{f: f, path: path, done: done}, nil
+	cp.log = log
+	return cp, nil
 }
 
 // record appends one finished chunk and fsyncs.
 func (cp *checkpoint) record(chunk int, rep Report) error {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	b, err := json.Marshal(checkpointLine{Chunk: chunk, Report: rep})
-	if err != nil {
-		return fmt.Errorf("appstore: encode checkpoint chunk: %w", err)
-	}
-	if _, err := cp.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("appstore: append checkpoint chunk: %w", err)
-	}
-	if err := cp.f.Sync(); err != nil {
-		return fmt.Errorf("appstore: sync checkpoint: %w", err)
-	}
-	return nil
+	return cp.log.Append(checkpointLine{Chunk: chunk, Report: rep})
 }
 
 // close closes the journal, keeping the file for a later resume.
-func (cp *checkpoint) close() {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.f != nil {
-		cp.f.Close()
-		cp.f = nil
-	}
-}
+func (cp *checkpoint) close() { cp.log.Close() }
 
 // finish closes and deletes the journal after a completed study.
-func (cp *checkpoint) finish() error {
-	cp.close()
-	if err := os.Remove(cp.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("appstore: remove finished checkpoint: %w", err)
-	}
-	return nil
-}
+func (cp *checkpoint) finish() error { return cp.log.Remove() }

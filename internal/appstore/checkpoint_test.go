@@ -101,7 +101,6 @@ func TestCheckpointTornLineTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen with torn line: %v", err)
 	}
-	defer cp2.close()
 	rep, ok := cp2.done[0]
 	if !ok {
 		t.Fatal("fully written chunk 0 lost on reopen")
@@ -111,5 +110,23 @@ func TestCheckpointTornLineTolerated(t *testing.T) {
 	}
 	if _, ok := cp2.done[1]; ok {
 		t.Fatal("torn chunk 1 line accepted as complete")
+	}
+
+	// A chunk recorded after resuming over the torn line must start on a
+	// clean line and survive the next resume.
+	if err := cp2.record(1, Report{Total: studyChunkSize, CustomToast: 13}); err != nil {
+		t.Fatalf("record after resume: %v", err)
+	}
+	cp2.close()
+	cp3, err := openCheckpoint(path, 7, 3*studyChunkSize, staticanalysis.Tier0, PaperRates())
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer cp3.close()
+	if rep, ok := cp3.done[1]; !ok || rep.CustomToast != 13 {
+		t.Fatalf("chunk 1 recorded after resume lost across reopen: ok=%v rep=%+v", ok, rep)
+	}
+	if _, ok := cp3.done[0]; !ok {
+		t.Fatal("chunk 0 lost on second reopen")
 	}
 }

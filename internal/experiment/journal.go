@@ -2,17 +2,15 @@ package experiment
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"strings"
 	"sync"
+
+	"repro/internal/applog"
 )
 
-// Journal is a crash-safe per-trial result log for the experiment driver,
-// modelled on the per-chunk checkpoint of the corpus study
-// (appstore/checkpoint.go): an append-only JSONL file, fsynced per record,
-// whose header pins the run's identity (experiment name, seed, parameters).
+// Journal is a crash-safe per-trial result log for the experiment driver:
+// an internal/applog log — append-only JSONL, fsynced per record — whose
+// header pins the run's identity (experiment name, seed, parameters).
 // The driver (Run/Collect) checks the journal before executing each trial:
 // a trial whose key is already on disk replays the recorded result instead
 // of re-running, so a run killed at any instant — including SIGKILL —
@@ -27,9 +25,8 @@ import (
 // A nil *Journal is valid and disables journaling entirely: the driver
 // then executes every trial live.
 type Journal struct {
+	log  *applog.Log
 	mu   sync.Mutex
-	f    *os.File
-	path string
 	done map[string]json.RawMessage
 }
 
@@ -59,62 +56,37 @@ type journalLine struct {
 
 // OpenJournal opens or creates the journal at path for the given run
 // identity. An existing file is loaded for resume; a torn trailing line
-// from a crash mid-append is dropped (that trial re-runs). An existing
-// file with a different identity — or a stale positional-format (v1)
-// journal — is an error.
+// from a crash mid-append is truncated away (that trial re-runs). An
+// existing file with a different identity — or a stale positional-format
+// (v1) journal — is an error.
 func OpenJournal(path, exp string, seed int64, params string) (*Journal, error) {
 	hdr := journalHeader{V: journalVersion, Exp: exp, Seed: seed, Params: params}
-	done := make(map[string]json.RawMessage)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("experiment: read journal: %w", err)
-	}
-	if err == nil && len(data) > 0 {
-		lines := strings.Split(string(data), "\n")
+	j := &Journal{done: make(map[string]json.RawMessage)}
+	check := func(line []byte) error {
 		var got journalHeader
-		if jerr := json.Unmarshal([]byte(lines[0]), &got); jerr == nil && got.V == 1 {
-			return nil, fmt.Errorf("experiment: journal %s uses stale positional trial keys (format v1, this build writes v%d); its records cannot be replayed safely — delete it to start over",
+		if jerr := json.Unmarshal(line, &got); jerr == nil && got.V == 1 {
+			return fmt.Errorf("experiment: journal %s uses stale positional trial keys (format v1, this build writes v%d); its records cannot be replayed safely — delete it to start over",
 				path, journalVersion)
 		} else if jerr != nil || got != hdr {
-			return nil, fmt.Errorf("experiment: journal %s belongs to a different run (want v=%d exp=%s seed=%d params=%q); delete it to start over",
+			return fmt.Errorf("experiment: journal %s belongs to a different run (want v=%d exp=%s seed=%d params=%q); delete it to start over",
 				path, hdr.V, hdr.Exp, hdr.Seed, hdr.Params)
 		}
-		for _, ln := range lines[1:] {
-			if strings.TrimSpace(ln) == "" {
-				continue
-			}
-			var jl journalLine
-			if jerr := json.Unmarshal([]byte(ln), &jl); jerr != nil || jl.ID == "" {
-				// Torn trailing line from a crash mid-append: drop it; the
-				// trial re-runs.
-				continue
-			}
-			done[jl.ID] = jl.Result
+		return nil
+	}
+	replay := func(line []byte) bool {
+		var jl journalLine
+		if json.Unmarshal(line, &jl) != nil || jl.ID == "" {
+			return false
 		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: open journal: %w", err)
-		}
-		return &Journal{f: f, path: path, done: done}, nil
+		j.done[jl.ID] = jl.Result
+		return true
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	log, _, err := applog.Open(path, "experiment", hdr, check, replay)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: create journal: %w", err)
+		return nil, err
 	}
-	b, err := json.Marshal(hdr)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("experiment: encode journal header: %w", err)
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("experiment: write journal header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("experiment: sync journal header: %w", err)
-	}
-	return &Journal{f: f, path: path, done: done}, nil
+	j.log = log
+	return j, nil
 }
 
 // Lookup unmarshals the recorded result of trial key id into out and
@@ -143,22 +115,12 @@ func (j *Journal) Record(id, inputs string, result json.RawMessage) error {
 	if j == nil {
 		return nil
 	}
-	b, err := json.Marshal(journalLine{ID: id, Inputs: inputs, Result: result})
-	if err != nil {
-		return fmt.Errorf("experiment: encode journal line %q: %w", id, err)
+	if err := j.log.Append(journalLine{ID: id, Inputs: inputs, Result: result}); err != nil {
+		return err
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("experiment: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("experiment: append journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("experiment: sync journal: %w", err)
-	}
 	j.done[id] = result
+	j.mu.Unlock()
 	return nil
 }
 
@@ -176,14 +138,8 @@ func (j *Journal) Done() int {
 // Close closes the file, keeping it on disk for a later resume. Safe on a
 // nil journal.
 func (j *Journal) Close() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
+	if j != nil {
+		j.log.Close()
 	}
 }
 
@@ -193,9 +149,5 @@ func (j *Journal) Finish() error {
 	if j == nil {
 		return nil
 	}
-	j.Close()
-	if err := os.Remove(j.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("experiment: remove finished journal: %w", err)
-	}
-	return nil
+	return j.log.Remove()
 }

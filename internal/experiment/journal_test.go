@@ -117,6 +117,33 @@ func TestJournalResumeTornRecord(t *testing.T) {
 	if got := resumeFig6From(t, torn, seed); got != want {
 		t.Fatalf("resume from torn journal diverges\nwant:\n%s\ngot:\n%s", want, got)
 	}
+
+	// A record appended after resuming over the torn line must start on
+	// a clean line and survive the next resume.
+	path := filepath.Join(t.TempDir(), "fig6.journal")
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatalf("write torn journal: %v", err)
+	}
+	j, err := OpenJournal(path, "fig6", seed, "model=mi8")
+	if err != nil {
+		t.Fatalf("reopen torn journal: %v", err)
+	}
+	if err := j.Record("post-resume", "trial after the tear", json.RawMessage(`7`)); err != nil {
+		t.Fatalf("record after resume: %v", err)
+	}
+	j.Close()
+	j, err = OpenJournal(path, "fig6", seed, "model=mi8")
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer j.Close()
+	var n int
+	if ok, err := j.Lookup("post-resume", &n); err != nil || !ok || n != 7 {
+		t.Fatalf("post-resume record lost across reopen: ok=%v n=%d err=%v", ok, n, err)
+	}
+	if got := j.Done(); got != 3 {
+		t.Fatalf("reopened journal holds %d records, want the 2 intact ones plus the post-resume one", got)
+	}
 }
 
 // TestJournalIdentityMismatch: a journal written under one identity must

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/ring"
 )
 
 // Metrics is the router's observability surface.
@@ -21,28 +23,24 @@ import (
 //
 // so Routed + Degraded + Sheds + Failed == Batches and
 // Batches + BadBatches + RefusedBatches == IngestCalls at every
-// quiescent instant. Retries, acks and failovers are attempt-level
-// counters and do not participate in the batch-level identity.
+// quiescent instant (Sheds and the attempt-level and probe counters
+// come from the embedded ring.Counters). Retries and acks are
+// attempt-level counters and do not participate in the batch-level
+// identity.
 type Metrics struct {
+	ring.Counters
+
 	IngestCalls    atomic.Uint64
 	Batches        atomic.Uint64
 	Routed         atomic.Uint64
 	Degraded       atomic.Uint64
-	Sheds          atomic.Uint64
 	Failed         atomic.Uint64
 	BadBatches     atomic.Uint64
 	RefusedBatches atomic.Uint64
 
-	// Attempt-level counters.
-	Retries  atomic.Uint64 // extra replica passes after an incomplete one
-	Acks     atomic.Uint64 // 200 acks from peers
-	DupAcks  atomic.Uint64 // 409 after a transport error: already applied
-	Peer429s atomic.Uint64 // peer shed; no ack, no breaker damage
-	PeerErrs atomic.Uint64 // transport errors + 5xx from peers
-
-	// Probe counters.
-	ProbeOK   atomic.Uint64
-	ProbeFail atomic.Uint64
+	// Attempt-level counters beside the core's.
+	Acks    atomic.Uint64 // 200 acks from peers
+	DupAcks atomic.Uint64 // 409 after a transport error: already applied
 
 	// ConfigPushes counts config fan-out attempts to peers (including
 	// probe-recovery re-pushes); ConfigPushErrs the ones that failed.
@@ -55,13 +53,7 @@ type Metrics struct {
 }
 
 // PeerStats is one peer's slice of the /stats snapshot.
-type PeerStats struct {
-	Name    string `json:"name"`
-	Breaker string `json:"breaker"`
-	Opens   uint64 `json:"breaker_opens"`
-	Served  uint64 `json:"served"`
-	Errors  uint64 `json:"errors"`
-}
+type PeerStats = ring.PeerStats
 
 // Stats is the router's GET /stats JSON snapshot. Service is
 // "sentryrouter", the discriminator load generators key on to pick the
@@ -99,9 +91,7 @@ type Stats struct {
 // format.
 func (r *Router) WriteProm(w io.Writer) {
 	m := &r.metrics
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v uint64) { ring.PromCounter(w, name, help, v) }
 	counter("sentryrouter_ingest_total", "Ingest requests received.", m.IngestCalls.Load())
 	counter("sentryrouter_batches_total", "Batches accepted for routing.", m.Batches.Load())
 	counter("sentryrouter_routed_total", "Batches acked by at least one ring replica.", m.Routed.Load())
@@ -121,18 +111,7 @@ func (r *Router) WriteProm(w io.Writer) {
 	counter("sentryrouter_config_push_errors_total", "Config fan-out attempts that failed.", m.ConfigPushErrs.Load())
 	counter("sentryrouter_fallback_ingests_total", "Local fallback engine ingests.", m.FallbackIngests.Load())
 	fmt.Fprintf(w, "# HELP sentryrouter_config_version Active detection rule-set version.\n# TYPE sentryrouter_config_version gauge\nsentryrouter_config_version %d\n", r.local.RulesVersion())
-	fmt.Fprintf(w, "# HELP sentryrouter_peer_served_total Batches acked per peer.\n# TYPE sentryrouter_peer_served_total counter\n")
-	for _, p := range r.peerStats() {
-		fmt.Fprintf(w, "sentryrouter_peer_served_total{peer=%q} %d\n", p.Name, p.Served)
-	}
-	fmt.Fprintf(w, "# HELP sentryrouter_peer_breaker_open Peer breaker state (1 = not closed).\n# TYPE sentryrouter_peer_breaker_open gauge\n")
-	for _, p := range r.peerStats() {
-		open := 0
-		if p.Breaker != "closed" {
-			open = 1
-		}
-		fmt.Fprintf(w, "sentryrouter_peer_breaker_open{peer=%q,state=%q} %d\n", p.Name, p.Breaker, open)
-	}
+	r.core.WritePeerProm(w, "sentryrouter", "Batches acked per peer.")
 }
 
 // Snapshot assembles the current Stats.
@@ -159,6 +138,6 @@ func (r *Router) Snapshot() Stats {
 		ConfigPushes:    m.ConfigPushes.Load(),
 		ConfigPushErrs:  m.ConfigPushErrs.Load(),
 		FallbackIngests: m.FallbackIngests.Load(),
-		Peers:           r.peerStats(),
+		Peers:           r.core.PeerStats(),
 	}
 }

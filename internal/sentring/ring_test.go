@@ -1,17 +1,22 @@
 package sentring
 
+// These tests pin the shared consistent-hash ring's behaviour on this
+// router's placement keys: device IDs (dev-NNNNN).
+
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/ring"
 )
 
 func TestRingPlacementDeterministicAndDistinct(t *testing.T) {
 	peers := []string{"a:1", "b:1", "c:1", "d:1"}
-	r1, err := NewRing(peers, 64, 2)
+	r1, err := ring.NewRing(peers, 64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := NewRing(peers, 64, 2)
+	r2, _ := ring.NewRing(peers, 64, 2)
 	counts := make([]int, len(peers))
 	for i := 0; i < 2000; i++ {
 		device := fmt.Sprintf("dev-%05d", i)
@@ -37,17 +42,17 @@ func TestRingPlacementDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestRingReplicasClampedAndErrors(t *testing.T) {
-	r, err := NewRing([]string{"solo:1"}, 8, 3)
+	r, err := ring.NewRing([]string{"solo:1"}, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Replicas("dev-00001"); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("single-peer replicas %v", got)
 	}
-	if _, err := NewRing(nil, 8, 1); err == nil {
+	if _, err := ring.NewRing(nil, 8, 1); err == nil {
 		t.Fatal("empty peer set accepted")
 	}
-	if _, err := NewRing([]string{"a:1", "a:1"}, 8, 1); err == nil {
+	if _, err := ring.NewRing([]string{"a:1", "a:1"}, 8, 1); err == nil {
 		t.Fatal("duplicate peer accepted")
 	}
 }
@@ -56,8 +61,8 @@ func TestRingReplicasClampedAndErrors(t *testing.T) {
 // peer owned; every other device keeps its primary.
 func TestRingMinimalReshuffle(t *testing.T) {
 	all := []string{"a:1", "b:1", "c:1", "d:1"}
-	full, _ := NewRing(all, 64, 1)
-	reduced, _ := NewRing(all[:3], 64, 1) // drop d:1
+	full, _ := ring.NewRing(all, 64, 1)
+	reduced, _ := ring.NewRing(all[:3], 64, 1) // drop d:1
 	moved, kept := 0, 0
 	for i := 0; i < 2000; i++ {
 		device := fmt.Sprintf("dev-%05d", i)

@@ -25,28 +25,31 @@
 // seeded determinism while the router code under test is byte-identical
 // to production.
 //
+// The failure machinery is internal/ring's serving core; this package is
+// its write specialization: a batch goes to every replica, a 409 after
+// a transport error counts as a duplicate ack, the local fallback is a
+// sentry.Engine, and a probe's failed→ok transition re-pushes the
+// active config.
+//
 // sentring is a wall-clock serving package (simlint's ServingPackages
 // allowlist): deadlines, backoff and breaker cooldowns are real time,
 // but every detection decision stays virtual-time pure on the peers.
 package sentring
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/ring"
 	"repro/internal/sentry"
-	"repro/internal/simrand"
 )
 
 // Config parameterizes a Router.
@@ -102,70 +105,15 @@ type Config struct {
 	Transport http.RoundTripper
 }
 
-func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 2 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 25 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.FallbackConcurrency <= 0 {
-		c.FallbackConcurrency = 4
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// peer is one sentryd node as the router sees it.
-type peer struct {
-	name   string
-	client *http.Client
-	brk    *breaker
-
-	served atomic.Uint64
-	errors atomic.Uint64
-	// ready tracks the last probe outcome so the probe loop can detect a
-	// failed→ok transition and re-push the active config to a restarted
-	// peer.
-	ready atomic.Bool
-}
+// Ring is the placement function (internal/ring's consistent-hash ring).
+type Ring = ring.Ring
 
 // Router is the ring front end, an http.Handler mirroring sentryd's API
 // surface (POST /v1/ingest, GET /v1/report, GET /v1/flagged,
 // POST /v1/config, GET /healthz, /readyz, /stats, /metrics) so clients
 // cannot tell a node from the ring.
 type Router struct {
-	cfg   Config
-	ring  *Ring
-	peers []*peer
+	core *ring.Core
 	// local is the fallback detection engine: it absorbs batches whose
 	// replica set is entirely unreachable, and it is the version
 	// authority for /v1/config fan-out.
@@ -174,83 +122,56 @@ type Router struct {
 
 	metrics Metrics
 
-	// jitterMu serializes the seeded backoff stream.
-	jitterMu  sync.Mutex
-	jitterRng *simrand.Source
-
-	fallbackSem chan struct{}
-
 	// configMu serializes config fan-out; lastConfig is the active
 	// update (version assigned) re-pushed to peers that come back.
 	configMu   sync.Mutex
 	lastConfig *sentry.ConfigUpdate
-
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
-	closed    atomic.Bool
 }
 
 // New builds a Router over cfg.Peers and starts its health probes.
 func New(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Peers, cfg.VNodes, cfg.Replicas)
-	if err != nil {
-		return nil, err
-	}
 	local, err := sentry.NewEngine(cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
-	base := cfg.Transport
-	if base == nil {
-		base = &http.Transport{MaxIdleConnsPerHost: 16}
+	r := &Router{local: local}
+	core, err := ring.New(ring.Config{
+		Name:                "sentring",
+		Peers:               cfg.Peers,
+		Replicas:            cfg.Replicas,
+		VNodes:              cfg.VNodes,
+		Deadline:            cfg.Deadline,
+		Retries:             cfg.Retries,
+		RetryBase:           cfg.RetryBase,
+		Seed:                cfg.Seed,
+		BreakerThreshold:    cfg.BreakerThreshold,
+		BreakerCooldown:     cfg.BreakerCooldown,
+		ProbeInterval:       cfg.ProbeInterval,
+		FallbackConcurrency: cfg.FallbackConcurrency,
+		RetryAfter:          cfg.RetryAfter,
+		MaxBodyBytes:        cfg.MaxBodyBytes,
+		NetPlane:            cfg.NetPlane,
+		Transport:           cfg.Transport,
+	}, &r.metrics.Counters)
+	if err != nil {
+		return nil, err
 	}
-	r := &Router{
-		cfg:         cfg,
-		ring:        ring,
-		local:       local,
-		jitterRng:   simrand.New(cfg.Seed).Derive("sentring/backoff"),
-		fallbackSem: make(chan struct{}, cfg.FallbackConcurrency),
-		probeStop:   make(chan struct{}),
-	}
-	for i, name := range cfg.Peers {
-		p := &peer{
-			name: name,
-			client: &http.Client{
-				Transport: newPeerTransport(base, cfg.NetPlane, i),
-				Timeout:   cfg.Deadline,
-			},
-			brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		}
-		p.ready.Store(true) // assume up until a probe says otherwise
-		r.peers = append(r.peers, p)
-	}
+	r.core = core
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("POST /v1/ingest", r.handleIngest)
 	r.mux.HandleFunc("GET /v1/report", r.handleReport)
 	r.mux.HandleFunc("GET /v1/flagged", r.handleFlagged)
 	r.mux.HandleFunc("POST /v1/config", r.handleConfig)
-	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /readyz", r.handleReadyz)
-	r.mux.HandleFunc("GET /stats", r.handleStats)
-	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
-	if cfg.ProbeInterval > 0 {
-		for i := range r.peers {
-			r.probeWG.Add(1)
-			go r.probeLoop(i)
-		}
-	}
+	core.Mount(r.mux, func() any { return r.Snapshot() }, r.WriteProm)
+	// A SIGKILLed peer restarts at rule version 1; the probe that sees it
+	// come back heals it to the ring's version.
+	core.Start(r.repushConfig)
 	return r, nil
 }
 
 // Close stops the health probes and refuses further ingests; in-flight
 // requests finish normally.
-func (r *Router) Close() {
-	if r.closed.CompareAndSwap(false, true) {
-		close(r.probeStop)
-		r.probeWG.Wait()
-	}
-}
+func (r *Router) Close() { r.core.Close() }
 
 // ServeHTTP implements http.Handler.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
@@ -258,93 +179,24 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // Ring exposes the placement function (tests and topology dumps).
-func (r *Router) Ring() *Ring { return r.ring }
+func (r *Router) Ring() *Ring { return r.core.Ring() }
 
 // Local exposes the fallback engine (shutdown accounting).
 func (r *Router) Local() *sentry.Engine { return r.local }
 
-// probeLoop polls one peer's /readyz and feeds its breaker, so dead
-// peers are discovered between batches and recovered peers readmitted
-// within one cooldown. A failed→ok transition additionally re-pushes
-// the active config: a SIGKILLed peer restarts at rule version 1, and
-// the probe heals it to the ring's version.
-func (r *Router) probeLoop(i int) {
-	defer r.probeWG.Done()
-	p := r.peers[i]
-	t := time.NewTicker(r.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.probeStop:
-			return
-		case <-t.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeInterval)
-		req, err := http.NewRequestWithContext(ctx, "GET", "http://"+p.name+"/readyz", nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := p.client.Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		cancel()
-		if err == nil && resp.StatusCode == http.StatusOK {
-			r.metrics.ProbeOK.Add(1)
-			p.brk.onSuccess()
-			if !p.ready.Swap(true) {
-				r.repushConfig(p)
-			}
-		} else {
-			r.metrics.ProbeFail.Add(1)
-			p.brk.onFailure()
-			p.ready.Store(false)
-		}
-	}
-}
-
 // repushConfig sends the active config (if any swap happened) to a peer
 // that just came back. Idempotent on the peer side: an equal re-push of
 // the active version is a no-op, a restarted peer jumps forward.
-func (r *Router) repushConfig(p *peer) {
+func (r *Router) repushConfig(i int) {
 	r.configMu.Lock()
 	u := r.lastConfig
 	r.configMu.Unlock()
 	if u == nil {
 		return
 	}
-	if err := r.pushConfig(context.Background(), p, *u); err != nil {
+	if err := r.pushConfig(context.Background(), i, *u); err != nil {
 		r.metrics.ConfigPushErrs.Add(1)
 	}
-}
-
-// backoff returns the jittered inter-pass delay for retry pass k
-// (1-based): RetryBase<<(k-1), jittered uniformly in [0.5x, 1.5x],
-// drawn from the router's seeded stream.
-func (r *Router) backoff(k int) time.Duration {
-	d := r.cfg.RetryBase << (k - 1)
-	r.jitterMu.Lock()
-	j := 0.5 + r.jitterRng.Float64()
-	r.jitterMu.Unlock()
-	return time.Duration(float64(d) * j)
-}
-
-func (r *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (r *Router) writeError(w http.ResponseWriter, status int, msg string) {
-	resp := sentry.ErrorResponse{Error: msg}
-	if status == http.StatusTooManyRequests {
-		sec := int((r.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		resp.RetryAfterSec = sec
-	}
-	r.writeJSON(w, status, resp)
 }
 
 // handleIngest validates the batch, routes it to the device's replica
@@ -352,43 +204,43 @@ func (r *Router) writeError(w http.ResponseWriter, status int, msg string) {
 // Metrics contract.
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	r.metrics.IngestCalls.Add(1)
+	bad := func(msg string) {
+		r.metrics.BadBatches.Add(1)
+		r.core.WriteError(w, http.StatusBadRequest, msg)
+	}
 	device := req.URL.Query().Get("device")
 	if !sentry.ValidToken(device) {
-		r.metrics.BadBatches.Add(1)
-		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("sentring: bad device %q", device))
+		bad(fmt.Sprintf("sentring: bad device %q", device))
 		return
 	}
-	if r.closed.Load() {
+	if r.core.Closed() {
 		r.metrics.RefusedBatches.Add(1)
-		r.writeError(w, http.StatusServiceUnavailable, "sentring: shutting down")
+		r.core.WriteError(w, http.StatusServiceUnavailable, "sentring: shutting down")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.core.Config().MaxBodyBytes))
 	if err != nil {
-		r.metrics.BadBatches.Add(1)
-		r.writeError(w, http.StatusBadRequest, "sentring: read body: "+err.Error())
+		bad("sentring: read body: " + err.Error())
 		return
 	}
 	// Decode at the router so malformed batches never consume ring
 	// capacity; the decoded records also feed the degraded fallback.
 	recs, err := sentry.DecodeBatch(body)
 	if err != nil {
-		r.metrics.BadBatches.Add(1)
-		r.writeError(w, http.StatusBadRequest, err.Error())
+		bad(err.Error())
 		return
 	}
 	if len(recs) == 0 {
-		r.metrics.BadBatches.Add(1)
-		r.writeError(w, http.StatusBadRequest, "sentring: empty batch")
+		bad("sentring: empty batch")
 		return
 	}
 	r.metrics.Batches.Add(1)
 	res := r.routeBatch(req.Context(), device, body, recs)
 	if res.status != http.StatusOK {
-		r.writeError(w, res.status, res.errMsg)
+		r.core.WriteError(w, res.status, res.errMsg)
 		return
 	}
-	r.writeJSON(w, http.StatusOK, res.resp)
+	ring.WriteJSON(w, http.StatusOK, res.resp)
 }
 
 // routeResult is the classified outcome of one routed batch.
@@ -409,185 +261,105 @@ type routeResult struct {
 // absorbed → Degraded, fallback saturated → Shed, fallback error →
 // Failed.
 func (r *Router) routeBatch(ctx context.Context, device string, body []byte, recs []sentry.Record) routeResult {
-	replicas := r.ring.Replicas(device)
-	acked := make([]bool, len(replicas))
-	maybeSent := make([]bool, len(replicas))
-	ackCount := 0
+	replicas := r.core.Ring().Replicas(device)
+	maybeSent := make(map[int]bool, len(replicas))
 	var okResp *sentry.IngestResponse
-
-	for pass := 0; pass <= r.cfg.Retries; pass++ {
-		if pass > 0 {
-			if ackCount == len(replicas) {
-				break
+	var conflict string
+	acks, aborted := r.core.Replicate(ctx, replicas, len(replicas), func(ctx context.Context, i int) ring.Outcome {
+		var ir sentry.IngestResponse
+		var errMsg string
+		status, err := r.core.Call(ctx, i, "POST", "/v1/ingest?device="+device, "text/plain", body, func(status int, rd io.Reader) error {
+			if status != http.StatusOK {
+				var er sentry.ErrorResponse
+				json.NewDecoder(rd).Decode(&er)
+				errMsg = er.Error
+				return nil
 			}
-			r.metrics.Retries.Add(1)
-			select {
-			case <-time.After(r.backoff(pass)):
-			case <-ctx.Done():
-				pass = r.cfg.Retries + 1 // no more passes
+			if err := json.NewDecoder(rd).Decode(&ir); err != nil {
+				return fmt.Errorf("decode peer response: %w", err)
 			}
-			if pass > r.cfg.Retries {
-				break
+			return nil
+		})
+		switch {
+		case err != nil:
+			maybeSent[i] = true
+		case status == http.StatusOK:
+			r.metrics.Acks.Add(1)
+			if okResp == nil {
+				okResp = &ir
 			}
+		case status == http.StatusConflict && maybeSent[i]:
+			// Retry race: an earlier attempt reached the peer but its
+			// response was lost; the strict sequence check acknowledges
+			// the duplicate without double-applying.
+			r.metrics.DupAcks.Add(1)
+			return ring.Ack
+		case status == http.StatusConflict:
+			// Genuine stream conflict: every replica will refuse it the
+			// same way.
+			conflict = errMsg
+			return ring.Abort
 		}
-		for ri, pi := range replicas {
-			if acked[ri] {
-				continue
-			}
-			p := r.peers[pi]
-			if !p.brk.allow() {
-				continue
-			}
-			status, iresp, errMsg, err := r.tryIngest(ctx, p, device, body)
-			switch {
-			case err != nil:
-				maybeSent[ri] = true
-				p.errors.Add(1)
-				r.metrics.PeerErrs.Add(1)
-				p.brk.onFailure()
-			case status == http.StatusOK:
-				p.brk.onSuccess()
-				p.served.Add(1)
-				r.metrics.Acks.Add(1)
-				acked[ri] = true
-				ackCount++
-				if okResp == nil {
-					resp := iresp
-					okResp = &resp
-				}
-			case status == http.StatusConflict:
-				p.brk.onSuccess() // the peer is alive and answered
-				if maybeSent[ri] {
-					// Retry race: an earlier attempt reached the peer but
-					// its response was lost; the strict sequence check
-					// acknowledges the duplicate without double-applying.
-					r.metrics.DupAcks.Add(1)
-					p.served.Add(1)
-					acked[ri] = true
-					ackCount++
-				} else {
-					// Genuine stream conflict: every replica will refuse
-					// it the same way. Classify failed, propagate.
-					r.metrics.Failed.Add(1)
-					return routeResult{status: http.StatusConflict, errMsg: errMsg}
-				}
-			case status == http.StatusTooManyRequests:
-				// The peer is alive and shedding: no ack, no breaker
-				// damage — opening the circuit on load would amplify the
-				// overload onto the remaining replicas.
-				r.metrics.Peer429s.Add(1)
-				p.brk.onSuccess()
-			default:
-				// 5xx (injected storms included) and unexpected codes.
-				p.errors.Add(1)
-				r.metrics.PeerErrs.Add(1)
-				p.brk.onFailure()
-			}
-		}
-		if ackCount == len(replicas) {
-			break
-		}
+		return ring.Classify(status, err)
+	})
+	switch {
+	case aborted:
+		r.metrics.Failed.Add(1)
+		return routeResult{status: http.StatusConflict, errMsg: conflict}
+	case acks == 0:
+		return r.fallback(ctx, device, recs)
 	}
-
-	if ackCount > 0 {
-		r.metrics.Routed.Add(1)
-		if okResp == nil {
-			// Every ack was a duplicate 409: the batch is applied
-			// ring-side, only this round trip's body was lost.
-			okResp = &sentry.IngestResponse{Device: device}
-		}
-		return routeResult{resp: *okResp, status: http.StatusOK}
+	r.metrics.Routed.Add(1)
+	if okResp == nil {
+		// Every ack was a duplicate 409: the batch is applied ring-side,
+		// only this round trip's body was lost.
+		okResp = &sentry.IngestResponse{Device: device}
 	}
-	return r.fallback(ctx, device, recs)
-}
-
-// tryIngest sends one batch attempt to p. The returned error covers
-// transport failures only; HTTP-level failures come back as the status
-// plus the peer's error message.
-func (r *Router) tryIngest(ctx context.Context, p *peer, device string, body []byte) (int, sentry.IngestResponse, string, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	url := "http://" + p.name + "/v1/ingest?device=" + device
-	req, err := http.NewRequestWithContext(attemptCtx, "POST", url, bytes.NewReader(body))
-	if err != nil {
-		return 0, sentry.IngestResponse{}, "", err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return 0, sentry.IngestResponse{}, "", err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		var er sentry.ErrorResponse
-		json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes)).Decode(&er)
-		return resp.StatusCode, sentry.IngestResponse{}, er.Error, nil
-	}
-	var ir sentry.IngestResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes)).Decode(&ir); err != nil {
-		return 0, sentry.IngestResponse{}, "", fmt.Errorf("decode peer response: %w", err)
-	}
-	return http.StatusOK, ir, "", nil
+	return routeResult{resp: *okResp, status: http.StatusOK}
 }
 
 // fallback absorbs the batch into the local engine when every replica
-// is unreachable: bounded by the fallback semaphore (full → shed),
-// stamped Degraded — the plane keeps detecting but admits it routed
-// nothing.
+// is unreachable, under the core's fallback rule, stamped Degraded —
+// the plane keeps detecting but admits it routed nothing.
 func (r *Router) fallback(ctx context.Context, device string, recs []sentry.Record) routeResult {
-	select {
-	case r.fallbackSem <- struct{}{}:
-	default:
-		r.metrics.Sheds.Add(1)
-		r.local.MarkShed(device)
-		return routeResult{status: http.StatusTooManyRequests, errMsg: "ring unreachable and local fallback saturated"}
-	}
-	defer func() { <-r.fallbackSem }()
-	if ctx.Err() != nil {
-		r.metrics.Sheds.Add(1)
-		r.local.MarkShed(device)
-		return routeResult{status: http.StatusTooManyRequests, errMsg: "deadline exhausted before fallback"}
-	}
-	r.metrics.FallbackIngests.Add(1)
-	n, err := r.local.Ingest(device, recs)
+	var res routeResult
+	err := r.core.Fallback(ctx, func() {
+		r.metrics.FallbackIngests.Add(1)
+		n, err := r.local.Ingest(device, recs)
+		if err != nil {
+			r.metrics.Failed.Add(1)
+			res = routeResult{status: http.StatusConflict, errMsg: fmt.Sprintf("fallback applied %d: %v", n, err)}
+			return
+		}
+		r.metrics.Degraded.Add(1)
+		res = routeResult{
+			resp:   sentry.IngestResponse{Device: device, Records: n, Detected: r.local.Detected(device), Degraded: true},
+			status: http.StatusOK,
+		}
+	})
 	if err != nil {
-		r.metrics.Failed.Add(1)
-		return routeResult{status: http.StatusConflict, errMsg: fmt.Sprintf("fallback applied %d: %v", n, err)}
+		r.local.MarkShed(device)
+		return routeResult{status: http.StatusTooManyRequests, errMsg: err.Error()}
 	}
-	r.metrics.Degraded.Add(1)
-	return routeResult{
-		resp:   sentry.IngestResponse{Device: device, Records: n, Detected: r.local.Detected(device), Degraded: true},
-		status: http.StatusOK,
-	}
+	return res
 }
 
-// fetchPeerSnapshot pulls one peer's /v1/report.
-func (r *Router) fetchPeerSnapshot(ctx context.Context, p *peer) (sentry.Snapshot, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, "GET", "http://"+p.name+"/v1/report", nil)
-	if err != nil {
-		return sentry.Snapshot{}, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return sentry.Snapshot{}, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return sentry.Snapshot{}, fmt.Errorf("peer %s report: status %d", p.name, resp.StatusCode)
-	}
+// fetchPeerSnapshot pulls peer i's /v1/report.
+func (r *Router) fetchPeerSnapshot(ctx context.Context, i int) (sentry.Snapshot, error) {
 	var snap sentry.Snapshot
-	if err := json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes)).Decode(&snap); err != nil {
-		return sentry.Snapshot{}, fmt.Errorf("peer %s report: %w", p.name, err)
+	status, err := r.core.Call(ctx, i, "GET", "/v1/report", "", nil, func(status int, rd io.Reader) error {
+		if status != http.StatusOK {
+			return nil
+		}
+		if err := json.NewDecoder(rd).Decode(&snap); err != nil {
+			return fmt.Errorf("peer %s report: %w", r.core.PeerName(i), err)
+		}
+		return nil
+	})
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("peer %s report: status %d", r.core.PeerName(i), status)
 	}
-	return snap, nil
+	return snap, err
 }
 
 // MergedSnapshot assembles the fleet-wide accounting from every
@@ -603,64 +375,42 @@ func (r *Router) fetchPeerSnapshot(ctx context.Context, p *peer) (sentry.Snapsho
 // Totals are recomputed from the merged rows; the exclusive accounting
 // identity holds by construction.
 func (r *Router) MergedSnapshot(ctx context.Context) sentry.Snapshot {
-	type source struct {
-		idx  int // peer index, -1 = local engine
-		rows map[string]sentry.DeviceAccount
-	}
-	var sources []source
-	index := make(map[int]int) // peer idx -> sources idx
-	for i, p := range r.peers {
-		snap, err := r.fetchPeerSnapshot(ctx, p)
-		if err != nil {
-			continue
-		}
-		rows := make(map[string]sentry.DeviceAccount, len(snap.Devices))
-		for _, row := range snap.Devices {
-			rows[row.Device] = row
-		}
-		index[i] = len(sources)
-		sources = append(sources, source{idx: i, rows: rows})
-	}
-	localSnap := r.local.Snapshot()
-	localRows := make(map[string]sentry.DeviceAccount, len(localSnap.Devices))
-	for _, row := range localSnap.Devices {
-		localRows[row.Device] = row
-	}
-	index[-1] = len(sources)
-	sources = append(sources, source{idx: -1, rows: localRows})
-
+	// rows[i] holds peer i's per-device rows (nil when unreachable);
+	// the local engine's come last.
+	peers := r.core.Ring().Peers()
+	rows := make([]map[string]sentry.DeviceAccount, len(peers)+1)
 	devices := make(map[string]bool)
-	for _, src := range sources {
-		for dev := range src.rows {
-			devices[dev] = true
+	add := func(i int, snap sentry.Snapshot) {
+		rows[i] = make(map[string]sentry.DeviceAccount, len(snap.Devices))
+		for _, row := range snap.Devices {
+			rows[i][row.Device] = row
+			devices[row.Device] = true
 		}
 	}
+	for i := range peers {
+		if snap, err := r.fetchPeerSnapshot(ctx, i); err == nil {
+			add(i, snap)
+		}
+	}
+	add(len(peers), r.local.Snapshot())
 
 	merged := sentry.Snapshot{Service: "sentryrouter"}
 	for dev := range devices {
 		// Preference order: the device's replica set, then every other
 		// peer (a ring reconfiguration could have moved it), then local.
-		pref := r.ring.Replicas(dev)
-		inPref := make(map[int]bool, len(pref))
-		for _, pi := range pref {
-			inPref[pi] = true
-		}
-		for pi := range r.peers {
-			if !inPref[pi] {
+		pref := r.core.Ring().Replicas(dev)
+		for pi := range peers {
+			if !slices.Contains(pref, pi) {
 				pref = append(pref, pi)
 			}
 		}
-		pref = append(pref, -1)
+		pref = append(pref, len(peers))
 
 		var canonical *sentry.DeviceAccount
 		var detected *sentry.DeviceAccount
 		anyShed := false
-		for _, pi := range pref {
-			si, ok := index[pi]
-			if !ok {
-				continue
-			}
-			row, ok := sources[si].rows[dev]
+		for _, si := range pref {
+			row, ok := rows[si][dev]
 			if !ok {
 				continue
 			}
@@ -718,7 +468,7 @@ func (r *Router) MergedSnapshot(ctx context.Context) sentry.Snapshot {
 }
 
 func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
-	r.writeJSON(w, http.StatusOK, r.MergedSnapshot(req.Context()))
+	ring.WriteJSON(w, http.StatusOK, r.MergedSnapshot(req.Context()))
 }
 
 // handleFlagged proxies "was this device ever flagged" to the device's
@@ -730,13 +480,12 @@ func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleFlagged(w http.ResponseWriter, req *http.Request) {
 	device := req.URL.Query().Get("device")
 	if !sentry.ValidToken(device) {
-		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("sentring: bad device %q", device))
+		r.core.WriteError(w, http.StatusBadRequest, fmt.Sprintf("sentring: bad device %q", device))
 		return
 	}
 	var unflagged []byte
-	for _, pi := range r.ring.Replicas(device) {
-		p := r.peers[pi]
-		body, flagged, err := r.tryFlagged(req.Context(), p, device)
+	for _, pi := range r.core.Ring().Replicas(device) {
+		body, flagged, err := r.tryFlagged(req.Context(), pi, device)
 		if err != nil {
 			continue
 		}
@@ -750,7 +499,7 @@ func (r *Router) handleFlagged(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if d, ok := r.local.DetectionFor(device); ok {
-		r.writeJSON(w, http.StatusOK, sentry.FlaggedResponse{Device: device, Flagged: true, Detection: &d})
+		ring.WriteJSON(w, http.StatusOK, sentry.FlaggedResponse{Device: device, Flagged: true, Detection: &d})
 		return
 	}
 	if unflagged != nil {
@@ -758,27 +507,20 @@ func (r *Router) handleFlagged(w http.ResponseWriter, req *http.Request) {
 		w.Write(unflagged)
 		return
 	}
-	r.writeError(w, http.StatusBadGateway, "sentring: no replica answered")
+	r.core.WriteError(w, http.StatusBadGateway, "sentring: no replica answered")
 }
 
-func (r *Router) tryFlagged(ctx context.Context, p *peer, device string) ([]byte, bool, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, "GET", "http://"+p.name+"/v1/flagged?device="+device, nil)
+func (r *Router) tryFlagged(ctx context.Context, i int, device string) ([]byte, bool, error) {
+	var body []byte
+	status, err := r.core.Call(ctx, i, "GET", "/v1/flagged?device="+device, "", nil, func(_ int, rd io.Reader) (err error) {
+		body, err = io.ReadAll(rd)
+		return err
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("peer %s flagged: status %d", p.name, resp.StatusCode)
+	if status != http.StatusOK {
+		return nil, false, fmt.Errorf("peer %s flagged: status %d", r.core.PeerName(i), status)
 	}
 	var fr sentry.FlaggedResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
@@ -803,14 +545,14 @@ type ConfigFanout struct {
 // invalid update, 409 = stale or conflicting version; neither touches
 // any engine.
 func (r *Router) handleConfig(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.core.Config().MaxBodyBytes))
 	if err != nil {
-		r.writeError(w, http.StatusBadRequest, "sentring: read body: "+err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, "sentring: read body: "+err.Error())
 		return
 	}
 	u, err := sentry.ParseConfigUpdate(body)
 	if err != nil {
-		r.writeError(w, http.StatusBadRequest, err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	r.configMu.Lock()
@@ -821,7 +563,7 @@ func (r *Router) handleConfig(w http.ResponseWriter, req *http.Request) {
 		if u.Validate() == nil {
 			status = http.StatusConflict
 		}
-		r.writeError(w, status, err.Error())
+		r.core.WriteError(w, status, err.Error())
 		return
 	}
 	u.Version = v
@@ -829,98 +571,36 @@ func (r *Router) handleConfig(w http.ResponseWriter, req *http.Request) {
 	r.lastConfig = &uc
 	r.configMu.Unlock()
 
-	acked := 0
-	for _, p := range r.peers {
-		if err := r.pushConfig(req.Context(), p, u); err != nil {
+	acked, peers := 0, len(r.core.Ring().Peers())
+	for i := 0; i < peers; i++ {
+		if err := r.pushConfig(req.Context(), i, u); err != nil {
 			r.metrics.ConfigPushErrs.Add(1)
 			continue
 		}
 		acked++
 	}
-	r.writeJSON(w, http.StatusOK, ConfigFanout{Version: v, PeersAcked: acked, Peers: len(r.peers)})
+	ring.WriteJSON(w, http.StatusOK, ConfigFanout{Version: v, PeersAcked: acked, Peers: peers})
 }
 
-// pushConfig sends one stamped config update to a peer.
-func (r *Router) pushConfig(ctx context.Context, p *peer, u sentry.ConfigUpdate) error {
+// pushConfig sends one stamped config update to peer i.
+func (r *Router) pushConfig(ctx context.Context, i int, u sentry.ConfigUpdate) error {
 	r.metrics.ConfigPushes.Add(1)
 	body, err := u.Encode()
 	if err != nil {
 		return err
 	}
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, "POST", "http://"+p.name+"/v1/config", bytes.NewReader(body))
+	status, err := r.core.Call(ctx, i, "POST", "/v1/config", "application/json", body, nil)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peer %s config: status %d", p.name, resp.StatusCode)
+	if status != http.StatusOK {
+		return fmt.Errorf("peer %s config: status %d", r.core.PeerName(i), status)
 	}
 	return nil
-}
-
-func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"status":"ok"}`+"\n")
-}
-
-// handleReadyz: the router is ready while it can still absorb a batch —
-// which, thanks to the degraded fallback, is whenever the fallback
-// semaphore is not saturated, regardless of peer health.
-func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	healthy := 0
-	for _, p := range r.peers {
-		if st, _ := p.brk.snapshot(); st == "closed" {
-			healthy++
-		}
-	}
-	status, state := http.StatusOK, "ready"
-	switch {
-	case r.closed.Load():
-		status, state = http.StatusServiceUnavailable, "shutting-down"
-	case len(r.fallbackSem) >= cap(r.fallbackSem) && healthy == 0:
-		status, state = http.StatusServiceUnavailable, "saturated"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"status":%q,"healthy_peers":%d,"peers":%d}`+"\n", state, healthy, len(r.peers))
-}
-
-func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	r.writeJSON(w, http.StatusOK, r.Snapshot())
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	r.WriteProm(w)
-}
-
-func (r *Router) peerStats() []PeerStats {
-	out := make([]PeerStats, len(r.peers))
-	for i, p := range r.peers {
-		st, opens := p.brk.snapshot()
-		out[i] = PeerStats{
-			Name:    p.name,
-			Breaker: st,
-			Opens:   opens,
-			Served:  p.served.Load(),
-			Errors:  p.errors.Load(),
-		}
-	}
-	return out
 }
 
 // Metrics exposes the counter block (tests).
 func (r *Router) Metrics() *Metrics { return &r.metrics }
 
 // PeerNames formats the peer list for logs.
-func (r *Router) PeerNames() string { return strings.Join(r.ring.Peers(), ",") }
+func (r *Router) PeerNames() string { return r.core.PeerNames() }

@@ -483,11 +483,11 @@ func TestRouterProbeHealsRestartedPeer(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if st, _ := r.peers[0].brk.snapshot(); st == want {
+			if st := r.Snapshot().Peers[0].Breaker; st == want {
 				return
 			}
 			if time.Now().After(deadline) {
-				st, _ := r.peers[0].brk.snapshot()
+				st := r.Snapshot().Peers[0].Breaker
 				t.Fatalf("breaker stuck %s, want %s", st, want)
 			}
 			time.Sleep(2 * time.Millisecond)

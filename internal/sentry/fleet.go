@@ -6,10 +6,10 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/simrand"
 )
 
@@ -389,27 +389,6 @@ func ReplayFleetOpts(client *http.Client, base string, fl *Fleet, opts ReplayOpt
 	return total
 }
 
-// retryAfterCap bounds how long a replay client honors a Retry-After
-// hint — replays are compressed-time, so a literal multi-second hint
-// would stall the stream far past the shed window it describes.
-const retryAfterCap = 300 * time.Millisecond
-
-// retryDelay derives the pre-retry sleep from the 429's Retry-After
-// hint: capped, then jittered uniformly in [0.5x, 1.5x] from the
-// client's seeded stream so retries from many clients decorrelate.
-func retryDelay(resp *http.Response, rng *simrand.Source) time.Duration {
-	hint := time.Second
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if sec, err := strconv.Atoi(s); err == nil && sec >= 0 {
-			hint = time.Duration(sec) * time.Second
-		}
-	}
-	if hint > retryAfterCap {
-		hint = retryAfterCap
-	}
-	return time.Duration(float64(hint) * (0.5 + rng.Float64()))
-}
-
 // postBatch sends one device batch and classifies the outcome,
 // re-sending shed batches up to retry429 times with the server's
 // (capped, jittered) Retry-After hint between attempts.
@@ -426,7 +405,7 @@ func postBatch(client *http.Client, base, device string, recs []Record, rs *Repl
 			rs.addError(fmt.Sprintf("post %s: %v", device, err))
 			return
 		}
-		delay := retryDelay(resp, rng)
+		delay := ring.RetryDelay(resp, rng)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		switch resp.StatusCode {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/ring"
 )
 
 // Metrics is the server's observability surface, rendered as Prometheus
@@ -44,9 +46,7 @@ type Metrics struct {
 // WriteProm renders every metric in Prometheus text exposition format,
 // engine counters included.
 func (m *Metrics) WriteProm(w io.Writer, e *Engine) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v uint64) { ring.PromCounter(w, name, help, v) }
 	counter("sentry_ingest_batches_total", "Ingest requests received.", m.IngestCalls.Load())
 	counter("sentry_ingest_ok_total", "Batches decoded and fully applied.", m.BatchesOK.Load())
 	counter("sentry_shed_total", "Batches refused 429 at admission.", m.BatchesShed.Load())

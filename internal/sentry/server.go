@@ -1,13 +1,13 @@
 package sentry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // ServerConfig tunes a Server. The zero value selects the documented
@@ -196,7 +196,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.BatchesOK.Add(1)
-	s.writeJSON(w, http.StatusOK, IngestResponse{
+	ring.WriteJSON(w, http.StatusOK, IngestResponse{
 		Device:   device,
 		Records:  n,
 		Detected: s.engine.Detected(device),
@@ -205,7 +205,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ReportCalls.Add(1)
-	s.writeJSON(w, http.StatusOK, s.engine.Snapshot())
+	ring.WriteJSON(w, http.StatusOK, s.engine.Snapshot())
 }
 
 // handleFlagged answers "was this device ever flagged". On a node wired
@@ -223,7 +223,7 @@ func (s *Server) handleFlagged(w http.ResponseWriter, r *http.Request) {
 		resp.Flagged = true
 		resp.Detection = &d
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	ring.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleConfig swaps the live rule set. Allowed even while the node is
@@ -252,7 +252,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ConfigResponse{Version: v})
+	ring.WriteJSON(w, http.StatusOK, ConfigResponse{Version: v})
 }
 
 // handleHealthz is pure liveness: the process is up and answering.
@@ -289,25 +289,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.metrics.StatsCalls.Add(1)
-	s.writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.engine))
+	ring.WriteJSON(w, http.StatusOK, s.metrics.Snapshot(s.engine))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	resp := ErrorResponse{}
-	if err != nil {
-		resp.Error = err.Error()
-	}
-	if status == http.StatusTooManyRequests {
-		sec := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		resp.RetryAfterSec = sec
-	}
-	s.writeJSON(w, status, resp)
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	ring.WriteError(w, status, err.Error(), s.cfg.RetryAfter)
 }

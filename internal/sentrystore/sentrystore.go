@@ -1,58 +1,26 @@
 // Package sentrystore is the crash-safe detection journal behind a
 // sentryd node: a disk-backed, fsynced, append-only JSONL file holding
-// sentry detections keyed by device+rule+window. It follows the
-// vetstore record discipline — one header line pinning the format
-// version, then one fsynced record per detection — so a sentryd node
-// SIGKILLed at any instant, including mid-append, restarts, recovers
-// the journal, and answers "was this device ever flagged"
-// byte-identically without re-seeing a single record of the stream.
+// sentry detections keyed by device+rule+window. It is internal/applog's
+// keyed store specialized to sentry.Detection — one header line pinning
+// the format version, then one fsynced record per detection — so a
+// sentryd node SIGKILLed at any instant, including mid-append,
+// restarts, recovers the journal, and answers "was this device ever
+// flagged" byte-identically without re-seeing a single record of the
+// stream.
 //
-// Recovery contract: Open replays the file record by record. A torn
-// trailing line — a crash or power loss mid-append — is truncated away
-// exactly once, at the end of the last intact record; everything before
-// it is intact because every earlier append was fsynced before its Put
-// returned. A record for a key seen earlier wins (last-write-wins), so
-// re-journaling a detection is safe; Compact rewrites the file with one
-// record per key, newest content, keys sorted, via a fsynced temp file
-// and an atomic rename, so a crash mid-compaction leaves either the old
-// file or the new one, never a mix.
-//
-// The package is deliberately free of wall-clock reads, goroutines and
-// randomness: plain synchronous disk I/O guarded by one mutex.
+// A torn trailing line is truncated away exactly once on Open; a record
+// for a key seen earlier wins (last-write-wins), so re-journaling a
+// detection is safe; Compact rewrites the file with one record per key,
+// keys sorted, via a fsynced temp file and an atomic rename.
 package sentrystore
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 
+	"repro/internal/applog"
 	"repro/internal/sentry"
 )
-
-// storeVersion is the on-disk format: a header line then one detection
-// record per line, appended and fsynced.
-const storeVersion = 1
-
-// header is the first line of a store file.
-type header struct {
-	V     int    `json:"v"`
-	Store string `json:"store"`
-}
-
-// record is one persisted detection. The detection is kept as the raw
-// JSON written at append time, so recovery hands back the exact bytes
-// that were stored.
-type record struct {
-	Key       string          `json:"k"`
-	Detection json.RawMessage `json:"detection"`
-}
 
 // FlagKey derives the journal key for a detection: device, rule pattern
 // and the window index the triggering record fell in. One device firing
@@ -66,320 +34,19 @@ func FlagKey(d sentry.Detection, window time.Duration) string {
 	return d.Device + "|" + d.Pattern + "|" + strconv.FormatInt(idx, 10)
 }
 
-// Stats is a snapshot of the store's counters.
-type Stats struct {
-	// Entries is the number of distinct keys currently held.
-	Entries int
-	// Recovered is how many distinct keys Open replayed from disk.
-	Recovered int
-	// Appends counts Put calls that reached disk this session.
-	Appends uint64
-	// Duplicates counts records whose key was already present at
-	// recovery (last-write-wins) plus re-Puts of a live key.
-	Duplicates uint64
-	// TornTail reports whether Open found and truncated a torn trailing
-	// line. A second Open of the same file must report false.
-	TornTail bool
-}
-
 // Store is the persistent detection journal. All methods are safe for
 // concurrent use.
-type Store struct {
-	mu    sync.Mutex
-	f     *os.File
-	path  string
-	mem   map[string]json.RawMessage
-	stats Stats
-}
+type Store = applog.Store[sentry.Detection]
+
+// Stats is a snapshot of the store's counters.
+type Stats = applog.Stats
 
 // Open opens or creates the store at path, recovering any existing
 // records. A torn trailing line (crash mid-append) is truncated away; a
 // file whose header names a different format version is refused.
 func Open(path string) (*Store, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("sentrystore: read %s: %w", path, err)
-	}
-	s := &Store{path: path, mem: make(map[string]json.RawMessage)}
-	if err == nil && len(data) > 0 {
-		if err := s.recover(data); err != nil {
-			return nil, err
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("sentrystore: open %s for append: %w", path, err)
-		}
-		s.f = f
-		return s, nil
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("sentrystore: create %s: %w", path, err)
-	}
-	hdr, err := json.Marshal(header{V: storeVersion, Store: "sentrystore"})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sentrystore: encode header: %w", err)
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sentrystore: write header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sentrystore: sync header: %w", err)
-	}
-	s.f = f
-	return s, nil
+	return applog.OpenStore[sentry.Detection](path, "sentrystore", "detection")
 }
-
-// recover replays the file contents into memory, truncating a torn
-// tail. A line counts as intact only when it is newline-terminated AND
-// parses as its expected shape; anything after the last intact record
-// is a torn tail from a crash mid-append and is cut off exactly once,
-// here.
-func (s *Store) recover(data []byte) error {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		// The header itself is torn: the creating process died before
-		// the header sync. Nothing was ever durably stored; start over.
-		if err := os.Truncate(s.path, 0); err != nil {
-			return fmt.Errorf("sentrystore: truncate torn header in %s: %w", s.path, err)
-		}
-		return s.rewriteHeader()
-	}
-	var hdr header
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return fmt.Errorf("sentrystore: %s: malformed header %q: %w", s.path, data[:nl], err)
-	}
-	if hdr.Store != "sentrystore" || hdr.V != storeVersion {
-		return fmt.Errorf("sentrystore: %s holds store=%q v=%d, this build reads store=\"sentrystore\" v=%d; refusing to guess at a foreign format",
-			s.path, hdr.Store, hdr.V, storeVersion)
-	}
-	intactEnd := nl + 1 // byte offset just past the last intact line
-	rest := data[nl+1:]
-	for len(rest) > 0 {
-		ln := bytes.IndexByte(rest, '\n')
-		if ln < 0 {
-			break // unterminated final line: torn
-		}
-		var rec record
-		if err := json.Unmarshal(rest[:ln], &rec); err != nil || rec.Key == "" || len(rec.Detection) == 0 {
-			break // malformed line: torn write; nothing after it can be trusted
-		}
-		if _, dup := s.mem[rec.Key]; dup {
-			s.stats.Duplicates++
-		}
-		s.mem[rec.Key] = rec.Detection
-		intactEnd += ln + 1
-		rest = rest[ln+1:]
-	}
-	s.stats.Recovered = len(s.mem)
-	if intactEnd < len(data) {
-		s.stats.TornTail = true
-		if err := os.Truncate(s.path, int64(intactEnd)); err != nil {
-			return fmt.Errorf("sentrystore: truncate torn tail of %s: %w", s.path, err)
-		}
-	}
-	return nil
-}
-
-// rewriteHeader writes a fresh header into the (empty) store file.
-func (s *Store) rewriteHeader() error {
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("sentrystore: reopen %s: %w", s.path, err)
-	}
-	defer f.Close()
-	hdr, err := json.Marshal(header{V: storeVersion, Store: "sentrystore"})
-	if err != nil {
-		return fmt.Errorf("sentrystore: encode header: %w", err)
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		return fmt.Errorf("sentrystore: write header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("sentrystore: sync header: %w", err)
-	}
-	return nil
-}
-
-// Get returns the stored detection for key. The detection is decoded
-// from the exact bytes appended by Put, so a recovered store serves the
-// same detection the original process journaled.
-func (s *Store) Get(key string) (sentry.Detection, bool, error) {
-	s.mu.Lock()
-	raw, ok := s.mem[key]
-	s.mu.Unlock()
-	if !ok {
-		return sentry.Detection{}, false, nil
-	}
-	var d sentry.Detection
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return sentry.Detection{}, false, fmt.Errorf("sentrystore: decode detection %q: %w", key, err)
-	}
-	return d, true, nil
-}
-
-// All returns every stored detection, sorted by key — the recovery feed
-// for Engine.Restore.
-func (s *Store) All() ([]sentry.Detection, error) {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	raws := make([]json.RawMessage, len(keys))
-	for i, k := range keys {
-		raws[i] = s.mem[k]
-	}
-	s.mu.Unlock()
-	ds := make([]sentry.Detection, len(keys))
-	for i, raw := range raws {
-		if err := json.Unmarshal(raw, &ds[i]); err != nil {
-			return nil, fmt.Errorf("sentrystore: decode detection %q: %w", keys[i], err)
-		}
-	}
-	return ds, nil
-}
-
-// Put appends the detection under key and fsyncs before returning, so a
-// kill at any later instant preserves it. Re-putting a key is allowed
-// (last-write-wins on recovery); Compact squeezes the duplicates out.
-func (s *Store) Put(key string, d sentry.Detection) error {
-	if key == "" {
-		return errors.New("sentrystore: empty key")
-	}
-	raw, err := json.Marshal(d)
-	if err != nil {
-		return fmt.Errorf("sentrystore: encode detection %q: %w", key, err)
-	}
-	line, err := json.Marshal(record{Key: key, Detection: raw})
-	if err != nil {
-		return fmt.Errorf("sentrystore: encode record %q: %w", key, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("sentrystore: %s is closed", s.path)
-	}
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("sentrystore: append %q: %w", key, err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("sentrystore: sync %q: %w", key, err)
-	}
-	if _, dup := s.mem[key]; dup {
-		s.stats.Duplicates++
-	}
-	s.mem[key] = raw
-	s.stats.Appends++
-	return nil
-}
-
-// Len reports the number of distinct keys held.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem)
-}
-
-// Stats returns a snapshot of the store's counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Entries = len(s.mem)
-	return st
-}
-
-// Compact rewrites the store with exactly one record per key, keys
-// sorted, dropping duplicate appends. The new contents are written to a
-// temp file, fsynced, and renamed over the store; the directory is
-// fsynced after the rename so the swap itself is durable. A crash at
-// any point leaves either the complete old file or the complete new
-// one.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("sentrystore: %s is closed", s.path)
-	}
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(s.path)+".compact-*")
-	if err != nil {
-		return fmt.Errorf("sentrystore: compact temp: %w", err)
-	}
-	tmpPath := tmp.Name()
-	fail := func(e error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return e
-	}
-	hdr, err := json.Marshal(header{V: storeVersion, Store: "sentrystore"})
-	if err != nil {
-		return fail(fmt.Errorf("sentrystore: encode header: %w", err))
-	}
-	if _, err := tmp.Write(append(hdr, '\n')); err != nil {
-		return fail(fmt.Errorf("sentrystore: compact write header: %w", err))
-	}
-	for _, k := range keys {
-		line, err := json.Marshal(record{Key: k, Detection: s.mem[k]})
-		if err != nil {
-			return fail(fmt.Errorf("sentrystore: compact encode %q: %w", k, err))
-		}
-		if _, err := tmp.Write(append(line, '\n')); err != nil {
-			return fail(fmt.Errorf("sentrystore: compact write %q: %w", k, err))
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("sentrystore: compact sync: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(fmt.Errorf("sentrystore: compact close: %w", err))
-	}
-	if err := os.Rename(tmpPath, s.path); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("sentrystore: compact rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	// Reopen the append handle on the new inode; the old one points at
-	// the unlinked pre-compaction file.
-	s.f.Close()
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.f = nil
-		return fmt.Errorf("sentrystore: reopen after compact: %w", err)
-	}
-	s.f = f
-	s.stats.Duplicates = 0
-	return nil
-}
-
-// Close closes the append handle, keeping the file for a later Open.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
-}
-
-// Path returns the file the store persists to.
-func (s *Store) Path() string { return s.path }
 
 // Flagger adapts a Store to sentry.Journal: every detection the engine
 // flags is journaled under its FlagKey before the triggering ingest

@@ -36,9 +36,11 @@
 //
 // Serving packages (ServingPackages — currently internal/vetd, the
 // scan-before-install vetting service, internal/vetring, the verdict
-// ring router, internal/sentry, the streaming detection service, and
-// internal/sentring, the detection ingest router) are exempt from the
-// determinism rules only: they
+// ring router, internal/sentry, the streaming detection service,
+// internal/sentring, the detection ingest router, internal/ring, the
+// serving core both routers share, and internal/ringharness, the load
+// tools' process harness) are exempt from the determinism rules only:
+// they
 // run on the wall clock by design, measuring real latencies, enforcing
 // real deadlines and owning their own goroutines. The robustness rules
 // and the math-rand ban still bind them, and the exemption is matched
@@ -49,7 +51,7 @@
 // and an http.Client composite literal without a Timeout field hangs
 // forever on a stuck peer — in a ring where peers are SIGKILLed on
 // purpose, an unbounded client turns one dead node into a wedged
-// caller. Serving packages are exempt (vetring's fault-injecting
+// caller. Serving packages are exempt (internal/ring's fault-injecting
 // transport builds its peer clients deliberately, with explicit
 // timeouts the lint pass cannot type-check), tests are not covered,
 // and command binaries (package main) get this rule and no other:
@@ -148,6 +150,11 @@ var ServingPackages = map[string]bool{
 	// are wall-clock by design, while batch placement stays a pure
 	// function of the device ID.
 	"sentring": true,
+	// ring is the serving core both routers share: it runs probes,
+	// retry backoff and breaker cooldowns on the wall clock.
+	"ring": true,
+	// ringharness drives real router and peer processes on real time.
+	"ringharness": true,
 }
 
 // panicExemptPackages may keep bare panics: the invariant monitor is the

@@ -483,6 +483,23 @@ func TestServingExemptionCoversSentring(t *testing.T) {
 	}
 }
 
+func TestServingExemptionCoversRing(t *testing.T) {
+	// The serving core both routers share runs probes, retry backoff and
+	// breaker cooldowns on the wall clock.
+	diags := lintAs(t, "core.go", fmt.Sprintf(servingSrc, "ring"))
+	if len(diags) != 0 {
+		t.Fatalf("serving package ring flagged: %v", diags)
+	}
+}
+
+func TestServingExemptionCoversRingharness(t *testing.T) {
+	// The load tools' process harness drives real processes on real time.
+	diags := lintAs(t, "ringharness.go", fmt.Sprintf(servingSrc, "ringharness"))
+	if len(diags) != 0 {
+		t.Fatalf("serving package ringharness flagged: %v", diags)
+	}
+}
+
 func TestServingExemptionCoversExternalTestPackage(t *testing.T) {
 	diags := lintAs(t, "server_test.go", fmt.Sprintf(servingSrc, "vetd_test"))
 	if len(diags) != 0 {

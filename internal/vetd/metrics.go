@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // Metrics is the server's observability surface: monotonic counters, the
@@ -140,9 +142,7 @@ func trimFloat(f float64) string {
 
 // WriteProm renders every metric in Prometheus text exposition format.
 func (m *Metrics) WriteProm(w io.Writer) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v uint64) { ring.PromCounter(w, name, help, v) }
 	counter("vetd_requests_total", "Parsed vet requests, batch items included.", m.Requests.Load())
 	counter("vetd_cache_hits_total", "Requests served from the verdict cache.", m.Hits.Load())
 	counter("vetd_cache_misses_total", "Requests admitted to the analysis plane.", m.Misses.Load())

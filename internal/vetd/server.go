@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/defense"
 	"repro/internal/dexir"
+	"repro/internal/ring"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetstore"
 )
@@ -269,7 +270,7 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 	if status != http.StatusOK {
 		s.writeError(w, status, err)
 	} else {
-		s.writeJSON(w, status, v)
+		ring.WriteJSON(w, status, v)
 	}
 	lat := time.Since(start)
 	s.metrics.TotalLatency.Observe(lat)
@@ -331,7 +332,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for range req.Apps {
 		<-done
 	}
-	s.writeJSON(w, http.StatusOK, BatchResponse{Verdicts: items})
+	ring.WriteJSON(w, http.StatusOK, BatchResponse{Verdicts: items})
 	lat := time.Since(start)
 	s.metrics.TotalLatency.Observe(lat)
 	s.logger.log(requestLog{
@@ -387,7 +388,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.metrics.StatsCalls.Add(1)
-	s.writeJSON(w, http.StatusOK, s.metrics.Snapshot())
+	ring.WriteJSON(w, http.StatusOK, s.metrics.Snapshot())
 }
 
 // decode reads a bounded JSON body into dst.
@@ -415,21 +416,5 @@ func (s *Server) badRequest(w http.ResponseWriter, start time.Time, err error) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	resp := ErrorResponse{}
-	if err != nil {
-		resp.Error = err.Error()
-	}
-	if status == http.StatusTooManyRequests {
-		sec := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		resp.RetryAfterSec = sec
-	}
-	s.writeJSON(w, status, resp)
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	ring.WriteError(w, status, err.Error(), s.cfg.RetryAfter)
 }

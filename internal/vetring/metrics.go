@@ -1,9 +1,10 @@
 package vetring
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/ring"
 )
 
 // Metrics is the router's observability surface.
@@ -17,26 +18,22 @@ import (
 //	Failed     — internal error (fallback analysis failed)
 //
 // so Replicated + Degraded + Sheds + Failed == Requests at every
-// quiescent instant. Retries and failovers are attempt-level counters
-// and do not participate in the request-level identity.
+// quiescent instant (Sheds and the attempt-level and probe counters
+// come from the embedded ring.Counters). Retries and failovers are
+// attempt-level counters and do not participate in the request-level
+// identity.
 type Metrics struct {
+	ring.Counters
+
 	Requests   atomic.Uint64
 	Replicated atomic.Uint64
 	Degraded   atomic.Uint64
-	Sheds      atomic.Uint64
 	Failed     atomic.Uint64
 
 	BadRequests atomic.Uint64
 
-	// Attempt-level counters.
-	Retries   atomic.Uint64 // re-sends after a retryable peer failure
-	Failovers atomic.Uint64 // moves to the next replica
-	Peer429s  atomic.Uint64 // peer shed; failover without breaker damage
-	PeerErrs  atomic.Uint64 // transport errors + 5xx from peers
-
-	// Probe counters.
-	ProbeOK   atomic.Uint64
-	ProbeFail atomic.Uint64
+	// Failovers counts moves to the next replica.
+	Failovers atomic.Uint64
 
 	// FallbackAnalyses counts local defense.VetTier runs (the degraded
 	// path's work; a subset equal to Degraded+Failed).
@@ -44,13 +41,7 @@ type Metrics struct {
 }
 
 // PeerStats is one peer's slice of the /stats snapshot.
-type PeerStats struct {
-	Name    string `json:"name"`
-	Breaker string `json:"breaker"`
-	Opens   uint64 `json:"breaker_opens"`
-	Served  uint64 `json:"served"`
-	Errors  uint64 `json:"errors"`
-}
+type PeerStats = ring.PeerStats
 
 // Stats is the router's GET /stats JSON snapshot. Service is
 // "vetrouter", the discriminator load generators key on to pick the
@@ -80,9 +71,7 @@ type Stats struct {
 // format.
 func (r *Router) WriteProm(w io.Writer) {
 	m := &r.metrics
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v uint64) { ring.PromCounter(w, name, help, v) }
 	counter("vetrouter_requests_total", "Parsed vet requests, batch items included.", m.Requests.Load())
 	counter("vetrouter_replicated_total", "Requests answered by a ring peer.", m.Replicated.Load())
 	counter("vetrouter_degraded_total", "Requests answered by local fallback.", m.Degraded.Load())
@@ -96,18 +85,7 @@ func (r *Router) WriteProm(w io.Writer) {
 	counter("vetrouter_probe_ok_total", "Successful health probes.", m.ProbeOK.Load())
 	counter("vetrouter_probe_fail_total", "Failed health probes.", m.ProbeFail.Load())
 	counter("vetrouter_fallback_analyses_total", "Local fallback analyses.", m.FallbackAnalyses.Load())
-	fmt.Fprintf(w, "# HELP vetrouter_peer_served_total Requests served per peer.\n# TYPE vetrouter_peer_served_total counter\n")
-	for _, p := range r.peerStats() {
-		fmt.Fprintf(w, "vetrouter_peer_served_total{peer=%q} %d\n", p.Name, p.Served)
-	}
-	fmt.Fprintf(w, "# HELP vetrouter_peer_breaker_open Peer breaker state (1 = not closed).\n# TYPE vetrouter_peer_breaker_open gauge\n")
-	for _, p := range r.peerStats() {
-		open := 0
-		if p.Breaker != "closed" {
-			open = 1
-		}
-		fmt.Fprintf(w, "vetrouter_peer_breaker_open{peer=%q,state=%q} %d\n", p.Name, p.Breaker, open)
-	}
+	r.core.WritePeerProm(w, "vetrouter", "Requests served per peer.")
 }
 
 // Snapshot assembles the current Stats.
@@ -128,6 +106,6 @@ func (r *Router) Snapshot() Stats {
 		ProbeOK:          m.ProbeOK.Load(),
 		ProbeFail:        m.ProbeFail.Load(),
 		FallbackAnalyses: m.FallbackAnalyses.Load(),
-		Peers:            r.peerStats(),
+		Peers:            r.core.PeerStats(),
 	}
 }

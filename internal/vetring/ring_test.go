@@ -1,18 +1,22 @@
 package vetring
 
+// These tests pin the shared consistent-hash ring's behaviour on this
+// router's placement keys: verdict keys (<IR hash>/tierN).
+
 import (
 	"fmt"
 	"testing"
-	"time"
+
+	"repro/internal/ring"
 )
 
 func TestRingPlacementDeterministicAndDistinct(t *testing.T) {
 	peers := []string{"a:1", "b:1", "c:1", "d:1"}
-	r1, err := NewRing(peers, 64, 2)
+	r1, err := ring.NewRing(peers, 64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := NewRing(peers, 64, 2)
+	r2, _ := ring.NewRing(peers, 64, 2)
 	counts := make([]int, len(peers))
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("hash%04d/tier2", i)
@@ -38,17 +42,17 @@ func TestRingPlacementDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestRingReplicasClampedAndErrors(t *testing.T) {
-	r, err := NewRing([]string{"solo:1"}, 8, 3)
+	r, err := ring.NewRing([]string{"solo:1"}, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Replicas("k"); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("single-peer replicas %v", got)
 	}
-	if _, err := NewRing(nil, 8, 1); err == nil {
+	if _, err := ring.NewRing(nil, 8, 1); err == nil {
 		t.Fatal("empty peer set accepted")
 	}
-	if _, err := NewRing([]string{"a:1", "a:1"}, 8, 1); err == nil {
+	if _, err := ring.NewRing([]string{"a:1", "a:1"}, 8, 1); err == nil {
 		t.Fatal("duplicate peer accepted")
 	}
 }
@@ -57,8 +61,8 @@ func TestRingReplicasClampedAndErrors(t *testing.T) {
 // peer owned; everything else keeps its primary.
 func TestRingMinimalReshuffle(t *testing.T) {
 	all := []string{"a:1", "b:1", "c:1", "d:1"}
-	full, _ := NewRing(all, 64, 1)
-	reduced, _ := NewRing(all[:3], 64, 1)
+	full, _ := ring.NewRing(all, 64, 1)
+	reduced, _ := ring.NewRing(all[:3], 64, 1)
 	moved, kept := 0, 0
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("hash%04d/tier0", i)
@@ -75,43 +79,5 @@ func TestRingMinimalReshuffle(t *testing.T) {
 	}
 	if moved > 0 {
 		t.Fatalf("%d keys moved off surviving peers (kept %d); consistent hashing must move only the removed peer's keys", moved, kept)
-	}
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	b := newBreaker(3, 50*time.Millisecond)
-	if !b.allow() {
-		t.Fatal("fresh breaker refuses")
-	}
-	b.onFailure()
-	b.onFailure()
-	if !b.allow() {
-		t.Fatal("breaker opened below threshold")
-	}
-	b.onFailure()
-	if b.allow() {
-		t.Fatal("breaker still closed at threshold")
-	}
-	if st, opens := b.snapshot(); st != "open" || opens != 1 {
-		t.Fatalf("state %s opens %d, want open/1", st, opens)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("breaker did not half-open after cooldown")
-	}
-	if b.allow() {
-		t.Fatal("half-open admitted a second trial")
-	}
-	b.onFailure() // trial fails → reopen immediately
-	if b.allow() {
-		t.Fatal("failed trial did not reopen")
-	}
-	time.Sleep(60 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("second half-open refused")
-	}
-	b.onSuccess()
-	if !b.allow() || !b.allow() {
-		t.Fatal("successful trial did not close the breaker")
 	}
 }

@@ -5,7 +5,9 @@
 // per-request deadlines, bounded retries with seeded backoff, per-peer
 // circuit breakers fed by background health probes, and graceful
 // degradation to a local analysis when every replica for a key is
-// unreachable.
+// unreachable. The machinery is internal/ring's serving core; this
+// package is its read specialization: the first replica to answer wins,
+// and the local fallback is defense.VetTier.
 //
 // Verdict safety is structural, not best-effort: a verdict is a pure
 // function of (IR, tier), so replication can never serve a wrong answer
@@ -22,22 +24,18 @@
 package vetring
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/defense"
 	"repro/internal/dexir"
 	"repro/internal/faults"
-	"repro/internal/simrand"
+	"repro/internal/ring"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetd"
 )
@@ -96,134 +94,63 @@ type Config struct {
 	Transport http.RoundTripper
 }
 
-func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 2 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 25 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.FallbackConcurrency <= 0 {
-		c.FallbackConcurrency = 4
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// peer is one vetd node as the router sees it.
-type peer struct {
-	name   string
-	client *http.Client
-	brk    *breaker
-
-	served atomic.Uint64
-	errors atomic.Uint64
-}
+// Ring is the placement function (internal/ring's consistent-hash ring).
+type Ring = ring.Ring
 
 // Router is the ring front end, an http.Handler mirroring vetd's API
 // surface (POST /v1/vet, POST /v1/vet/batch, GET /healthz, /readyz,
 // /stats, /metrics) so clients cannot tell a node from the ring.
 type Router struct {
-	cfg   Config
-	ring  *Ring
-	peers []*peer
-	mux   *http.ServeMux
+	tier     staticanalysis.Tier
+	maxBatch int
+	// vetPath carries the per-attempt deadline to the peer.
+	vetPath string
+	core    *ring.Core
+	mux     *http.ServeMux
 
 	metrics Metrics
-
-	// jitterMu serializes the seeded backoff stream.
-	jitterMu  sync.Mutex
-	jitterRng *simrand.Source
-
-	fallbackSem chan struct{}
-
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
-	closed    atomic.Bool
 }
 
 // New builds a Router over cfg.Peers and starts its health probes.
 func New(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Peers, cfg.VNodes, cfg.Replicas)
+	if cfg.MaxBatch <= 0 {
+		cfg.MaxBatch = 256
+	}
+	r := &Router{tier: cfg.Tier, maxBatch: cfg.MaxBatch}
+	core, err := ring.New(ring.Config{
+		Name:                "vetring",
+		Peers:               cfg.Peers,
+		Replicas:            cfg.Replicas,
+		VNodes:              cfg.VNodes,
+		Deadline:            cfg.Deadline,
+		Retries:             cfg.Retries,
+		RetryBase:           cfg.RetryBase,
+		Seed:                cfg.Seed,
+		BreakerThreshold:    cfg.BreakerThreshold,
+		BreakerCooldown:     cfg.BreakerCooldown,
+		ProbeInterval:       cfg.ProbeInterval,
+		FallbackConcurrency: cfg.FallbackConcurrency,
+		RetryAfter:          cfg.RetryAfter,
+		MaxBodyBytes:        cfg.MaxBodyBytes,
+		NetPlane:            cfg.NetPlane,
+		Transport:           cfg.Transport,
+		Failovers:           &r.metrics.Failovers,
+	}, &r.metrics.Counters)
 	if err != nil {
 		return nil, err
 	}
-	base := cfg.Transport
-	if base == nil {
-		base = &http.Transport{MaxIdleConnsPerHost: 16}
-	}
-	r := &Router{
-		cfg:         cfg,
-		ring:        ring,
-		jitterRng:   simrand.New(cfg.Seed).Derive("vetring/backoff"),
-		fallbackSem: make(chan struct{}, cfg.FallbackConcurrency),
-		probeStop:   make(chan struct{}),
-	}
-	for i, name := range cfg.Peers {
-		r.peers = append(r.peers, &peer{
-			name: name,
-			client: &http.Client{
-				Transport: newPeerTransport(base, cfg.NetPlane, i),
-				Timeout:   cfg.Deadline,
-			},
-			brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		})
-	}
+	r.core = core
+	r.vetPath = "/v1/vet?deadline_ms=" + strconv.FormatInt(core.Config().Deadline.Milliseconds(), 10)
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("POST /v1/vet", r.handleVet)
 	r.mux.HandleFunc("POST /v1/vet/batch", r.handleBatch)
-	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /readyz", r.handleReadyz)
-	r.mux.HandleFunc("GET /stats", r.handleStats)
-	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
-	if cfg.ProbeInterval > 0 {
-		for i := range r.peers {
-			r.probeWG.Add(1)
-			go r.probeLoop(i)
-		}
-	}
+	core.Mount(r.mux, func() any { return r.Snapshot() }, r.WriteProm)
+	core.Start(nil)
 	return r, nil
 }
 
 // Close stops the health probes; in-flight requests finish normally.
-func (r *Router) Close() {
-	if r.closed.CompareAndSwap(false, true) {
-		close(r.probeStop)
-		r.probeWG.Wait()
-	}
-}
+func (r *Router) Close() { r.core.Close() }
 
 // ServeHTTP implements http.Handler.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
@@ -231,54 +158,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // Ring exposes the placement function (tests and topology dumps).
-func (r *Router) Ring() *Ring { return r.ring }
-
-// probeLoop polls one peer's /readyz and feeds its breaker, so dead
-// peers are discovered between requests and recovered peers readmitted
-// within one cooldown.
-func (r *Router) probeLoop(i int) {
-	defer r.probeWG.Done()
-	p := r.peers[i]
-	t := time.NewTicker(r.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.probeStop:
-			return
-		case <-t.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeInterval)
-		req, err := http.NewRequestWithContext(ctx, "GET", "http://"+p.name+"/readyz", nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := p.client.Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		cancel()
-		if err == nil && resp.StatusCode == http.StatusOK {
-			r.metrics.ProbeOK.Add(1)
-			p.brk.onSuccess()
-		} else {
-			r.metrics.ProbeFail.Add(1)
-			p.brk.onFailure()
-		}
-	}
-}
-
-// backoff returns the jittered inter-pass delay for retry pass k (1-based):
-// RetryBase<<(k-1), jittered uniformly in [0.5x, 1.5x], drawn from the
-// router's seeded stream.
-func (r *Router) backoff(k int) time.Duration {
-	d := r.cfg.RetryBase << (k - 1)
-	r.jitterMu.Lock()
-	j := 0.5 + r.jitterRng.Float64()
-	r.jitterMu.Unlock()
-	return time.Duration(float64(d) * j)
-}
+func (r *Router) Ring() *Ring { return r.core.Ring() }
 
 // routeResult is the classified outcome of one routed request.
 type routeResult struct {
@@ -288,9 +168,9 @@ type routeResult struct {
 }
 
 // routeOne resolves one app through the ring: replicas in preference
-// order, bounded retry passes with seeded backoff, then local degraded
-// fallback. It classifies the request on exactly one of the four
-// request-level counters.
+// order until the first answers, bounded retry passes with seeded
+// backoff, then local degraded fallback. It classifies the request on
+// exactly one of the four request-level counters.
 func (r *Router) routeOne(ctx context.Context, app *dexir.App) routeResult {
 	r.metrics.Requests.Add(1)
 	hash, err := vetd.HashIR(app)
@@ -298,163 +178,91 @@ func (r *Router) routeOne(ctx context.Context, app *dexir.App) routeResult {
 		r.metrics.Failed.Add(1)
 		return routeResult{status: http.StatusInternalServerError, errMsg: err.Error()}
 	}
-	key := vetd.VerdictKey(hash, r.cfg.Tier)
-	replicas := r.ring.Replicas(key)
-
 	body, err := json.Marshal(vetd.VetRequest{App: app})
 	if err != nil {
 		r.metrics.Failed.Add(1)
 		return routeResult{status: http.StatusInternalServerError, errMsg: err.Error()}
 	}
 
-	for pass := 0; pass <= r.cfg.Retries; pass++ {
-		if pass > 0 {
-			r.metrics.Retries.Add(1)
-			select {
-			case <-time.After(r.backoff(pass)):
-			case <-ctx.Done():
-				return r.fallback(ctx, app, hash)
-			}
-		}
-		for ri, pi := range replicas {
-			if ri > 0 {
-				r.metrics.Failovers.Add(1)
-			}
-			p := r.peers[pi]
-			if !p.brk.allow() {
-				continue
-			}
-			v, status, err := r.tryPeer(ctx, p, body)
-			switch {
-			case err != nil:
-				p.errors.Add(1)
-				r.metrics.PeerErrs.Add(1)
-				p.brk.onFailure()
-			case status == http.StatusOK:
-				p.brk.onSuccess()
-				p.served.Add(1)
-				r.metrics.Replicated.Add(1)
-				v.Peer = p.name
-				return routeResult{verdict: v, status: http.StatusOK}
-			case status == http.StatusTooManyRequests:
-				// The peer is alive and shedding: failover without
-				// breaker damage — opening the circuit on load would
-				// amplify the overload onto the remaining replicas.
-				r.metrics.Peer429s.Add(1)
-				p.brk.onSuccess()
-			default:
-				// 5xx (injected storms included) and unexpected codes.
-				p.errors.Add(1)
-				r.metrics.PeerErrs.Add(1)
-				p.brk.onFailure()
-			}
-		}
-	}
-	return r.fallback(ctx, app, hash)
-}
-
-// tryPeer sends one attempt to p. The returned error covers transport
-// failures only; HTTP-level failures come back as the status.
-func (r *Router) tryPeer(ctx context.Context, p *peer, body []byte) (vetd.Verdict, int, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	url := "http://" + p.name + "/v1/vet?deadline_ms=" + strconv.FormatInt(r.cfg.Deadline.Milliseconds(), 10)
-	req, err := http.NewRequestWithContext(attemptCtx, "POST", url, bytes.NewReader(body))
-	if err != nil {
-		return vetd.Verdict{}, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return vetd.Verdict{}, 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return vetd.Verdict{}, resp.StatusCode, nil
-	}
 	var v vetd.Verdict
-	if err := json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes)).Decode(&v); err != nil {
-		return vetd.Verdict{}, 0, fmt.Errorf("decode peer verdict: %w", err)
+	from := -1
+	replicas := r.core.Ring().Replicas(vetd.VerdictKey(hash, r.tier))
+	acks, _ := r.core.Replicate(ctx, replicas, 1, func(ctx context.Context, i int) ring.Outcome {
+		status, err := r.core.Call(ctx, i, "POST", r.vetPath, "application/json", body, func(status int, rd io.Reader) error {
+			if status != http.StatusOK {
+				return nil
+			}
+			v = vetd.Verdict{}
+			if err := json.NewDecoder(rd).Decode(&v); err != nil {
+				return fmt.Errorf("decode peer verdict: %w", err)
+			}
+			return nil
+		})
+		from = i // Replicate stops at the first ack, so this is the answering peer
+		return ring.Classify(status, err)
+	})
+	if acks == 0 {
+		return r.fallback(ctx, app, hash)
 	}
-	return v, http.StatusOK, nil
-}
-
-// fallback computes the verdict locally when every replica is
-// unreachable: bounded by the fallback semaphore (full → shed), stamped
-// Degraded — the ring answers correctly but admits it routed nothing.
-func (r *Router) fallback(ctx context.Context, app *dexir.App, hash string) routeResult {
-	select {
-	case r.fallbackSem <- struct{}{}:
-	default:
-		r.metrics.Sheds.Add(1)
-		return routeResult{status: http.StatusTooManyRequests, errMsg: "ring unreachable and local fallback saturated"}
-	}
-	defer func() { <-r.fallbackSem }()
-	if ctx.Err() != nil {
-		r.metrics.Sheds.Add(1)
-		return routeResult{status: http.StatusTooManyRequests, errMsg: "deadline exhausted before fallback"}
-	}
-	r.metrics.FallbackAnalyses.Add(1)
-	vv, err := defense.VetTier(app, r.cfg.Tier)
-	if err != nil {
-		r.metrics.Failed.Add(1)
-		return routeResult{status: http.StatusInternalServerError, errMsg: err.Error()}
-	}
-	v := vetd.NewVerdict(vv, hash, false)
-	v.Degraded = true
-	r.metrics.Degraded.Add(1)
+	r.metrics.Replicated.Add(1)
+	v.Peer = r.core.PeerName(from)
 	return routeResult{verdict: v, status: http.StatusOK}
 }
 
-func (r *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (r *Router) writeError(w http.ResponseWriter, status int, msg string) {
-	resp := vetd.ErrorResponse{Error: msg}
-	if status == http.StatusTooManyRequests {
-		sec := int((r.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		resp.RetryAfterSec = sec
+// fallback computes the verdict locally when every replica is
+// unreachable, under the core's fallback rule, stamped Degraded — the
+// ring answers correctly but admits it routed nothing.
+func (r *Router) fallback(ctx context.Context, app *dexir.App, hash string) routeResult {
+	var res routeResult
+	err := r.core.Fallback(ctx, func() {
+		r.metrics.FallbackAnalyses.Add(1)
+		vv, err := defense.VetTier(app, r.tier)
+		if err != nil {
+			r.metrics.Failed.Add(1)
+			res = routeResult{status: http.StatusInternalServerError, errMsg: err.Error()}
+			return
+		}
+		v := vetd.NewVerdict(vv, hash, false)
+		v.Degraded = true
+		r.metrics.Degraded.Add(1)
+		res = routeResult{verdict: v, status: http.StatusOK}
+	})
+	if err != nil {
+		return routeResult{status: http.StatusTooManyRequests, errMsg: err.Error()}
 	}
-	r.writeJSON(w, status, resp)
+	return res
 }
 
 func (r *Router) handleVet(w http.ResponseWriter, req *http.Request) {
 	var vr vetd.VetRequest
-	if err := json.NewDecoder(io.LimitReader(req.Body, r.cfg.MaxBodyBytes)).Decode(&vr); err != nil {
+	if err := json.NewDecoder(io.LimitReader(req.Body, r.core.Config().MaxBodyBytes)).Decode(&vr); err != nil {
 		r.metrics.BadRequests.Add(1)
-		r.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if vr.App == nil {
 		r.metrics.BadRequests.Add(1)
-		r.writeError(w, http.StatusBadRequest, "missing app")
+		r.core.WriteError(w, http.StatusBadRequest, "missing app")
 		return
 	}
 	res := r.routeOne(req.Context(), vr.App)
 	if res.status != http.StatusOK {
-		r.writeError(w, res.status, res.errMsg)
+		r.core.WriteError(w, res.status, res.errMsg)
 		return
 	}
-	r.writeJSON(w, http.StatusOK, res.verdict)
+	ring.WriteJSON(w, http.StatusOK, res.verdict)
 }
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	var br vetd.BatchRequest
-	if err := json.NewDecoder(io.LimitReader(req.Body, r.cfg.MaxBodyBytes)).Decode(&br); err != nil {
+	if err := json.NewDecoder(io.LimitReader(req.Body, r.core.Config().MaxBodyBytes)).Decode(&br); err != nil {
 		r.metrics.BadRequests.Add(1)
-		r.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if len(br.Apps) == 0 || len(br.Apps) > r.cfg.MaxBatch {
+	if len(br.Apps) == 0 || len(br.Apps) > r.maxBatch {
 		r.metrics.BadRequests.Add(1)
-		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("batch size must be 1..%d", r.cfg.MaxBatch))
+		r.core.WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch size must be 1..%d", r.maxBatch))
 		return
 	}
 	resp := vetd.BatchResponse{Verdicts: make([]vetd.BatchItem, len(br.Apps))}
@@ -472,58 +280,11 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		v := res.verdict
 		resp.Verdicts[i] = vetd.BatchItem{Status: http.StatusOK, Verdict: &v}
 	}
-	r.writeJSON(w, http.StatusOK, resp)
-}
-
-func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	fmt.Fprintf(w, `{"status":"ok"}`+"\n")
-}
-
-// handleReadyz: the router is ready while it can still answer — which,
-// thanks to the degraded fallback, is whenever the fallback semaphore is
-// not saturated, regardless of peer health.
-func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	healthy := 0
-	for _, p := range r.peers {
-		if st, _ := p.brk.snapshot(); st == "closed" {
-			healthy++
-		}
-	}
-	status, state := http.StatusOK, "ready"
-	if len(r.fallbackSem) >= cap(r.fallbackSem) && healthy == 0 {
-		status, state = http.StatusServiceUnavailable, "saturated"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"status":%q,"healthy_peers":%d,"peers":%d}`+"\n", state, healthy, len(r.peers))
-}
-
-func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	r.writeJSON(w, http.StatusOK, r.Snapshot())
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	r.WriteProm(w)
-}
-
-func (r *Router) peerStats() []PeerStats {
-	out := make([]PeerStats, len(r.peers))
-	for i, p := range r.peers {
-		st, opens := p.brk.snapshot()
-		out[i] = PeerStats{
-			Name:    p.name,
-			Breaker: st,
-			Opens:   opens,
-			Served:  p.served.Load(),
-			Errors:  p.errors.Load(),
-		}
-	}
-	return out
+	ring.WriteJSON(w, http.StatusOK, resp)
 }
 
 // Metrics exposes the counter block (tests).
 func (r *Router) Metrics() *Metrics { return &r.metrics }
 
 // PeerNames formats the peer list for logs.
-func (r *Router) PeerNames() string { return strings.Join(r.ring.Peers(), ",") }
+func (r *Router) PeerNames() string { return r.core.PeerNames() }

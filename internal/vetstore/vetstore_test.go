@@ -86,9 +86,9 @@ func TestPutGetReopen(t *testing.T) {
 // file of the same length and reports no torn tail.
 func TestTornTailTruncatedExactlyOnce(t *testing.T) {
 	for _, tail := range []string{
-		`{"k":"torn/tier0","verdict":{"Pa`,       // partial JSON, no newline
-		`{"k":"torn/tier0","verdict":`,           // truncated mid-record
-		"{garbage}\n",                            // newline-terminated but malformed
+		`{"k":"torn/tier0","verdict":{"Pa`,          // partial JSON, no newline
+		`{"k":"torn/tier0","verdict":`,              // truncated mid-record
+		"{garbage}\n",                               // newline-terminated but malformed
 		`{"k":"","verdict":{"Package":"x"}}` + "\n", // parseable but empty key
 	} {
 		t.Run(fmt.Sprintf("%.12q", tail), func(t *testing.T) {

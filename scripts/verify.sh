@@ -38,16 +38,18 @@ go run ./cmd/simlint
 echo "==> go test -race -short ./..."
 go test -race -short ./...
 
-# Coverage floor for the experiment-harness core, the streaming detector
-# and the fleet generator: the journaled runners and the sweep-wide
-# invariant aggregation are the crash-safety layer, the sentry
-# engine/server carry the accounting and shard-invariance contracts, and
-# the fleet generator carries the population-determinism contract — a
-# drop below the floor means those paths lost their tests. All packages
-# currently sit well above it (~78% / ~85% / ~83% / ~95%).
+# Coverage floor for the experiment-harness core, the streaming detector,
+# the fleet generator and the shared serving core: the journaled runners
+# and the sweep-wide invariant aggregation are the crash-safety layer,
+# the sentry engine/server carry the accounting and shard-invariance
+# contracts, the fleet generator carries the population-determinism
+# contract, internal/ring carries both routers' retry and accounting
+# machinery, and internal/applog carries every log's crash-safety
+# contract — a drop below the floor means those paths lost their tests.
+# All packages currently sit well above it.
 COVER_FLOOR=65
-echo "==> go test -cover ./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet (floor ${COVER_FLOOR}%)"
-go test -cover ./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet | tee /tmp/verify-cover.$$
+echo "==> go test -cover ./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet ./internal/ring ./internal/applog (floor ${COVER_FLOOR}%)"
+go test -cover ./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet ./internal/ring ./internal/applog | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
 	/coverage:/ {
 		for (i = 1; i <= NF; i++) if ($i == "coverage:") pct = $(i + 1)
