@@ -22,8 +22,8 @@ import (
 	"repro/internal/binder"
 	"repro/internal/defense"
 	"repro/internal/device"
-	"repro/internal/experiment"
 	"repro/internal/dexir"
+	"repro/internal/experiment"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/sentring"
@@ -315,7 +315,7 @@ func BenchmarkAblations(b *testing.B) {
 // BenchmarkDetectorObserve measures the Section VII-A defense's
 // per-transaction analysis cost — the "negligible overhead" claim.
 func BenchmarkDetectorObserve(b *testing.B) {
-	det, err := defense.NewIPCDetector(defense.IPCDetectorConfig{})
+	det, err := defense.NewIPCDetector()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -720,7 +720,7 @@ func BenchmarkSimClock(b *testing.B) {
 // BenchmarkFullAttackSecond measures simulating one second of the overlay
 // attack on the default device.
 func BenchmarkFullAttackSecond(b *testing.B) {
-	p := device.Default()
+	p := device.Seed().Default()
 	for i := 0; i < b.N; i++ {
 		o, err := experiment.OutcomeForD(p, 297*time.Millisecond, time.Second, int64(i))
 		if err != nil {

@@ -47,10 +47,11 @@ func run() int {
 	)
 	flag.Parse()
 
-	p, ok := device.ByModel(*model)
+	cat := device.Seed()
+	p, ok := cat.ByModel(*model)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "animsim: unknown device %q; known models:\n", *model)
-		for _, prof := range device.Profiles() {
+		for _, prof := range cat.Profiles() {
 			fmt.Fprintf(os.Stderr, "  %-12s (Android %s, D bound %v)\n", prof.Model, prof.Version, prof.PaperUpperBoundD)
 		}
 		return 2

@@ -10,7 +10,7 @@ import (
 
 func newStack(t *testing.T) *sysserver.Stack {
 	t.Helper()
-	st, err := sysserver.Assemble(device.Default(), 1)
+	st, err := sysserver.Assemble(device.Seed().Default(), 1)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}

@@ -30,7 +30,7 @@ type verdict struct {
 }
 
 func main() {
-	phone := device.Default() // Pixel 2, the paper's defense testbed
+	phone := device.Seed().Default() // Pixel 2, the paper's defense testbed
 	d := time.Duration(float64(phone.PaperUpperBoundD) * 0.9)
 	var results []verdict
 
@@ -62,7 +62,7 @@ func main() {
 	// Run 3: IPC-based detector (Section VII-A), terminate on detection.
 	{
 		stack := mustAssemble(phone, 3)
-		det, err := defense.NewIPCDetector(defense.IPCDetectorConfig{})
+		det, err := defense.NewIPCDetector()
 		if err != nil {
 			log.Fatalf("detector: %v", err)
 		}

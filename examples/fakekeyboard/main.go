@@ -22,7 +22,7 @@ import (
 const evil binder.ProcessID = "com.evil.app"
 
 func main() {
-	phone := device.Default()
+	phone := device.Seed().Default()
 	kbArea := geom.RectWH(0, 0.625*float64(phone.ScreenH), float64(phone.ScreenW), 0.375*float64(phone.ScreenH))
 	const horizon = 20 * time.Second
 

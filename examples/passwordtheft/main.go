@@ -26,7 +26,7 @@ import (
 const evil binder.ProcessID = "com.evil.app"
 
 func main() {
-	phone, ok := device.ByModel("mi8") // Xiaomi Mi 8, Android 9
+	phone, ok := device.Seed().ByModel("mi8") // Xiaomi Mi 8, Android 9
 	if !ok {
 		log.Fatal("device profile missing")
 	}

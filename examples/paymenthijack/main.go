@@ -27,7 +27,7 @@ const (
 )
 
 func main() {
-	phone := device.Default()
+	phone := device.Seed().Default()
 	stack, err := sysserver.Assemble(phone, 11)
 	if err != nil {
 		log.Fatalf("assemble: %v", err)

@@ -21,7 +21,7 @@ func main() {
 	// 1. Pick a phone from the paper's Table I/II and assemble the
 	//    simulated stack: Binder bus, Window Manager, System Server and
 	//    System UI, all on one deterministic event clock.
-	phone := device.Default() // Google Pixel 2, Android 11
+	phone := device.Seed().Default() // Google Pixel 2, Android 11
 	stack, err := sysserver.Assemble(phone, 1)
 	if err != nil {
 		log.Fatalf("assemble: %v", err)

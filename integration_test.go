@@ -27,7 +27,7 @@ const soakAttacker binder.ProcessID = "com.evil.app"
 // toast and overlay machinery keeps cycling. At the end, no windows leak,
 // the alert history is bounded, and every alert stayed at Λ1.
 func TestSoakFiveMinuteAttackSession(t *testing.T) {
-	p, ok := device.ByModel("mi9") // Android 10: the widest-Tmis regime
+	p, ok := device.Seed().ByModel("mi9") // Android 10: the widest-Tmis regime
 	if !ok {
 		t.Fatal("mi9 missing")
 	}

@@ -121,7 +121,7 @@ var ErrNoProfile = errors.New("analysis: unknown device model")
 // PredictTableII evaluates Equation (3) for every evaluation device,
 // pairing the analytical bound with the paper's measurement.
 func PredictTableII() []BoundPrediction {
-	profiles := device.Profiles()
+	profiles := device.Seed().Profiles()
 	out := make([]BoundPrediction, 0, len(profiles))
 	for _, p := range profiles {
 		out = append(out, BoundPrediction{

@@ -14,7 +14,7 @@ import (
 const evilApp binder.ProcessID = "com.evil.app"
 
 func TestExpectedMistouchTimeValidation(t *testing.T) {
-	p := device.Default()
+	p := device.Seed().Default()
 	if _, err := ExpectedMistouchTime(p, 0, time.Second); err == nil {
 		t.Fatal("zero period accepted")
 	}
@@ -24,7 +24,7 @@ func TestExpectedMistouchTimeValidation(t *testing.T) {
 }
 
 func TestEquation2Monotonicity(t *testing.T) {
-	p := device.Default()
+	p := device.Seed().Default()
 	// E(Tm) decreases as D increases (the paper's key observation about
 	// choosing D).
 	prev := time.Duration(1<<62 - 1)
@@ -47,7 +47,7 @@ func TestEquation2MatchesSimulation(t *testing.T) {
 	for _, model := range []string{"mi8", "mi9"} {
 		model := model
 		t.Run(model, func(t *testing.T) {
-			p, ok := device.ByModel(model)
+			p, ok := device.Seed().ByModel(model)
 			if !ok {
 				t.Fatalf("profile %s missing", model)
 			}
@@ -108,7 +108,7 @@ func TestEquation2MatchesSimulation(t *testing.T) {
 }
 
 func TestExpectedDownCaptureRate(t *testing.T) {
-	p, ok := device.ByModel("mi9") // Android 10, E[Tmis] ≈ 2.2 ms
+	p, ok := device.Seed().ByModel("mi9") // Android 10, E[Tmis] ≈ 2.2 ms
 	if !ok {
 		t.Fatal("mi9 missing")
 	}
@@ -125,7 +125,7 @@ func TestExpectedDownCaptureRate(t *testing.T) {
 }
 
 func TestExpectedGestureCaptureRate(t *testing.T) {
-	p, ok := device.ByModel("mi8")
+	p, ok := device.Seed().ByModel("mi8")
 	if !ok {
 		t.Fatal("mi8 missing")
 	}
@@ -175,7 +175,7 @@ func TestAttackPeriod(t *testing.T) {
 }
 
 func TestMistouchBudget(t *testing.T) {
-	p := device.Default()
+	p := device.Seed().Default()
 	got, err := MistouchBudget(p, 10*time.Second, 200*time.Millisecond, 300*time.Millisecond)
 	if err != nil {
 		t.Fatalf("MistouchBudget: %v", err)
@@ -211,7 +211,7 @@ func TestPredictTableII(t *testing.T) {
 // thanks to the ANA delay.
 func TestUpperBoundDOrdering(t *testing.T) {
 	mean := func(major int) time.Duration {
-		ps := device.ByVersion(major)
+		ps := device.ByVersionIn(device.Seed(), major)
 		var sum time.Duration
 		for _, p := range ps {
 			sum += UpperBoundD(p)

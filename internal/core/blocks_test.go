@@ -17,7 +17,7 @@ import (
 // TestClickjackPassesTouchesToVictim: with the non-touchable lure on top,
 // the user's taps land on the victim app below while the alert stays Λ1.
 func TestClickjackPassesTouchesToVictim(t *testing.T) {
-	p := device.Default()
+	p := device.Seed().Default()
 	st := assemble(t, p, 51)
 	var victimTaps int
 	if _, err := st.WM.AddWindow(wm.Spec{
@@ -85,7 +85,7 @@ func TestClickjackPassesTouchesToVictim(t *testing.T) {
 }
 
 func TestClickjackValidation(t *testing.T) {
-	st := assemble(t, device.Default(), 1)
+	st := assemble(t, device.Seed().Default(), 1)
 	if _, err := NewClickjackAttack(st, ClickjackConfig{
 		App: evilApp, D: 100 * time.Millisecond, Bounds: screenOf(st.Profile),
 	}); err == nil {
@@ -101,7 +101,7 @@ func TestClickjackValidation(t *testing.T) {
 // TestContentHideCoversRegion: the fake content stays over the region for
 // an extended period without the alert or a flicker.
 func TestContentHideCoversRegion(t *testing.T) {
-	st := assemble(t, device.Default(), 53)
+	st := assemble(t, device.Seed().Default(), 53)
 	region := geom.RectWH(100, 800, 880, 200) // the "Pay ¥1000" line
 	atk, err := NewContentHideAttack(st, ContentHideConfig{
 		App:         evilApp,
@@ -144,7 +144,7 @@ func TestContentHideCoversRegion(t *testing.T) {
 }
 
 func TestContentHideValidation(t *testing.T) {
-	st := assemble(t, device.Default(), 1)
+	st := assemble(t, device.Seed().Default(), 1)
 	if _, err := NewContentHideAttack(st, ContentHideConfig{
 		App: evilApp, Region: geom.RectWH(0, 0, 10, 10),
 	}); err == nil {
@@ -158,7 +158,7 @@ func TestContentHideValidation(t *testing.T) {
 }
 
 func TestSelectAttackWindow(t *testing.T) {
-	p, _ := device.ByModel("Redmi") // bound 395ms
+	p, _ := device.Seed().ByModel("Redmi") // bound 395ms
 	if got := SelectAttackWindow(p); got != 355500*time.Microsecond {
 		t.Fatalf("SelectAttackWindow(Redmi) = %v, want 355.5ms", got)
 	}
@@ -171,7 +171,7 @@ func TestSelectAttackWindow(t *testing.T) {
 // TestStealerZeroDFingerprints: a zero D in the config selects the
 // device-appropriate window automatically.
 func TestStealerZeroDFingerprints(t *testing.T) {
-	p, _ := device.ByModel("mi8")
+	p, _ := device.Seed().ByModel("mi8")
 	st := assemble(t, p, 61)
 	bofa, _ := apps.ByName("Bank of America")
 	sess, err := bofa.NewLoginSession(st.Clock, screenOf(p))
@@ -203,7 +203,7 @@ func TestStealerZeroDFingerprints(t *testing.T) {
 // stealer — off-keyboard touches miss the overlay entirely and on-keyboard
 // garbage decodes to *something* without crashing.
 func TestStealerSurvivesMonkeyInput(t *testing.T) {
-	p := device.Default()
+	p := device.Seed().Default()
 	st := assemble(t, p, 67)
 	bofa, _ := apps.ByName("Bank of America")
 	sess, err := bofa.NewLoginSession(st.Clock, screenOf(p))
@@ -263,7 +263,7 @@ func TestStealerSurvivesMonkeyInput(t *testing.T) {
 // attack at 85% of each device's calibrated bound must reach Λ1 on every
 // one of the 30 evaluation phones.
 func TestOverlayAttackSuppressesOnAllDevices(t *testing.T) {
-	for i, p := range device.Profiles() {
+	for i, p := range device.Seed().Profiles() {
 		p := p
 		st := assemble(t, p, int64(100+i))
 		atk, err := NewOverlayAttack(st, OverlayAttackConfig{
@@ -291,7 +291,7 @@ func TestOverlayAttackSuppressesOnAllDevices(t *testing.T) {
 // result: issuing addView before removeView keeps an overlay present at
 // all times, the alert is never retracted, and the animation completes.
 func TestAddBeforeRemoveFailsAsPaperWarns(t *testing.T) {
-	p, ok := device.ByModel("mi8")
+	p, ok := device.Seed().ByModel("mi8")
 	if !ok {
 		t.Fatal("mi8 missing")
 	}

@@ -33,7 +33,7 @@ func screenOf(p device.Profile) geom.Rect {
 }
 
 func TestNewOverlayAttackValidation(t *testing.T) {
-	st := assemble(t, device.Default(), 1)
+	st := assemble(t, device.Seed().Default(), 1)
 	valid := OverlayAttackConfig{App: evilApp, D: 100 * time.Millisecond, Bounds: screenOf(st.Profile)}
 	if _, err := NewOverlayAttack(nil, valid); err == nil {
 		t.Fatal("nil stack accepted")
@@ -63,7 +63,7 @@ func TestOverlayAttackSuppressesAlert(t *testing.T) {
 	for _, model := range []string{"s8", "mi9", "pixel 2", "Redmi"} {
 		model := model
 		t.Run(model, func(t *testing.T) {
-			p, ok := device.ByModel(model)
+			p, ok := device.Seed().ByModel(model)
 			if !ok {
 				t.Fatalf("profile %s missing", model)
 			}
@@ -98,7 +98,7 @@ func TestOverlayAttackSuppressesAlert(t *testing.T) {
 // TestOverlayAttackFailsWithLargeD: far above the bound the alert becomes
 // visible — the attacker's constraint (3) is real.
 func TestOverlayAttackFailsWithLargeD(t *testing.T) {
-	p, _ := device.ByModel("s8") // bound 60 ms
+	p, _ := device.Seed().ByModel("s8") // bound 60 ms
 	st := assemble(t, p, 11)
 	atk, err := NewOverlayAttack(st, OverlayAttackConfig{App: evilApp, D: 2 * time.Second, Bounds: screenOf(p)})
 	if err != nil {
@@ -117,7 +117,7 @@ func TestOverlayAttackFailsWithLargeD(t *testing.T) {
 }
 
 func TestOverlayAttackDoubleStartAndStop(t *testing.T) {
-	st := assemble(t, device.Default(), 13)
+	st := assemble(t, device.Seed().Default(), 13)
 	atk, err := NewOverlayAttack(st, OverlayAttackConfig{App: evilApp, D: 100 * time.Millisecond, Bounds: screenOf(st.Profile)})
 	if err != nil {
 		t.Fatalf("NewOverlayAttack: %v", err)
@@ -138,7 +138,7 @@ func TestOverlayAttackDoubleStartAndStop(t *testing.T) {
 // TestOverlayCoverageBetweenSwaps: between swaps the overlay must be
 // present; immediately after a swap there is only the tiny Tmis gap.
 func TestOverlayCoverageBetweenSwaps(t *testing.T) {
-	st := assemble(t, device.Default(), 17)
+	st := assemble(t, device.Seed().Default(), 17)
 	atk, err := NewOverlayAttack(st, OverlayAttackConfig{App: evilApp, D: 150 * time.Millisecond, Bounds: screenOf(st.Profile)})
 	if err != nil {
 		t.Fatalf("NewOverlayAttack: %v", err)
@@ -170,7 +170,7 @@ func TestOverlayCoverageBetweenSwaps(t *testing.T) {
 }
 
 func TestNewToastAttackValidation(t *testing.T) {
-	st := assemble(t, device.Default(), 1)
+	st := assemble(t, device.Seed().Default(), 1)
 	content := func() string { return "x" }
 	valid := ToastAttackConfig{App: evilApp, Bounds: screenOf(st.Profile), Content: content}
 	if _, err := NewToastAttack(nil, valid); err == nil {
@@ -200,7 +200,7 @@ func TestNewToastAttackValidation(t *testing.T) {
 // an order of magnitude past the 3.5 s legal duration), with the queue
 // never exceeding the 50-token cap.
 func TestToastAttackKeepsToastOnScreen(t *testing.T) {
-	st := assemble(t, device.Default(), 19)
+	st := assemble(t, device.Seed().Default(), 19)
 	atk, err := NewToastAttack(st, ToastAttackConfig{
 		App:     evilApp,
 		Bounds:  geom.RectWH(0, 1200, 1080, 720),
@@ -248,7 +248,7 @@ func TestToastAttackKeepsToastOnScreen(t *testing.T) {
 }
 
 func TestToastAttackSwitchContent(t *testing.T) {
-	st := assemble(t, device.Default(), 23)
+	st := assemble(t, device.Seed().Default(), 23)
 	board := "lower"
 	atk, err := NewToastAttack(st, ToastAttackConfig{
 		App:     evilApp,
@@ -302,7 +302,7 @@ func TestToastAttackSwitchContent(t *testing.T) {
 func TestPasswordStealerEndToEnd(t *testing.T) {
 	// Android 9 device: the mistouch window approaches zero, so a
 	// deterministic exact-recovery run is expected (Section III-D).
-	p, ok := device.ByModel("mi8")
+	p, ok := device.Seed().ByModel("mi8")
 	if !ok {
 		t.Fatal("mi8 profile missing")
 	}
@@ -394,7 +394,7 @@ func TestPasswordStealerEndToEnd(t *testing.T) {
 // accessibility events; the stealer must trigger off the username widget's
 // lone CONTENT_CHANGED and reach the password reference via getParent().
 func TestPasswordStealerAlipayBypass(t *testing.T) {
-	p := device.Default()
+	p := device.Seed().Default()
 	st := assemble(t, p, 31)
 	alipay, _ := apps.ByName("Alipay")
 	sess, err := alipay.NewLoginSession(st.Clock, screenOf(p))
@@ -458,7 +458,7 @@ func TestPasswordStealerAlipayBypass(t *testing.T) {
 // stochastic typist; the decoded password is allowed scatter-induced
 // near-miss errors but the pipeline must capture nearly all keystrokes.
 func TestPasswordStealerWithHumanTouches(t *testing.T) {
-	p, _ := device.ByModel("mi8") // Android 9, bound 215ms
+	p, _ := device.Seed().ByModel("mi8") // Android 9, bound 215ms
 	st := assemble(t, p, 37)
 	bofa, _ := apps.ByName("Bank of America")
 	sess, err := bofa.NewLoginSession(st.Clock, screenOf(p))

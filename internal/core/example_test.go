@@ -18,7 +18,7 @@ import (
 // attack on a simulated Pixel 2 and shows that the overlay alert never
 // becomes visible.
 func ExampleOverlayAttack() {
-	phone := device.Default()
+	phone := device.Seed().Default()
 	stack, err := sysserver.Assemble(phone, 1)
 	if err != nil {
 		log.Fatal(err)
@@ -46,7 +46,7 @@ func ExampleOverlayAttack() {
 // ExampleToastAttack keeps a customized toast on screen far beyond the
 // 3.5 s maximum by riding the fade-out animation (Section IV).
 func ExampleToastAttack() {
-	stack, err := sysserver.Assemble(device.Default(), 1)
+	stack, err := sysserver.Assemble(device.Seed().Default(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func ExampleToastAttack() {
 // ExamplePasswordStealer runs the combined Section V attack against the
 // Bank of America login screen with machine-precise touches.
 func ExamplePasswordStealer() {
-	phone, _ := device.ByModel("mi8")
+	phone, _ := device.Seed().ByModel("mi8")
 	stack, err := sysserver.Assemble(phone, 29)
 	if err != nil {
 		log.Fatal(err)

@@ -1,11 +1,13 @@
 // Package defense implements the paper's Section VII mitigations.
 //
 // The IPC-based detector observes Binder transactions (method, caller,
-// timestamp) the way the paper's modified Binder driver does, and applies
-// the decision rule of Section VII-A: an app whose recent window contains
-// many addView/removeView calls with short, regular gaps between a
-// removeView and the next addView is running a draw-and-destroy attack.
-// On detection the response hook can terminate the attack, e.g. by
+// timestamp) the way the paper's modified Binder driver does, and feeds
+// each app's addView/removeView deliveries to the Section VII-A decision
+// rule of internal/sentry: an app whose recent window contains many
+// addView/removeView calls with short, regular gaps between a removeView
+// and the next addView is running a draw-and-destroy attack. The
+// simulator and the serving stack thus run one copy of the rule. On
+// detection the response hook can terminate the attack, e.g. by
 // revoking SYSTEM_ALERT_WINDOW.
 //
 // The enhanced-notification defense of Section VII-B lives in the System
@@ -15,109 +17,38 @@ package defense
 
 import (
 	"errors"
-	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/binder"
+	"repro/internal/sentry"
 	"repro/internal/sysserver"
 )
 
-// IPCDetectorConfig tunes the Section VII-A decision rule.
-type IPCDetectorConfig struct {
-	// Window is the sliding observation window. Defaults to 3 s.
-	Window time.Duration
-	// MinCalls is the minimum number of addView+removeView deliveries
-	// within the window to consider an app suspicious. Defaults to 8
-	// (four draw-and-destroy swaps).
-	MinCalls int
-	// MaxSwapGap is the maximum delivery gap between an addView and a
-	// removeView (in either order — the paper observes the add delivered
-	// first even though it is issued second) for the pair to count as a
-	// draw-and-destroy swap. Defaults to 50 ms — far above the
-	// millisecond-scale swap signature, orders of magnitude below any
-	// legitimate overlay usage.
-	MaxSwapGap time.Duration
-	// MinSwaps is the minimum number of qualifying swaps within the
-	// window. Defaults to 4.
-	MinSwaps int
-	// OnDetect fires once per app on first detection; optional.
-	OnDetect func(app binder.ProcessID, d Detection)
-	// Ignore lists processes exempt from analysis (system components).
-	Ignore []binder.ProcessID
-}
-
-// Detection describes a positive finding.
-type Detection struct {
-	// App is the flagged caller.
-	App binder.ProcessID
-	// At is the detection (virtual) time.
-	At time.Duration
-	// Calls is the addView/removeView delivery count in the window.
-	Calls int
-	// Swaps is the qualifying remove→add pair count in the window.
-	Swaps int
-	// MeanSwapGap is the mean remove→add gap over those pairs.
-	MeanSwapGap time.Duration
-}
-
-// callRecord is one observed transaction of interest.
-type callRecord struct {
-	method string
-	at     time.Duration
-}
-
-// appWindow holds an app's recent transactions of interest.
-type appWindow struct {
-	calls []callRecord
-}
-
-// IPCDetector is the Section VII-A detector. Install its Observe method on
-// the Binder bus.
+// IPCDetector is the Section VII-A detector: an adapter that streams a
+// stack's overlay traffic into one sentry.Engine, each app an engine
+// device and each addView/removeView delivery one of its records.
+// Install its Observe method on the Binder bus.
 type IPCDetector struct {
-	cfg        IPCDetectorConfig
-	apps       map[binder.ProcessID]*appWindow
-	detections map[binder.ProcessID]Detection
-	ignore     map[binder.ProcessID]bool
-	observed   uint64
+	eng *sentry.Engine
+	// seqs numbers each app's records in delivery order. Transaction
+	// IDs are assigned at send time, so they are not monotone across
+	// the add and remove streams, and a duplicated delivery reuses its
+	// ID; the engine needs strictly increasing sequence numbers.
+	seqs     map[binder.ProcessID]uint64
+	observed uint64
+	err      error
+	// revoke, when set by Install, terminates a flagged app.
+	revoke func(binder.ProcessID)
 }
 
-// NewIPCDetector validates the configuration and builds a detector.
-func NewIPCDetector(cfg IPCDetectorConfig) (*IPCDetector, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 3 * time.Second
+// NewIPCDetector builds a detector on the engine's default thresholds,
+// with the notification rule off: the detector sees overlay calls only.
+func NewIPCDetector() (*IPCDetector, error) {
+	eng, err := sentry.NewEngine(sentry.Config{Shards: 1, NotifFlood: -1})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Window < 0 {
-		return nil, fmt.Errorf("defense: negative window %v", cfg.Window)
-	}
-	if cfg.MinCalls == 0 {
-		cfg.MinCalls = 8
-	}
-	if cfg.MinCalls < 2 {
-		return nil, fmt.Errorf("defense: MinCalls %d too small", cfg.MinCalls)
-	}
-	if cfg.MaxSwapGap == 0 {
-		cfg.MaxSwapGap = 50 * time.Millisecond
-	}
-	if cfg.MaxSwapGap < 0 {
-		return nil, fmt.Errorf("defense: negative MaxSwapGap %v", cfg.MaxSwapGap)
-	}
-	if cfg.MinSwaps == 0 {
-		cfg.MinSwaps = 4
-	}
-	if cfg.MinSwaps < 1 {
-		return nil, fmt.Errorf("defense: MinSwaps %d too small", cfg.MinSwaps)
-	}
-	det := &IPCDetector{
-		cfg:        cfg,
-		apps:       make(map[binder.ProcessID]*appWindow),
-		detections: make(map[binder.ProcessID]Detection),
-		ignore:     make(map[binder.ProcessID]bool, len(cfg.Ignore)),
-	}
-	for _, id := range cfg.Ignore {
-		det.ignore[id] = true
-	}
-	return det, nil
+	return &IPCDetector{eng: eng, seqs: make(map[binder.ProcessID]uint64)}, nil
 }
 
 // Observe consumes one delivered Binder transaction; install it with
@@ -126,85 +57,33 @@ func (d *IPCDetector) Observe(tx binder.Transaction) {
 	if tx.Method != sysserver.MethodAddView && tx.Method != sysserver.MethodRemoveView {
 		return
 	}
-	if d.ignore[tx.From] {
-		return
-	}
 	d.observed++
-	w := d.apps[tx.From]
-	if w == nil {
-		w = &appWindow{}
-		d.apps[tx.From] = w
+	d.seqs[tx.From]++
+	dev := string(tx.From)
+	flagged := d.eng.DetectionsTotal()
+	rec := []sentry.Record{{Device: dev, Seq: d.seqs[tx.From], Method: tx.Method, At: tx.DeliveredAt}}
+	if _, err := d.eng.Ingest(dev, rec); err != nil && d.err == nil {
+		d.err = err
 	}
-	w.calls = append(w.calls, callRecord{method: tx.Method, at: tx.DeliveredAt})
-	// Trim entries older than the window.
-	cutoff := tx.DeliveredAt - d.cfg.Window
-	i := 0
-	for i < len(w.calls) && w.calls[i].at < cutoff {
-		i++
-	}
-	if i > 0 {
-		w.calls = append(w.calls[:0], w.calls[i:]...)
-	}
-	d.evaluate(tx.From, w, tx.DeliveredAt)
-}
-
-func (d *IPCDetector) evaluate(app binder.ProcessID, w *appWindow, now time.Duration) {
-	if _, already := d.detections[app]; already {
-		return
-	}
-	if len(w.calls) < d.cfg.MinCalls {
-		return
-	}
-	swaps := 0
-	var gapSum time.Duration
-	for i := 0; i+1 < len(w.calls); i++ {
-		next := w.calls[i+1]
-		// A swap is an add/remove pair (either delivery order) with a
-		// millisecond-scale gap.
-		if w.calls[i].method == next.method {
-			continue
-		}
-		if gap := next.at - w.calls[i].at; gap <= d.cfg.MaxSwapGap {
-			swaps++
-			gapSum += gap
-		}
-	}
-	if swaps < d.cfg.MinSwaps {
-		return
-	}
-	det := Detection{
-		App:         app,
-		At:          now,
-		Calls:       len(w.calls),
-		Swaps:       swaps,
-		MeanSwapGap: gapSum / time.Duration(swaps),
-	}
-	d.detections[app] = det
-	if d.cfg.OnDetect != nil {
-		d.cfg.OnDetect(app, det)
+	if d.revoke != nil && d.eng.DetectionsTotal() > flagged {
+		d.revoke(tx.From)
 	}
 }
 
-// Detections returns all positive findings so far, ordered by detection
-// time then app so repeated runs render identically.
-func (d *IPCDetector) Detections() []Detection {
-	out := make([]Detection, 0, len(d.detections))
-	for _, det := range d.detections {
-		out = append(out, det)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].App < out[j].App
-	})
+// Err reports the error of the first record the engine refused, if any.
+func (d *IPCDetector) Err() error { return d.err }
+
+// Detections returns all positive findings so far, each app in Device,
+// ordered by detection time then app so repeated runs render identically.
+func (d *IPCDetector) Detections() []sentry.Detection {
+	out := d.eng.Snapshot().Detections // sorted by device
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
 
 // Detected reports whether the app has been flagged.
 func (d *IPCDetector) Detected(app binder.ProcessID) bool {
-	_, ok := d.detections[app]
-	return ok
+	return d.eng.Detected(string(app))
 }
 
 // Observed reports how many transactions of interest were analyzed (the
@@ -219,13 +98,7 @@ func (d *IPCDetector) Install(stack *sysserver.Stack, terminate bool) error {
 		return errors.New("defense: nil stack")
 	}
 	if terminate {
-		userHook := d.cfg.OnDetect
-		d.cfg.OnDetect = func(app binder.ProcessID, det Detection) {
-			stack.WM.RevokeOverlayPermission(app)
-			if userHook != nil {
-				userHook(app, det)
-			}
-		}
+		d.revoke = stack.WM.RevokeOverlayPermission
 	}
 	stack.Bus.Observe(d.Observe)
 	return nil

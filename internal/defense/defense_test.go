@@ -10,7 +10,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/ime"
 	"repro/internal/keyboard"
-	"repro/internal/simclock"
 	"repro/internal/sysserver"
 	"repro/internal/sysui"
 	"repro/internal/uikit"
@@ -21,7 +20,7 @@ const evilApp binder.ProcessID = "com.evil.app"
 
 func assemble(t *testing.T) *sysserver.Stack {
 	t.Helper()
-	st, err := sysserver.Assemble(device.Default(), 42)
+	st, err := sysserver.Assemble(device.Seed().Default(), 42)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
@@ -33,33 +32,11 @@ func screenOf(st *sysserver.Stack) geom.Rect {
 	return geom.RectWH(0, 0, float64(st.Profile.ScreenW), float64(st.Profile.ScreenH))
 }
 
-func TestNewIPCDetectorValidation(t *testing.T) {
-	if _, err := NewIPCDetector(IPCDetectorConfig{Window: -time.Second}); err == nil {
-		t.Fatal("negative window accepted")
-	}
-	if _, err := NewIPCDetector(IPCDetectorConfig{MinCalls: 1}); err == nil {
-		t.Fatal("MinCalls 1 accepted")
-	}
-	if _, err := NewIPCDetector(IPCDetectorConfig{MaxSwapGap: -time.Second}); err == nil {
-		t.Fatal("negative gap accepted")
-	}
-	if _, err := NewIPCDetector(IPCDetectorConfig{MinSwaps: -1}); err == nil {
-		t.Fatal("negative MinSwaps accepted")
-	}
-	det, err := NewIPCDetector(IPCDetectorConfig{})
-	if err != nil {
-		t.Fatalf("NewIPCDetector defaults: %v", err)
-	}
-	if det.cfg.Window != 3*time.Second || det.cfg.MinCalls != 8 || det.cfg.MinSwaps != 4 {
-		t.Fatalf("defaults = %+v", det.cfg)
-	}
-}
-
 // TestDetectorFlagsOverlayAttack: the draw-and-destroy overlay attack must
 // be detected within a few seconds.
 func TestDetectorFlagsOverlayAttack(t *testing.T) {
 	st := assemble(t)
-	det, err := NewIPCDetector(IPCDetectorConfig{})
+	det, err := NewIPCDetector()
 	if err != nil {
 		t.Fatalf("NewIPCDetector: %v", err)
 	}
@@ -87,8 +64,8 @@ func TestDetectorFlagsOverlayAttack(t *testing.T) {
 		t.Fatalf("detections = %d, want 1", len(ds))
 	}
 	d := ds[0]
-	if d.App != evilApp {
-		t.Fatalf("detected %q", d.App)
+	if d.Device != string(evilApp) {
+		t.Fatalf("detected %q", d.Device)
 	}
 	// Detection should come within the first ~3 s of attack.
 	if d.At > 4*time.Second {
@@ -108,7 +85,7 @@ func TestDetectorFlagsOverlayAttack(t *testing.T) {
 // gone.
 func TestDetectorTerminatesAttack(t *testing.T) {
 	st := assemble(t)
-	det, err := NewIPCDetector(IPCDetectorConfig{})
+	det, err := NewIPCDetector()
 	if err != nil {
 		t.Fatalf("NewIPCDetector: %v", err)
 	}
@@ -145,7 +122,7 @@ func TestDetectorIgnoresBenignOverlayApp(t *testing.T) {
 	st := assemble(t)
 	const musicApp binder.ProcessID = "com.music.player"
 	st.WM.GrantOverlayPermission(musicApp)
-	det, err := NewIPCDetector(IPCDetectorConfig{})
+	det, err := NewIPCDetector()
 	if err != nil {
 		t.Fatalf("NewIPCDetector: %v", err)
 	}
@@ -183,7 +160,7 @@ func TestDetectorIgnoresBenignOverlayApp(t *testing.T) {
 // every focus change; it must not be flagged even under rapid focus churn.
 func TestDetectorIgnoresIMEChurn(t *testing.T) {
 	st := assemble(t)
-	det, err := NewIPCDetector(IPCDetectorConfig{})
+	det, err := NewIPCDetector()
 	if err != nil {
 		t.Fatalf("NewIPCDetector: %v", err)
 	}
@@ -279,28 +256,8 @@ func TestEnhancedDefenseNoFalseAlarm(t *testing.T) {
 	}
 }
 
-func TestDetectorIgnoreList(t *testing.T) {
-	clock := simclock.New()
-	_ = clock
-	det, err := NewIPCDetector(IPCDetectorConfig{Ignore: []binder.ProcessID{"trusted"}})
-	if err != nil {
-		t.Fatalf("NewIPCDetector: %v", err)
-	}
-	for i := 0; i < 100; i++ {
-		at := time.Duration(i) * 10 * time.Millisecond
-		det.Observe(binder.Transaction{From: "trusted", To: binder.SystemServer, Method: sysserver.MethodRemoveView, DeliveredAt: at})
-		det.Observe(binder.Transaction{From: "trusted", To: binder.SystemServer, Method: sysserver.MethodAddView, DeliveredAt: at + time.Millisecond})
-	}
-	if det.Detected("trusted") {
-		t.Fatal("ignored process flagged")
-	}
-	if det.Observed() != 0 {
-		t.Fatalf("Observed = %d, want 0 for ignored traffic", det.Observed())
-	}
-}
-
 func TestDetectorDirectObservation(t *testing.T) {
-	det, err := NewIPCDetector(IPCDetectorConfig{})
+	det, err := NewIPCDetector()
 	if err != nil {
 		t.Fatalf("NewIPCDetector: %v", err)
 	}
@@ -322,7 +279,7 @@ func TestDetectorDirectObservation(t *testing.T) {
 }
 
 func TestInstallNilStack(t *testing.T) {
-	det, err := NewIPCDetector(IPCDetectorConfig{})
+	det, err := NewIPCDetector()
 	if err != nil {
 		t.Fatalf("NewIPCDetector: %v", err)
 	}

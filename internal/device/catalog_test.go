@@ -32,8 +32,8 @@ func TestSeedCatalogMatchesLegacy(t *testing.T) {
 	if _, ok := cat.ByModel("iphone"); ok {
 		t.Fatal("seed catalog found a nonexistent device")
 	}
-	if got, want := cat.Default(), Default(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Seed().Default() = %s, want %s", got.Name(), want.Name())
+	if got := cat.Default(); got.Model != "pixel 2" || got.Version.Major != 11 {
+		t.Fatalf("Seed().Default() = %s, want pixel 2 on Android 11", got.Name())
 	}
 }
 
@@ -53,9 +53,14 @@ func TestByVersionIn(t *testing.T) {
 	cat := Seed()
 	for _, major := range []int{8, 9, 10, 11} {
 		got := ByVersionIn(cat, major)
-		want := ByVersion(major)
+		var want []Profile
+		for _, p := range seedProfiles() {
+			if p.Version.Major == major {
+				want = append(want, p)
+			}
+		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ByVersionIn(seed, %d) differs from legacy ByVersion", major)
+			t.Fatalf("ByVersionIn(seed, %d) differs from the hand-calibrated set's Android %d phones", major, major)
 		}
 	}
 	if len(ByVersionIn(cat, 7)) != 0 {
@@ -64,7 +69,7 @@ func TestByVersionIn(t *testing.T) {
 }
 
 func TestSlideDuration(t *testing.T) {
-	p := Default()
+	p := Seed().Default()
 	// Seed profiles carry no animator scale: stock 360 ms.
 	if got := p.SlideDuration(); got != 360*time.Millisecond {
 		t.Fatalf("seed SlideDuration = %v, want 360ms", got)
@@ -97,7 +102,7 @@ func TestSlideDuration(t *testing.T) {
 // effect is stronger still — the draw-and-destroy attack needs the blank
 // early frames and fails outright without them).
 func TestAnimationsOffUpperBound(t *testing.T) {
-	stock := Default()
+	stock := Seed().Default()
 	off := stock
 	off.AnimationsOff = true
 	dStock, dOff := stock.ExpectedUpperBoundD(), off.ExpectedUpperBoundD()

@@ -373,28 +373,3 @@ func seedProfiles() []Profile {
 		newProfile("Vivo", "V1986A", V(10), 80, 1080, 2340, 402),
 	}
 }
-
-// Profiles returns the 30 evaluation devices of Tables I and II.
-//
-// Deprecated: thin wrapper over Seed().Profiles(). New code should take a
-// Catalog and call Profiles on it, so it also runs against generated
-// fleets.
-func Profiles() []Profile { return Seed().Profiles() }
-
-// ByModel finds a profile by model name. ok is false if not found.
-//
-// Deprecated: thin wrapper over Seed().ByModel(model). New code should
-// take a Catalog and resolve models against it.
-func ByModel(model string) (Profile, bool) { return Seed().ByModel(model) }
-
-// ByVersion returns all profiles running the given major Android version.
-//
-// Deprecated: thin wrapper over ByVersionIn(Seed(), major).
-func ByVersion(major int) []Profile { return ByVersionIn(Seed(), major) }
-
-// Default returns the profile used by the examples and quick tests: the
-// Google Pixel 2 on Android 11, the phone of the paper's demo video.
-//
-// Deprecated: thin wrapper over Seed().Default(). New code should take a
-// Catalog and use its Default.
-func Default() Profile { return Seed().Default() }

@@ -8,14 +8,14 @@ import (
 )
 
 func TestProfilesCount(t *testing.T) {
-	if got := len(Profiles()); got != 30 {
-		t.Fatalf("Profiles() returned %d devices, want 30 (Table I)", got)
+	if got := len(Seed().Profiles()); got != 30 {
+		t.Fatalf("Seed().Profiles() returned %d devices, want 30 (Table I)", got)
 	}
 }
 
 func TestProfilesUnique(t *testing.T) {
 	seen := make(map[string]bool)
-	for _, p := range Profiles() {
+	for _, p := range Seed().Profiles() {
 		key := p.Manufacturer + "/" + p.Model
 		if seen[key] {
 			t.Fatalf("duplicate profile %s", key)
@@ -30,7 +30,7 @@ func TestProfilesUnique(t *testing.T) {
 // frame interval.
 func TestCalibrationMatchesTableII(t *testing.T) {
 	const headroom = 10 * time.Millisecond
-	for _, p := range Profiles() {
+	for _, p := range Seed().Profiles() {
 		got := p.ExpectedUpperBoundD()
 		want := p.PaperUpperBoundD + headroom
 		diff := got - want
@@ -47,7 +47,7 @@ func TestVersionDistribution(t *testing.T) {
 	// Table II has 3 Android 8, 13 Android 9 (incl. 9.1), 12 Android 10
 	// and 2 Android 11 devices.
 	counts := map[int]int{}
-	for _, p := range Profiles() {
+	for _, p := range Seed().Profiles() {
 		counts[p.Version.Major]++
 	}
 	want := map[int]int{8: 3, 9: 13, 10: 12, 11: 2}
@@ -82,7 +82,7 @@ func TestANADelay(t *testing.T) {
 // because Trm was significantly reduced.
 func TestTmisVersionOrdering(t *testing.T) {
 	avg := func(major int) time.Duration {
-		ps := ByVersion(major)
+		ps := ByVersionIn(Seed(), major)
 		if len(ps) == 0 {
 			t.Fatalf("no profiles for Android %d", major)
 		}
@@ -107,7 +107,7 @@ func TestTmisVersionOrdering(t *testing.T) {
 }
 
 func TestNexus6PNotifHeight(t *testing.T) {
-	p, ok := ByModel("nexus6p")
+	p, ok := Seed().ByModel("nexus6p")
 	if !ok {
 		t.Fatal("nexus6p profile missing")
 	}
@@ -135,38 +135,38 @@ func TestFirstVisibleFrameOffset(t *testing.T) {
 }
 
 func TestByModel(t *testing.T) {
-	p, ok := ByModel("Redmi")
+	p, ok := Seed().ByModel("Redmi")
 	if !ok {
 		t.Fatal("Redmi not found")
 	}
 	if p.PaperUpperBoundD != 395*time.Millisecond {
 		t.Fatalf("Redmi D bound = %v, want 395ms", p.PaperUpperBoundD)
 	}
-	if _, ok := ByModel("iphone"); ok {
+	if _, ok := Seed().ByModel("iphone"); ok {
 		t.Fatal("ByModel found a nonexistent device")
 	}
 }
 
 func TestByVersion(t *testing.T) {
-	for _, p := range ByVersion(10) {
+	for _, p := range ByVersionIn(Seed(), 10) {
 		if p.Version.Major != 10 {
-			t.Fatalf("ByVersion(10) returned %s", p.Name())
+			t.Fatalf("ByVersionIn(Seed(), 10) returned %s", p.Name())
 		}
 	}
-	if len(ByVersion(7)) != 0 {
-		t.Fatal("ByVersion(7) returned devices")
+	if len(ByVersionIn(Seed(), 7)) != 0 {
+		t.Fatal("ByVersionIn(Seed(), 7) returned devices")
 	}
 }
 
 func TestDefaultProfile(t *testing.T) {
-	p := Default()
+	p := Seed().Default()
 	if p.Model != "pixel 2" || p.Version.Major != 11 {
 		t.Fatalf("Default = %s, want pixel 2 on Android 11", p.Name())
 	}
 }
 
 func TestWithLoadNegligible(t *testing.T) {
-	p := Default()
+	p := Seed().Default()
 	for _, n := range []int{3, 5} {
 		loaded := p.WithLoad(n)
 		if loaded.LoadFactor <= 1 {
@@ -188,7 +188,7 @@ func TestWithLoadNegligible(t *testing.T) {
 }
 
 func TestWithLoadDoesNotMutateOriginal(t *testing.T) {
-	p := Default()
+	p := Seed().Default()
 	before := p.Tas.Mean
 	_ = p.WithLoad(5)
 	if p.Tas.Mean != before {
@@ -198,7 +198,7 @@ func TestWithLoadDoesNotMutateOriginal(t *testing.T) {
 
 func TestLatencySamplesArePlausible(t *testing.T) {
 	rng := simrand.New(1)
-	for _, p := range Profiles() {
+	for _, p := range Seed().Profiles() {
 		for i := 0; i < 100; i++ {
 			if d := p.Tam.Sample(rng); d < 0 || d > 50*time.Millisecond {
 				t.Fatalf("%s: Tam sample %v implausible", p.Name(), d)
@@ -211,7 +211,7 @@ func TestLatencySamplesArePlausible(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	p := Default()
+	p := Seed().Default()
 	if got := p.Name(); got != "Google pixel 2 (Android 11)" {
 		t.Fatalf("Name = %q", got)
 	}
@@ -222,7 +222,7 @@ func TestName(t *testing.T) {
 // devices on average (the ANA delay).
 func TestTableIIVersionOrdering(t *testing.T) {
 	mean := func(major int) time.Duration {
-		ps := ByVersion(major)
+		ps := ByVersionIn(Seed(), major)
 		var sum time.Duration
 		for _, p := range ps {
 			sum += p.PaperUpperBoundD

@@ -77,14 +77,7 @@ func DefenseIPCOn(cat device.Catalog, seed int64, prof faults.Profile) (DefenseI
 	if err != nil {
 		return rep, err
 	}
-	var detectedAt time.Duration = -1
-	det, err := defense.NewIPCDetector(defense.IPCDetectorConfig{
-		OnDetect: func(app binder.ProcessID, d defense.Detection) {
-			if detectedAt < 0 {
-				detectedAt = d.At
-			}
-		},
-	})
+	det, err := defense.NewIPCDetector()
 	if err != nil {
 		return rep, fmt.Errorf("experiment: detector: %w", err)
 	}
@@ -106,9 +99,12 @@ func DefenseIPCOn(cat device.Catalog, seed int64, prof faults.Profile) (DefenseI
 	if err := st.Clock.RunFor(25 * time.Second); err != nil {
 		return rep, fmt.Errorf("experiment: run attack scenario: %w", err)
 	}
+	if err := det.Err(); err != nil {
+		return rep, fmt.Errorf("experiment: detector: %w", err)
+	}
 	rep.AttackDetected = det.Detected(AttackerApp)
-	if detectedAt >= 0 {
-		rep.DetectionLatency = detectedAt
+	if ds := det.Detections(); len(ds) > 0 {
+		rep.DetectionLatency = ds[0].At
 	}
 	rep.AttackTerminated = !st.WM.HasOverlayPermission(AttackerApp) && st.WM.OverlayCount(AttackerApp) == 0
 	rep.AlertOutcomeAfter = st.UI.WorstOutcome()
@@ -124,7 +120,7 @@ func DefenseIPCOn(cat device.Catalog, seed int64, prof faults.Profile) (DefenseI
 	}
 	const musicApp binder.ProcessID = "com.music.player"
 	st2.WM.GrantOverlayPermission(musicApp)
-	det2, err := defense.NewIPCDetector(defense.IPCDetectorConfig{})
+	det2, err := defense.NewIPCDetector()
 	if err != nil {
 		return rep, fmt.Errorf("experiment: benign detector: %w", err)
 	}
@@ -153,6 +149,9 @@ func DefenseIPCOn(cat device.Catalog, seed int64, prof faults.Profile) (DefenseI
 	}
 	if sink.err != nil {
 		return rep, sink.err
+	}
+	if err := det2.Err(); err != nil {
+		return rep, fmt.Errorf("experiment: benign detector: %w", err)
 	}
 	rep.BenignFlagged = len(det2.Detections())
 	return rep, nil

@@ -127,7 +127,7 @@ func TestDegradationZeroIntensityTracksUnfaultedRunners(t *testing.T) {
 		t.Fatalf("first point at intensity %v", p0.Intensity)
 	}
 
-	bound, err := measureUpperBoundD(device.Default(), seed+1)
+	bound, err := measureUpperBoundD(device.Seed().Default(), seed+1)
 	if err != nil {
 		t.Fatalf("measureUpperBoundD: %v", err)
 	}

@@ -87,7 +87,7 @@ func TestMeasuredUpperBoundMatchesTableII(t *testing.T) {
 	for _, model := range []string{"s8", "mi8", "mi9", "pixel 2"} {
 		model := model
 		t.Run(model, func(t *testing.T) {
-			p, ok := device.ByModel(model)
+			p, ok := device.Seed().ByModel(model)
 			if !ok {
 				t.Fatalf("profile %s missing", model)
 			}
@@ -411,7 +411,7 @@ func TestCorpusStudySmall(t *testing.T) {
 // TestRunStealTrialFillsVictimWidget: the stealth fill leaves the typed
 // password visible in the real widget.
 func TestRunStealTrialFillsVictimWidget(t *testing.T) {
-	p, ok := device.ByModel("mi8")
+	p, ok := device.Seed().ByModel("mi8")
 	if !ok {
 		t.Fatal("mi8 missing")
 	}

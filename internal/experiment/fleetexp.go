@@ -138,7 +138,7 @@ func fleetIPCVerdict(p device.Profile, prof faults.Profile, d time.Duration, see
 	if err != nil {
 		return false, false, err
 	}
-	det, err := defense.NewIPCDetector(defense.IPCDetectorConfig{})
+	det, err := defense.NewIPCDetector()
 	if err != nil {
 		return false, false, fmt.Errorf("experiment: fleet detector: %w", err)
 	}
@@ -147,6 +147,9 @@ func fleetIPCVerdict(p device.Profile, prof faults.Profile, d time.Duration, see
 	}
 	if _, err := runOverlayAttackOn(st, p, d, fleetIPCAttackDur); err != nil {
 		return false, false, err
+	}
+	if err := det.Err(); err != nil {
+		return false, false, fmt.Errorf("experiment: fleet detector: %w", err)
 	}
 	detected = det.Detected(AttackerApp)
 	terminated = !st.WM.HasOverlayPermission(AttackerApp) && st.WM.OverlayCount(AttackerApp) == 0

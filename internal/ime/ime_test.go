@@ -13,7 +13,7 @@ import (
 
 func setup(t *testing.T) (*sysserver.Stack, *keyboard.Keyboard, *uikit.Activity, *uikit.View) {
 	t.Helper()
-	st, err := sysserver.Assemble(device.Default(), 1)
+	st, err := sysserver.Assemble(device.Seed().Default(), 1)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}

@@ -61,7 +61,7 @@ func TestToastSerializationViolationDirect(t *testing.T) {
 // tokens, and the monitor attached by WithMonitor must catch each enqueue
 // past the cap with a trace of the surrounding toast traffic.
 func TestToastQueueCapViolationSeeded(t *testing.T) {
-	st, err := sysserver.Assemble(device.Default(), 1, sysserver.WithMonitor())
+	st, err := sysserver.Assemble(device.Seed().Default(), 1, sysserver.WithMonitor())
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestToastQueueCapViolationSeeded(t *testing.T) {
 // TestMonitorCleanOnHealthyRun is the other direction: ordinary toast
 // traffic inside the cap breaches nothing.
 func TestMonitorCleanOnHealthyRun(t *testing.T) {
-	st, err := sysserver.Assemble(device.Default(), 2, sysserver.WithMonitor())
+	st, err := sysserver.Assemble(device.Seed().Default(), 2, sysserver.WithMonitor())
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestMonitorCleanOnHealthyRun(t *testing.T) {
 // chaos-faulted run under the monitor completes with a clean bill.
 func TestMonitorCleanUnderChaosFaults(t *testing.T) {
 	prof := faults.Chaos()
-	st, err := sysserver.Assemble(device.Default(), 3,
+	st, err := sysserver.Assemble(device.Seed().Default(), 3,
 		sysserver.WithMonitor(), sysserver.WithFaults(faults.NewPlane(prof, 3)))
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)

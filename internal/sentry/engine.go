@@ -1,9 +1,10 @@
-// Package sentry is the streaming fleet-scale detection service: the
-// paper's §VII-A IPC detector (internal/defense.IPCDetector), lifted
-// from a batch-per-trial evaluation into a long-running service that
-// watches binder addView/removeView transaction streams from thousands
-// of devices at once, plus the notification-abuse extension motivated
-// by Knock-Knock (PAPERS.md).
+// Package sentry is the streaming fleet-scale detection service and the
+// one home of the paper's §VII-A draw-and-destroy rule: a long-running
+// service that watches binder addView/removeView transaction streams
+// from thousands of devices at once, plus the notification-abuse
+// extension motivated by Knock-Knock (PAPERS.md). The simulator runs
+// this engine too: internal/defense.IPCDetector feeds each app's
+// overlay deliveries to an Engine as one device's stream.
 //
 // The package has four layers:
 //
@@ -41,8 +42,8 @@ import (
 )
 
 // Config tunes the Engine. The zero value selects the documented
-// defaults, which mirror defense.IPCDetectorConfig where the two
-// overlap.
+// defaults, which are also the simulator's: defense.IPCDetector runs an
+// engine on them with only the notification rule turned off.
 type Config struct {
 	// Shards is the device-state shard count; each shard holds a map of
 	// device states behind its own mutex (default 8). The shard count
@@ -500,9 +501,10 @@ func (st *deviceState) windowCounts() (overlays, notes int) {
 // evaluateOverlay is the §VII-A decision rule on streaming state: flag
 // the device when the window holds at least MinCalls overlay calls and
 // at least MinSwaps adjacent add/remove pairs with MaxSwapGap-scale
-// gaps. Mirrors defense.IPCDetector.evaluate, with the window's call
-// count estimated by the sketch so a flood cannot cheat detection by
-// overflowing the ring.
+// gaps. The window's call count is estimated by the sketch so a flood
+// cannot cheat detection by overflowing the ring. The simulator runs
+// this rule through defense.IPCDetector, so simulated trials and served
+// fleets flag on one implementation.
 func (e *Engine) evaluateOverlay(ru *rules, st *deviceState, device string, now time.Duration) {
 	if st.detection != nil {
 		return

@@ -87,7 +87,7 @@ func TestNewPollerValidation(t *testing.T) {
 // TestPollerDetectsKeyboardPopup: the poller watching the IME process
 // fires when the keyboard window appears, and not before.
 func TestPollerDetectsKeyboardPopup(t *testing.T) {
-	st, err := sysserver.Assemble(device.Default(), 3)
+	st, err := sysserver.Assemble(device.Seed().Default(), 3)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestPollerDetectsKeyboardPopup(t *testing.T) {
 // keyboard appearing, and still recovers the password (without the
 // widget-fill nicety, which needs the accessibility node).
 func TestSideChannelTriggersPasswordStealer(t *testing.T) {
-	p, ok := device.ByModel("mi8")
+	p, ok := device.Seed().ByModel("mi8")
 	if !ok {
 		t.Fatal("mi8 missing")
 	}

@@ -25,7 +25,7 @@ import (
 func TestPropertyProtocolQuiescence(t *testing.T) {
 	apps := []binder.ProcessID{"app.a", "app.b", "app.c"}
 	prop := func(seed int64, ops []uint8) bool {
-		st, err := Assemble(device.Default(), seed)
+		st, err := Assemble(device.Seed().Default(), seed)
 		if err != nil {
 			return false
 		}
@@ -117,7 +117,7 @@ func TestPropertyProtocolQuiescence(t *testing.T) {
 // the notification pipeline settles).
 func TestPropertyAlertMatchesOverlayPresence(t *testing.T) {
 	prop := func(seed int64, keepRaw uint8) bool {
-		st, err := Assemble(device.Default(), seed)
+		st, err := Assemble(device.Seed().Default(), seed)
 		if err != nil {
 			return false
 		}
@@ -156,7 +156,7 @@ func TestPropertyAlertMatchesOverlayPresence(t *testing.T) {
 // eventually drains — every shown toast disappears and no window leaks.
 func TestPropertyToastChainAlwaysTerminates(t *testing.T) {
 	prop := func(seed int64, pattern []uint8) bool {
-		st, err := Assemble(device.Default(), seed)
+		st, err := Assemble(device.Seed().Default(), seed)
 		if err != nil {
 			return false
 		}

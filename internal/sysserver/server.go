@@ -91,7 +91,7 @@ type Config struct {
 	// RNG samples processing latencies; required.
 	RNG *simrand.Source
 	// Profile supplies the device's timing model; required (use
-	// device.Default() for a generic phone).
+	// device.Seed().Default() for a generic phone).
 	Profile device.Profile
 	// WM is the window-management state machine; required.
 	WM *wm.Manager

@@ -49,7 +49,7 @@ func removeOverlay(t *testing.T, st *Stack, handle uint64) {
 }
 
 func TestNewValidation(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	if _, err := New(Config{Bus: st.Bus, RNG: st.RNG, WM: st.WM}); err == nil {
 		t.Fatal("nil clock accepted")
 	}
@@ -65,7 +65,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestAssembleWiresEndpoints(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	if st.Clock == nil || st.Bus == nil || st.WM == nil || st.Server == nil || st.UI == nil {
 		t.Fatal("Assemble left nil components")
 	}
@@ -77,7 +77,7 @@ func TestAssembleWiresEndpoints(t *testing.T) {
 // TestAddViewAttachesOverlayAndPostsAlert: a single long-lived overlay must
 // attach and produce a Λ5 alert (the built-in defense working as designed).
 func TestAddViewAttachesOverlayAndPostsAlert(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	st.WM.GrantOverlayPermission(evilApp)
 	addOverlay(t, st, 1)
 	if err := st.Clock.RunFor(5 * time.Second); err != nil {
@@ -99,7 +99,7 @@ func TestAddViewAttachesOverlayAndPostsAlert(t *testing.T) {
 }
 
 func TestAddViewWithoutPermissionRejected(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	addOverlay(t, st, 1)
 	if err := st.Clock.RunFor(time.Second); err != nil {
 		t.Fatalf("RunFor: %v", err)
@@ -113,7 +113,7 @@ func TestAddViewWithoutPermissionRejected(t *testing.T) {
 }
 
 func TestRemoveViewDetachesAndRemovesAlert(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	st.WM.GrantOverlayPermission(evilApp)
 	addOverlay(t, st, 1)
 	st.Clock.MustAfter(2*time.Second, "rm", func() { removeOverlay(t, st, 1) })
@@ -132,7 +132,7 @@ func TestRemoveViewDetachesAndRemovesAlert(t *testing.T) {
 }
 
 func TestRemoveUnknownHandleCounted(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	removeOverlay(t, st, 77)
 	if err := st.Clock.RunFor(time.Second); err != nil {
 		t.Fatalf("RunFor: %v", err)
@@ -146,7 +146,7 @@ func TestRemoveUnknownHandleCounted(t *testing.T) {
 // removeView can reach the server before the addView finishes attaching;
 // the server must then detach the window as soon as it attaches.
 func TestRemoveRacingAddIsHonored(t *testing.T) {
-	p := device.Default()
+	p := device.Seed().Default()
 	p.Tam = simrand.Constant(10)
 	p.Tas = simrand.Constant(20)
 	p.Trm = simrand.Constant(1)
@@ -165,7 +165,7 @@ func TestRemoveRacingAddIsHonored(t *testing.T) {
 // TestANADelayDefersAlert: on Android 10 the alert must not reach System
 // UI before the 100 ms ANA delay.
 func TestANADelayDefersAlert(t *testing.T) {
-	p, ok := device.ByModel("mi9") // Android 10
+	p, ok := device.Seed().ByModel("mi9") // Android 10
 	if !ok {
 		t.Fatal("mi9 profile missing")
 	}
@@ -190,7 +190,7 @@ func TestANADelayDefersAlert(t *testing.T) {
 // vanishes while the post is held by the ANA delay, System UI never hears
 // about it — the attack's best case on Android 10/11.
 func TestOverlayRemovedDuringANADelaySuppressesAlertEntirely(t *testing.T) {
-	st := assemble(t, device.Default()) // pixel 2, Android 11: 200ms ANA
+	st := assemble(t, device.Seed().Default()) // pixel 2, Android 11: 200ms ANA
 	st.WM.GrantOverlayPermission(evilApp)
 	addOverlay(t, st, 1)
 	st.Clock.MustAfter(60*time.Millisecond, "rm", func() { removeOverlay(t, st, 1) })
@@ -206,7 +206,7 @@ func TestOverlayRemovedDuringANADelaySuppressesAlertEntirely(t *testing.T) {
 // t = 690 ms, a quick remove+re-add cycle must NOT remove the alert; it
 // plays to Λ5 and the attack is defeated.
 func TestEnhancedDefenseKeepsAlert(t *testing.T) {
-	p, ok := device.ByModel("pixel 2")
+	p, ok := device.Seed().ByModel("pixel 2")
 	if !ok {
 		t.Fatal("pixel 2 profile missing")
 	}
@@ -236,7 +236,7 @@ func TestEnhancedDefenseKeepsAlert(t *testing.T) {
 }
 
 func TestEnhancedDefenseNegativeDelayClamped(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	st.Server.EnableEnhancedNotificationDefense(-time.Second)
 	if got := st.Server.DefenseDelay(); got != 0 {
 		t.Fatalf("DefenseDelay = %v, want 0", got)
@@ -247,7 +247,7 @@ func TestEnhancedDefenseNegativeDelayClamped(t *testing.T) {
 // leak alerts — when the overlay is really gone, the alert goes away after
 // the delay.
 func TestDefenseDelayStillRemovesAfterHonestRemoval(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	st.Server.EnableEnhancedNotificationDefense(690 * time.Millisecond)
 	st.WM.GrantOverlayPermission(evilApp)
 	addOverlay(t, st, 1)
@@ -264,7 +264,7 @@ func TestDefenseDelayStillRemovesAfterHonestRemoval(t *testing.T) {
 // check: each Binder method must draw from the Fig. 3 distribution the
 // paper names, or the whole timing story silently breaks.
 func TestLatencyMappingUsesProfileDistributions(t *testing.T) {
-	p := device.Default()
+	p := device.Seed().Default()
 	// Give each distribution a distinct constant mean to identify it.
 	p.Tam = simrand.Constant(11)
 	p.Trm = simrand.Constant(22)
@@ -293,7 +293,7 @@ func TestLatencyMappingUsesProfileDistributions(t *testing.T) {
 }
 
 func TestMalformedPayloadsIgnored(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	if _, err := st.Bus.Call(evilApp, binder.SystemServer, MethodAddView, "not-a-request"); err != nil {
 		t.Fatalf("Call: %v", err)
 	}

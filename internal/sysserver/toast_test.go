@@ -23,7 +23,7 @@ func showToast(t *testing.T, st *Stack, dur time.Duration, content string) {
 }
 
 func TestToastShowsAndExpires(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	showToast(t, st, ToastShort, "hello")
 	if err := st.Clock.RunFor(5 * time.Second); err != nil {
 		t.Fatalf("RunFor: %v", err)
@@ -50,7 +50,7 @@ func TestToastShowsAndExpires(t *testing.T) {
 }
 
 func TestToastDurationNormalized(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	showToast(t, st, 30*time.Second, "greedy") // not a legal constant
 	if err := st.Clock.RunFor(10 * time.Second); err != nil {
 		t.Fatalf("RunFor: %v", err)
@@ -65,7 +65,7 @@ func TestToastDurationNormalized(t *testing.T) {
 }
 
 func TestToastEmptyBoundsRejected(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	if _, err := st.Bus.Call(evilApp, binder.SystemServer, MethodEnqueueToast, EnqueueToastRequest{
 		Duration: ToastShort,
 	}); err != nil {
@@ -82,7 +82,7 @@ func TestToastEmptyBoundsRejected(t *testing.T) {
 // TestToastsSerialized: two toasts enqueued together must display one
 // after the other, not concurrently (the Android 8 anti-overlap defense).
 func TestToastsSerialized(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	showToast(t, st, ToastShort, "one")
 	showToast(t, st, ToastShort, "two")
 	if err := st.Clock.RunFor(15 * time.Second); err != nil {
@@ -107,7 +107,7 @@ func TestToastsSerialized(t *testing.T) {
 // predecessor is still fading out, so the combined on-screen alpha never
 // collapses — the property the draw-and-destroy toast attack needs.
 func TestToastHandoffOverlapsFade(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	showToast(t, st, ToastShort, "a")
 	showToast(t, st, ToastShort, "b")
 	if err := st.Clock.RunFor(15 * time.Second); err != nil {
@@ -130,7 +130,7 @@ func TestToastHandoffOverlapsFade(t *testing.T) {
 }
 
 func TestToastPerAppCap(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	for i := 0; i < 60; i++ {
 		showToast(t, st, ToastShort, "spam")
 	}
@@ -152,7 +152,7 @@ func TestToastPerAppCap(t *testing.T) {
 }
 
 func TestToastCapIsPerApp(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	for i := 0; i < MaxToastTokensPerApp; i++ {
 		showToast(t, st, ToastShort, "evil")
 	}
@@ -175,7 +175,7 @@ func TestToastCapIsPerApp(t *testing.T) {
 // the way the attack does and sample the app's max toast alpha at frame
 // granularity; after the first fade-in it must stay high.
 func TestToastAlphaNeverCollapsesDuringAttackChain(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	// Keep the queue fed: one toast every 3 s with 3.5 s duration.
 	for i := 0; i < 5; i++ {
 		at := time.Duration(i) * 3 * time.Second
@@ -211,7 +211,7 @@ func TestToastAlphaNeverCollapsesDuringAttackChain(t *testing.T) {
 // toast disappears completely — the flicker the attack avoids by keeping
 // the queue fed.
 func TestToastGapWithEmptyQueueIsVisible(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	showToast(t, st, ToastShort, "one")
 	// The successor arrives 1.5 s after the first is fully gone.
 	st.Clock.MustAfter(4*time.Second, "late", func() { showToast(t, st, ToastShort, "two") })
@@ -238,7 +238,7 @@ func TestToastGapWithEmptyQueueIsVisible(t *testing.T) {
 // TestCancelToastRetiresEarlyAndShowsNext: cancel retires the current
 // toast immediately and the next queued token (of another app) displays.
 func TestCancelToastRetiresEarlyAndShowsNext(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	showToast(t, st, ToastLong, "kbd-lower")
 	if _, err := st.Bus.Call(victimApp, binder.SystemServer, MethodEnqueueToast, EnqueueToastRequest{
 		Duration: ToastShort, Bounds: toastBounds(), Content: "other",
@@ -272,7 +272,7 @@ func TestCancelToastRetiresEarlyAndShowsNext(t *testing.T) {
 // TestCancelToastDropsQueuedTokens: queued tokens of the canceling app are
 // discarded.
 func TestCancelToastDropsQueuedTokens(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	for i := 0; i < 5; i++ {
 		showToast(t, st, ToastShort, "spam")
 	}
@@ -296,7 +296,7 @@ func TestCancelToastDropsQueuedTokens(t *testing.T) {
 // TestToastGapDefenseForcesFlicker: with the Section VII-B toast-gap
 // defense on, a fed toast chain must go fully invisible between toasts.
 func TestToastGapDefenseForcesFlicker(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	st.Server.EnableToastGapDefense(400 * time.Millisecond)
 	if got := st.Server.ToastGapDefense(); got != 400*time.Millisecond {
 		t.Fatalf("ToastGapDefense = %v", got)
@@ -333,7 +333,7 @@ func TestToastGapDefenseForcesFlicker(t *testing.T) {
 // TestToastGapDefenseDoesNotDelayOtherApps: the gap is per app; another
 // app's toast shows immediately after the slot frees.
 func TestToastGapDefenseDoesNotDelayOtherApps(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	st.Server.EnableToastGapDefense(2 * time.Second)
 	showToast(t, st, ToastShort, "evil-1")
 	if _, err := st.Bus.Call(victimApp, binder.SystemServer, MethodEnqueueToast, EnqueueToastRequest{
@@ -363,7 +363,7 @@ func TestToastGapDefenseDoesNotDelayOtherApps(t *testing.T) {
 
 // TestToastGapDefenseNegativeClamped: negative gaps disable the defense.
 func TestToastGapDefenseNegativeClamped(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	st.Server.EnableToastGapDefense(-time.Second)
 	if got := st.Server.ToastGapDefense(); got != 0 {
 		t.Fatalf("ToastGapDefense = %v, want 0", got)
@@ -371,7 +371,7 @@ func TestToastGapDefenseNegativeClamped(t *testing.T) {
 }
 
 func TestToastSlotBusy(t *testing.T) {
-	st := assemble(t, device.Default())
+	st := assemble(t, device.Seed().Default())
 	if st.Server.ToastSlotBusy() {
 		t.Fatal("slot busy before any toast")
 	}

@@ -35,7 +35,7 @@ func TestNewRecorderValidation(t *testing.T) {
 // addView issued → received → window attached → notify draw → removeView
 // received → window removed → notify remove.
 func TestRecorderCapturesFig3Sequence(t *testing.T) {
-	p, ok := device.ByModel("mi8")
+	p, ok := device.Seed().ByModel("mi8")
 	if !ok {
 		t.Fatal("mi8 missing")
 	}
@@ -110,7 +110,7 @@ func TestRecorderCapturesFig3Sequence(t *testing.T) {
 
 // TestRecorderLimit caps the timeline.
 func TestRecorderLimit(t *testing.T) {
-	st, err := sysserver.Assemble(device.Default(), 5)
+	st, err := sysserver.Assemble(device.Seed().Default(), 5)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestRecorderLimit(t *testing.T) {
 
 // TestRecorderIgnoresOtherApps: traffic from unrelated apps stays out.
 func TestRecorderIgnoresOtherApps(t *testing.T) {
-	st, err := sysserver.Assemble(device.Default(), 7)
+	st, err := sysserver.Assemble(device.Seed().Default(), 7)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}

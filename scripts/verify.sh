@@ -6,9 +6,10 @@
 #
 # Steps: build, unit tests, go vet, the simlint determinism/robustness
 # pass, a race-detector pass over the short tests, a coverage floor on
-# the experiment-harness core packages, the streaming detector and the
-# fleet generator, the scheduler parity diff plus a 200-device fleet-sweep
-# parity smoke, a vetd serving smoke (checked vetload replay +
+# the experiment-harness core packages, the streaming detector, the
+# simulator's detector adapter and the fleet generator, the scheduler
+# parity diff plus a 200-device fleet-sweep parity smoke, a vetd
+# serving smoke (checked vetload replay +
 # clean SIGINT shutdown), a distributed ring smoke (3 vetd peers behind
 # vetrouter, chaos kill/restart schedule, zero verdict mismatches
 # required), a sentryd smoke (a 2000-device labeled fleet replay
@@ -39,17 +40,20 @@ echo "==> go test -race -short ./..."
 go test -race -short ./...
 
 # Coverage floor for the experiment-harness core, the streaming detector,
-# the fleet generator and the shared serving core: the journaled runners
-# and the sweep-wide invariant aggregation are the crash-safety layer,
-# the sentry engine/server carry the accounting and shard-invariance
-# contracts, the fleet generator carries the population-determinism
-# contract, internal/ring carries both routers' retry and accounting
-# machinery, and internal/applog carries every log's crash-safety
-# contract — a drop below the floor means those paths lost their tests.
-# All packages currently sit well above it.
+# the simulator's detector adapter, the fleet generator and the shared
+# serving core: the journaled runners and the sweep-wide invariant
+# aggregation are the crash-safety layer, the sentry engine/server carry
+# the accounting and shard-invariance contracts, internal/defense is the
+# simulator's only entry point to the §VII-A rule, the fleet generator
+# carries the population-determinism contract, internal/ring carries
+# both routers' retry and accounting machinery, and internal/applog
+# carries every log's crash-safety contract — a drop below the floor
+# means those paths lost their tests. All packages currently sit well
+# above it.
 COVER_FLOOR=65
-echo "==> go test -cover ./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet ./internal/ring ./internal/applog (floor ${COVER_FLOOR}%)"
-go test -cover ./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet ./internal/ring ./internal/applog | tee /tmp/verify-cover.$$
+COVER_PKGS="./internal/experiment ./internal/invariant ./internal/sentry ./internal/defense ./internal/fleet ./internal/ring ./internal/applog"
+echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
+go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
 	/coverage:/ {
 		for (i = 1; i <= NF; i++) if ($i == "coverage:") pct = $(i + 1)
