@@ -46,7 +46,7 @@ func run() int {
 		replicas   = flag.Int("replicas", 2, "replica set size per device")
 		vnodes     = flag.Int("vnodes", 64, "virtual ring points per peer")
 		deadline   = flag.Duration("deadline", 2*time.Second, "per-peer-attempt deadline")
-		retries    = flag.Int("retries", 1, "extra retry passes over the replica set")
+		retries    = flag.Int("retries", 1, "max extra retry passes over the replica set; a pass runs only after a failed or shed (429) attempt")
 		probe      = flag.Duration("probe", 250*time.Millisecond, "health probe interval (negative disables)")
 		fallbackC  = flag.Int("fallback", 4, "max concurrent local degraded ingests")
 		seed       = flag.Int64("seed", 1, "seed for retry-backoff jitter")

@@ -43,7 +43,7 @@ func run() int {
 		vnodes    = flag.Int("vnodes", 64, "virtual ring points per peer")
 		tierArg   = flag.String("tier", "0", "static analysis precision tier (0..2); must match the peers")
 		deadline  = flag.Duration("deadline", 2*time.Second, "per-peer-attempt deadline")
-		retries   = flag.Int("retries", 1, "extra retry passes over the replica set")
+		retries   = flag.Int("retries", 1, "max extra retry passes over the replica set; a pass runs only after a failed or shed (429) attempt")
 		probe     = flag.Duration("probe", 250*time.Millisecond, "health probe interval (negative disables)")
 		fallbackC = flag.Int("fallback", 4, "max concurrent local degraded analyses")
 		seed      = flag.Int64("seed", 1, "seed for retry-backoff jitter")

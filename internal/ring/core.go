@@ -112,9 +112,10 @@ func (c Config) withDefaults() Config {
 // the fields read as the router's own. None of them joins a router's
 // request-level accounting identity except Sheds.
 type Counters struct {
-	Retries  atomic.Uint64 // extra passes over the replica set after an incomplete one
-	Peer429s atomic.Uint64 // peer shed; no ack, no breaker damage
-	PeerErrs atomic.Uint64 // transport errors + 5xx from peers
+	Retries      atomic.Uint64 // extra passes over the replica set after a pass with a failed or shed attempt
+	Peer429s     atomic.Uint64 // peer shed; no ack, no breaker damage
+	PeerErrs     atomic.Uint64 // transport errors + 5xx from peers
+	BreakerSkips atomic.Uint64 // attempts not sent because the peer's breaker refused
 
 	// Probe counters.
 	ProbeOK   atomic.Uint64
@@ -307,12 +308,17 @@ func Classify(status int, err error) Outcome {
 // replicas that already acked, for up to 1+Retries passes with seeded
 // backoff between them, until need replicas have acked: 1 for a read
 // where the first answer wins, every replica for a replicated write.
-// attempt sends one try to a peer and classifies the answer. Replicate
-// returns the acks collected, and whether an attempt aborted; a context
-// that expires during a backoff ends the passes early.
+// A retry pass runs only after a pass in which some attempt failed or
+// was shed: when every replica still missing was skipped by its open
+// breaker, the next pass would skip it again, so Replicate stops at
+// once instead of backing off for nothing. attempt sends one try to a
+// peer and classifies the answer. Replicate returns the acks collected,
+// and whether an attempt aborted; a context that expires during a
+// backoff ends the passes early.
 func (c *Core) Replicate(ctx context.Context, replicas []int, need int, attempt func(ctx context.Context, peer int) Outcome) (acks int, aborted bool) {
 	acked := make([]bool, len(replicas))
-	for pass := 0; pass <= c.cfg.Retries; pass++ {
+	retry := true
+	for pass := 0; pass <= c.cfg.Retries && retry; pass++ {
 		if pass > 0 {
 			c.cnt.Retries.Add(1)
 			select {
@@ -321,6 +327,7 @@ func (c *Core) Replicate(ctx context.Context, replicas []int, need int, attempt 
 				return acks, false
 			}
 		}
+		retry = false
 		for ri, i := range replicas {
 			if acked[ri] {
 				continue
@@ -330,6 +337,7 @@ func (c *Core) Replicate(ctx context.Context, replicas []int, need int, attempt 
 			}
 			p := c.peers[i]
 			if !p.brk.allow() {
+				c.cnt.BreakerSkips.Add(1)
 				continue
 			}
 			switch attempt(ctx, i) {
@@ -343,6 +351,7 @@ func (c *Core) Replicate(ctx context.Context, replicas []int, need int, attempt 
 			case Busy:
 				c.cnt.Peer429s.Add(1)
 				p.brk.onSuccess()
+				retry = true
 			case Abort:
 				p.brk.onSuccess()
 				return acks, true
@@ -350,6 +359,7 @@ func (c *Core) Replicate(ctx context.Context, replicas []int, need int, attempt 
 				p.errors.Add(1)
 				c.cnt.PeerErrs.Add(1)
 				p.brk.onFailure()
+				retry = true
 			}
 		}
 	}

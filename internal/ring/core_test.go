@@ -141,6 +141,52 @@ func TestReplicateBreakerAndContext(t *testing.T) {
 	}
 }
 
+// TestReplicateOpenBreakerFailsFast: when every replica still missing
+// is skipped by its open breaker, the next pass would skip it again, so
+// Replicate returns the other replicas' acks at once instead of backing
+// off — a dead peer costs nothing per request once its circuit is open.
+func TestReplicateOpenBreakerFailsFast(t *testing.T) {
+	c, cnt := testCore(t, []string{"a:1", "b:1", "c:1"}, func(cfg *Config) {
+		cfg.Replicas = 3
+		cfg.Retries = 3
+		cfg.RetryBase = time.Hour
+		cfg.BreakerThreshold = 1
+		cfg.BreakerCooldown = time.Hour
+	})
+	replicas := c.Ring().Replicas("k")
+	dead := replicas[1]
+	c.peers[dead].brk.onFailure()
+	if st := c.PeerStats()[dead]; st.Breaker != "open" {
+		t.Fatalf("breaker %+v, want open after one failure at threshold 1", st)
+	}
+
+	done := make(chan struct{})
+	var acks int
+	var aborted bool
+	calls := map[int]int{}
+	go func() {
+		defer close(done)
+		acks, aborted = c.Replicate(context.Background(), replicas, len(replicas), func(_ context.Context, i int) Outcome {
+			calls[i]++
+			return Ack
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Replicate backed off for a peer its breaker refuses")
+	}
+	if acks != 2 || aborted {
+		t.Fatalf("acks=%d aborted=%v, want the two live replicas' acks", acks, aborted)
+	}
+	if calls[dead] != 0 || calls[replicas[0]] != 1 || calls[replicas[2]] != 1 {
+		t.Fatalf("attempts per peer %v: the open peer must never be attempted", calls)
+	}
+	if cnt.Retries.Load() != 0 || cnt.BreakerSkips.Load() != 1 {
+		t.Fatalf("retries=%d breaker_skips=%d, want 0/1", cnt.Retries.Load(), cnt.BreakerSkips.Load())
+	}
+}
+
 // TestFallbackShedRule: the fallback sheds when its semaphore is full or
 // the context has expired, and absorbs otherwise.
 func TestFallbackShedRule(t *testing.T) {

@@ -16,7 +16,9 @@ import (
 
 // replayAgainstRing boots a ring of nodes real sentryd servers behind a
 // router and replays the fleet over real HTTP through the routed path.
-func replayAgainstRing(t *testing.T, fl *sentry.Fleet, nodes, clients int) string {
+// mutate, when non-nil, adjusts the router config. It returns the
+// rendered merged report and the router.
+func replayAgainstRing(t *testing.T, fl *sentry.Fleet, nodes, clients int, mutate func(*Config)) (string, *Router) {
 	t.Helper()
 	peers := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
@@ -28,12 +30,16 @@ func replayAgainstRing(t *testing.T, fl *sentry.Fleet, nodes, clients int) strin
 		t.Cleanup(func() { ts.Close(); node.Close() })
 		peers[i] = strings.TrimPrefix(ts.URL, "http://")
 	}
-	r, err := New(Config{
+	cfg := Config{
 		Peers:         peers,
 		Replicas:      2, // clamped to 1 on a single-node ring
 		ProbeInterval: -1,
 		RetryBase:     time.Millisecond,
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +54,9 @@ func replayAgainstRing(t *testing.T, fl *sentry.Fleet, nodes, clients int) strin
 	}
 	st := r.Snapshot()
 	if st.Routed != st.Batches || st.Degraded != 0 || st.Sheds != 0 || st.Failed != 0 {
-		t.Fatalf("healthy routed replay classified batches off the routed path: %+v", st)
+		t.Fatalf("routed replay classified batches off the routed path: %+v", st)
 	}
-	return sentry.RenderFleetReport(r.MergedSnapshot(context.Background()), fl, rs)
+	return sentry.RenderFleetReport(r.MergedSnapshot(context.Background()), fl, rs), r
 }
 
 // TestGoldenRoutedFleetReplay is the topology-independence bar for the
@@ -78,7 +84,7 @@ func TestGoldenRoutedFleetReplay(t *testing.T) {
 			}
 			reports := make(map[int]string, 2)
 			for i, nodes := range []int{1, 3} {
-				reports[nodes] = replayAgainstRing(t, fl, nodes, 8*(i+1))
+				reports[nodes], _ = replayAgainstRing(t, fl, nodes, 8*(i+1), nil)
 			}
 			if reports[1] != reports[3] {
 				t.Fatalf("reports differ across node counts:\n-- nodes=1 --\n%s\n-- nodes=3 --\n%s",

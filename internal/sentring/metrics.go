@@ -24,7 +24,8 @@ import (
 // so Routed + Degraded + Sheds + Failed == Batches and
 // Batches + BadBatches + RefusedBatches == IngestCalls at every
 // quiescent instant (Sheds and the attempt-level and probe counters
-// come from the embedded ring.Counters). Retries and acks are
+// come from the embedded ring.Counters). Retries, acks and breaker
+// skips (an attempt not sent because the peer's breaker refused) are
 // attempt-level counters and do not participate in the batch-level
 // identity.
 type Metrics struct {
@@ -69,11 +70,12 @@ type Stats struct {
 	BadBatches     uint64 `json:"bad_batches"`
 	RefusedBatches uint64 `json:"refused_batches"`
 
-	Retries  uint64 `json:"retries"`
-	Acks     uint64 `json:"acks"`
-	DupAcks  uint64 `json:"dup_acks"`
-	Peer429s uint64 `json:"peer_429s"`
-	PeerErrs uint64 `json:"peer_errors"`
+	Retries      uint64 `json:"retries"`
+	Acks         uint64 `json:"acks"`
+	DupAcks      uint64 `json:"dup_acks"`
+	Peer429s     uint64 `json:"peer_429s"`
+	PeerErrs     uint64 `json:"peer_errors"`
+	BreakerSkips uint64 `json:"breaker_skips"`
 
 	ProbeOK   uint64 `json:"probe_ok"`
 	ProbeFail uint64 `json:"probe_fail"`
@@ -105,6 +107,7 @@ func (r *Router) WriteProm(w io.Writer) {
 	counter("sentryrouter_dup_acks_total", "409 duplicate acks after a transport error.", m.DupAcks.Load())
 	counter("sentryrouter_peer_429_total", "Peer sheds observed.", m.Peer429s.Load())
 	counter("sentryrouter_peer_errors_total", "Peer transport errors and 5xx.", m.PeerErrs.Load())
+	counter("sentryrouter_breaker_skips_total", "Replica attempts not sent because the peer's breaker refused.", m.BreakerSkips.Load())
 	counter("sentryrouter_probe_ok_total", "Successful health probes.", m.ProbeOK.Load())
 	counter("sentryrouter_probe_fail_total", "Failed health probes.", m.ProbeFail.Load())
 	counter("sentryrouter_config_pushes_total", "Config fan-out attempts to peers.", m.ConfigPushes.Load())
@@ -132,6 +135,7 @@ func (r *Router) Snapshot() Stats {
 		DupAcks:         m.DupAcks.Load(),
 		Peer429s:        m.Peer429s.Load(),
 		PeerErrs:        m.PeerErrs.Load(),
+		BreakerSkips:    m.BreakerSkips.Load(),
 		ProbeOK:         m.ProbeOK.Load(),
 		ProbeFail:       m.ProbeFail.Load(),
 		ConfigVersion:   r.local.RulesVersion(),

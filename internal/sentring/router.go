@@ -70,12 +70,16 @@ type Config struct {
 
 	// Deadline bounds each peer attempt (default 2s).
 	Deadline time.Duration
-	// Retries is the number of extra full passes over the replica set
-	// after the first (default 1). Between passes the router backs off
-	// exponentially with seeded jitter.
+	// Retries is the most extra full passes over the replica set after
+	// the first (default 1). A retry pass runs only after a pass in
+	// which some attempt failed or was shed (429); a replica skipped by
+	// its open breaker is not retried, so a dead peer costs no backoff.
+	// Between passes the router backs off exponentially with seeded
+	// jitter.
 	Retries int
 	// RetryBase is the first inter-pass backoff (default 25ms); pass k
-	// waits RetryBase<<(k-1), jittered ±50%.
+	// waits RetryBase<<(k-1), jittered ±50%. It is paid only when a
+	// retry pass runs.
 	RetryBase time.Duration
 
 	// BreakerThreshold consecutive failures open a peer's circuit
@@ -251,15 +255,15 @@ type routeResult struct {
 }
 
 // routeBatch replicates one device batch to its replica set: every
-// replica gets the batch, passes retry with seeded backoff, and the
-// batch counts Routed when at least one replica acked. A 409 after a
-// transport error on the same peer is a duplicate ack — the peer
-// applied the batch but the response was lost, and its strict sequence
-// check refused the re-send without applying anything twice. A 409 with
-// no preceding transport error is a genuine stream conflict and is
-// propagated. With zero acks the batch falls back to the local engine:
-// absorbed → Degraded, fallback saturated → Shed, fallback error →
-// Failed.
+// replica whose breaker admits it gets the batch, a pass with a failed
+// or shed attempt is retried with seeded backoff, and the batch counts
+// Routed when at least one replica acked. A 409 after a transport error
+// on the same peer is a duplicate ack — the peer applied the batch but
+// the response was lost, and its strict sequence check refused the
+// re-send without applying anything twice. A 409 with no preceding
+// transport error is a genuine stream conflict and is propagated. With
+// zero acks the batch falls back to the local engine: absorbed →
+// Degraded, fallback saturated → Shed, fallback error → Failed.
 func (r *Router) routeBatch(ctx context.Context, device string, body []byte, recs []sentry.Record) routeResult {
 	replicas := r.core.Ring().Replicas(device)
 	maybeSent := make(map[int]bool, len(replicas))

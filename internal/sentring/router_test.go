@@ -205,6 +205,42 @@ func TestRouterSurvivesEachPeerPartitioned(t *testing.T) {
 	}
 }
 
+// TestRouterDeadPeerFailsFast: once a partitioned peer's breaker is
+// open, batches placed on it route on their live replica without a
+// retry pass, and the merged report is the healthy ring's.
+func TestRouterDeadPeerFailsFast(t *testing.T) {
+	fl, err := sentry.GenerateFleet(sentry.FleetConfig{
+		Devices: 200, Attackers: 6, NotifAbusers: 3,
+		Span: 6 * time.Second, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 4
+	healthy, _ := replayAgainstRing(t, fl, 3, clients, nil)
+	down, r := replayAgainstRing(t, fl, 3, clients, func(c *Config) {
+		c.NetPlane = faults.NewNetPlane(faults.NetProfile{Name: "peer0-down", PartitionPeers: []int{0}}, 7)
+		c.BreakerThreshold = 1
+		c.BreakerCooldown = time.Hour
+	})
+	st := r.Snapshot()
+	if st.Routed != st.Batches {
+		t.Fatalf("routed %d of %d batches with one peer down: %+v", st.Routed, st.Batches, st)
+	}
+	// Each client can fail on the dead peer at most once before the
+	// breaker opens, and only such a failure earns a retry pass.
+	if st.PeerErrs == 0 || st.PeerErrs > clients || st.Retries > st.PeerErrs {
+		t.Fatalf("retries=%d peer_errors=%d, want retries only for the %d-or-fewer failures before the breaker opened",
+			st.Retries, st.PeerErrs, clients)
+	}
+	if st.BreakerSkips == 0 || st.Peers[0].Served != 0 || st.Peers[0].Breaker != "open" {
+		t.Fatalf("dead peer not skipped by its open breaker: skips=%d peer0=%+v", st.BreakerSkips, st.Peers[0])
+	}
+	if down != healthy {
+		t.Fatalf("merged report with peer 0 down differs from the healthy ring's:\n-- down --\n%s\n-- healthy --\n%s", down, healthy)
+	}
+}
+
 // TestRouterBlackoutDegrades: with the whole ring partitioned every
 // batch lands on the local fallback engine, stamped degraded, and the
 // merged report still carries the detections.
@@ -237,6 +273,22 @@ func TestRouterBlackoutDegrades(t *testing.T) {
 		t.Fatalf("fallback ingests %d, want %d", st.FallbackIngests, devices)
 	}
 	checkAccounting(t, r)
+	// Both breakers open after the default 3 failures; every later
+	// request skips both peers without an attempt, and /stats and
+	// /metrics say so.
+	if want := uint64(2 * (devices - 3)); st.BreakerSkips != want {
+		t.Fatalf("breaker skips %d, want %d", st.BreakerSkips, want)
+	}
+	for path, want := range map[string]string{
+		"/stats":   fmt.Sprintf(`"breaker_skips":%d,`, st.BreakerSkips),
+		"/metrics": fmt.Sprintf("sentryrouter_breaker_skips_total %d\n", st.BreakerSkips),
+	} {
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("%s lacks %q:\n%s", path, want, rec.Body.String())
+		}
+	}
 	snap := r.MergedSnapshot(context.Background())
 	if snap.Detected != devices {
 		t.Fatalf("merged report lost degraded detections: %d of %d", snap.Detected, devices)

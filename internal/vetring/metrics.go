@@ -19,7 +19,8 @@ import (
 //
 // so Replicated + Degraded + Sheds + Failed == Requests at every
 // quiescent instant (Sheds and the attempt-level and probe counters
-// come from the embedded ring.Counters). Retries and failovers are
+// come from the embedded ring.Counters). Retries, failovers and breaker
+// skips (an attempt not sent because the peer's breaker refused) are
 // attempt-level counters and do not participate in the request-level
 // identity.
 type Metrics struct {
@@ -54,13 +55,14 @@ type Stats struct {
 	Sheds      uint64 `json:"sheds"`
 	Failed     uint64 `json:"failed"`
 
-	BadRequests uint64 `json:"bad_requests"`
-	Retries     uint64 `json:"retries"`
-	Failovers   uint64 `json:"failovers"`
-	Peer429s    uint64 `json:"peer_429s"`
-	PeerErrors  uint64 `json:"peer_errors"`
-	ProbeOK     uint64 `json:"probe_ok"`
-	ProbeFail   uint64 `json:"probe_fail"`
+	BadRequests  uint64 `json:"bad_requests"`
+	Retries      uint64 `json:"retries"`
+	Failovers    uint64 `json:"failovers"`
+	Peer429s     uint64 `json:"peer_429s"`
+	PeerErrors   uint64 `json:"peer_errors"`
+	BreakerSkips uint64 `json:"breaker_skips"`
+	ProbeOK      uint64 `json:"probe_ok"`
+	ProbeFail    uint64 `json:"probe_fail"`
 
 	FallbackAnalyses uint64 `json:"fallback_analyses"`
 
@@ -82,6 +84,7 @@ func (r *Router) WriteProm(w io.Writer) {
 	counter("vetrouter_failovers_total", "Moves to the next replica.", m.Failovers.Load())
 	counter("vetrouter_peer_429_total", "Peer sheds observed.", m.Peer429s.Load())
 	counter("vetrouter_peer_errors_total", "Peer transport errors and 5xx.", m.PeerErrs.Load())
+	counter("vetrouter_breaker_skips_total", "Replica attempts not sent because the peer's breaker refused.", m.BreakerSkips.Load())
 	counter("vetrouter_probe_ok_total", "Successful health probes.", m.ProbeOK.Load())
 	counter("vetrouter_probe_fail_total", "Failed health probes.", m.ProbeFail.Load())
 	counter("vetrouter_fallback_analyses_total", "Local fallback analyses.", m.FallbackAnalyses.Load())
@@ -103,6 +106,7 @@ func (r *Router) Snapshot() Stats {
 		Failovers:        m.Failovers.Load(),
 		Peer429s:         m.Peer429s.Load(),
 		PeerErrors:       m.PeerErrs.Load(),
+		BreakerSkips:     m.BreakerSkips.Load(),
 		ProbeOK:          m.ProbeOK.Load(),
 		ProbeFail:        m.ProbeFail.Load(),
 		FallbackAnalyses: m.FallbackAnalyses.Load(),

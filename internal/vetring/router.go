@@ -57,12 +57,16 @@ type Config struct {
 
 	// Deadline bounds each peer attempt (default 2s).
 	Deadline time.Duration
-	// Retries is the number of extra full passes over the replica set
-	// after the first (default 1). Between passes the router backs off
-	// exponentially with seeded jitter.
+	// Retries is the most extra full passes over the replica set after
+	// the first (default 1). A retry pass runs only after a pass in
+	// which some attempt failed or was shed (429); a replica skipped by
+	// its open breaker is not retried, so a dead peer costs no backoff.
+	// Between passes the router backs off exponentially with seeded
+	// jitter.
 	Retries int
 	// RetryBase is the first inter-pass backoff (default 25ms); pass k
-	// waits RetryBase<<(k-1), jittered ±50%.
+	// waits RetryBase<<(k-1), jittered ±50%. It is paid only when a
+	// retry pass runs.
 	RetryBase time.Duration
 
 	// BreakerThreshold consecutive failures open a peer's circuit

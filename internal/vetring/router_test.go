@@ -208,6 +208,22 @@ func TestRouterBlackoutDegrades(t *testing.T) {
 		t.Fatalf("fallback analyses %d, want %d", st.FallbackAnalyses, len(apks))
 	}
 	checkAccounting(t, r)
+	// Both breakers open after the default 3 failures; every later
+	// request skips both peers without an attempt, and /stats and
+	// /metrics say so.
+	if want := uint64(2 * (len(apks) - 3)); st.BreakerSkips != want {
+		t.Fatalf("breaker skips %d, want %d", st.BreakerSkips, want)
+	}
+	for path, want := range map[string]string{
+		"/stats":   fmt.Sprintf(`"breaker_skips":%d,`, st.BreakerSkips),
+		"/metrics": fmt.Sprintf("vetrouter_breaker_skips_total %d\n", st.BreakerSkips),
+	} {
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("%s lacks %q:\n%s", path, want, rec.Body.String())
+		}
+	}
 }
 
 // TestRouterRetriesThroughDrops: a lossy (but not partitioned) network

@@ -43,7 +43,9 @@ go test -race -short ./...
 # the simulator's detector adapter, the fleet generator and the shared
 # serving core: the journaled runners and the sweep-wide invariant
 # aggregation are the crash-safety layer, the sentry engine/server carry
-# the accounting and shard-invariance contracts, internal/defense is the
+# the accounting and shard-invariance contracts, internal/sentring
+# carries the routed ingest's batch accounting and topology-independent
+# report, internal/defense is the
 # simulator's only entry point to the §VII-A rule, the fleet generator
 # carries the population-determinism contract, internal/ring carries
 # both routers' retry and accounting machinery, and internal/applog
@@ -51,7 +53,7 @@ go test -race -short ./...
 # means those paths lost their tests. All packages currently sit well
 # above it.
 COVER_FLOOR=65
-COVER_PKGS="./internal/experiment ./internal/invariant ./internal/sentry ./internal/defense ./internal/fleet ./internal/ring ./internal/applog"
+COVER_PKGS="./internal/experiment ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog"
 echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
 go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
