@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/appstore"
+	"repro/internal/faults"
 )
 
 // update regenerates the golden reports instead of comparing against them:
@@ -154,5 +157,65 @@ func TestGoldenDegradation(t *testing.T) {
 			t.Fatalf("degradation (seed %d): %v", c.seed, err)
 		}
 		checkGolden(t, "degradation"+c.suffix, RenderDegradation(e.report(results)))
+	}
+}
+
+// animbenchDefaults is the Config cmd/animbench builds from its flag
+// defaults, so the registry goldens pin exactly what the CLI prints.
+func animbenchDefaults() Config {
+	return Config{
+		Model:        "mi8",
+		Trials:       10,
+		CorpusN:      appstore.PaperCorpusSize,
+		FaultProfile: "chaos",
+		FleetSize:    fleetDefaultSize,
+		FleetSeed:    fleetDefaultSeed,
+	}
+}
+
+// TestGoldenRegistry locks, through the registry and the generic driver
+// (New + Run), every suite experiment that has no dedicated golden above,
+// the device catalog, and the degradation sweep at each fault profile
+// besides chaos (TestGoldenDegradation pins chaos).
+func TestGoldenRegistry(t *testing.T) {
+	cases := []struct {
+		golden, name, profile string
+	}{
+		{"fig8", "fig8", ""},
+		{"load", "load", ""},
+		{"table4", "table4", ""},
+		{"stealth", "stealth", ""},
+		{"defense-ipc", "defense-ipc", ""},
+		{"defense-notif", "defense-notif", ""},
+		{"defense-toastgap", "defense-toastgap", ""},
+		{"drawer", "drawer", ""},
+		{"sensitivity", "sensitivity", ""},
+		{"ablations", "ablations", ""},
+		{"devices", "devices", ""},
+	}
+	for _, prof := range faults.Names() {
+		if prof != "none" && prof != "chaos" {
+			cases = append(cases, struct{ golden, name, profile string }{"degradation-" + prof, "degradation", prof})
+		}
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.golden, func(t *testing.T) {
+			cfg := animbenchDefaults()
+			if tc.profile != "" {
+				cfg.FaultProfile = tc.profile
+			}
+			for _, c := range goldenSeeds() {
+				exp, err := New(tc.name, cfg)
+				if err != nil {
+					t.Fatalf("New(%s): %v", tc.name, err)
+				}
+				out, err := Run(exp, RunOpts{Seed: c.seed, Workers: goldenWorkers})
+				if err != nil {
+					t.Fatalf("%s (seed %d): %v", tc.golden, c.seed, err)
+				}
+				checkGolden(t, tc.golden+c.suffix, out.Text)
+			}
+		})
 	}
 }
