@@ -251,7 +251,7 @@ func BenchmarkAnalyzeTier(b *testing.B) {
 func BenchmarkDefenseIPC(b *testing.B) {
 	var latencyMS float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiment.DefenseIPC(benchSeed)
+		rep, err := experiment.DefenseIPC(benchSeed, faults.None())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func BenchmarkDefenseIPC(b *testing.B) {
 func BenchmarkDefenseNotif(b *testing.B) {
 	var with float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiment.DefenseNotif(benchSeed)
+		rep, err := experiment.DefenseNotif(benchSeed, faults.None())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"repro/internal/experiment"
+	"repro/internal/faults"
 )
 
 func main() {
@@ -27,14 +28,14 @@ func run() int {
 	vetShow := flag.Int("vet-show", 3, "max denial verdicts to print with full evidence traces")
 	flag.Parse()
 
-	ipc, err := experiment.DefenseIPC(*seed)
+	ipc, err := experiment.DefenseIPC(*seed, faults.None())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "defensecheck: ipc: %v\n", err)
 		return 1
 	}
 	fmt.Print(experiment.RenderDefenseIPC(ipc))
 	fmt.Println()
-	notif, err := experiment.DefenseNotif(*seed)
+	notif, err := experiment.DefenseNotif(*seed, faults.None())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "defensecheck: notif: %v\n", err)
 		return 1

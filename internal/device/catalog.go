@@ -2,71 +2,49 @@ package device
 
 import "sync"
 
-// Catalog is a set of device profiles behind one lookup surface. Two
-// implementations exist: the hand-calibrated seed catalog below (the 30
-// Table-I/II phones, byte-identical to the historical package-level
-// Profiles()/ByModel()/Default() results) and the generated fleets of
-// internal/fleet, which synthesize thousands of market-weighted profiles.
-// Experiments take a Catalog instead of calling the package-level lookup
-// functions, so the same experiment code runs unmodified against either
-// population.
-type Catalog interface {
-	// Name identifies the catalog for experiment params and journal
-	// identity, e.g. "seed" or "fleet(size=1000,seed=42)". Two catalogs
-	// with the same Name must hold the same profiles.
-	Name() string
-	// Profiles lists every profile, in the catalog's canonical order.
-	// Callers must not mutate the returned slice.
-	Profiles() []Profile
-	// ByModel finds a profile by model name; ok is false when absent.
-	ByModel(model string) (Profile, bool)
-	// Default is the catalog's representative device — the profile an
-	// experiment falls back to when it does not care which phone it runs
-	// on. For the seed catalog this is the paper's demo phone (Pixel 2,
-	// Android 11); a fleet returns its highest-market-share device.
-	Default() Profile
-}
-
-// seedCatalog is the hand-calibrated Table-I/II set. Profiles are built
-// once and shared; Profile is a value type, so handing out copies of the
-// slice elements keeps the cache immutable.
-type seedCatalog struct {
+// Catalog is the hand-calibrated Table-I/II set: the 30 evaluation
+// phones behind one lookup surface. Generated market-weighted populations
+// live in internal/fleet, whose entries carry each profile with its
+// weight and fault calibration. Profiles are built once and shared;
+// Profile is a value type, so handing out copies of the slice elements
+// keeps the cache immutable.
+type Catalog struct {
 	profiles []Profile
 	byModel  map[string]int
 }
 
 var (
 	seedOnce sync.Once
-	seedCat  *seedCatalog
+	seedCat  *Catalog
 )
 
 // Seed returns the seed catalog: the 30 evaluation devices of Tables I
 // and II, byte-identical to the historical package-level Profiles(). The
 // catalog is built once and cached; it is safe for concurrent use.
-func Seed() Catalog {
+func Seed() *Catalog {
 	seedOnce.Do(func() {
 		profiles := seedProfiles()
 		byModel := make(map[string]int, len(profiles))
 		for i, p := range profiles {
 			byModel[p.Model] = i
 		}
-		seedCat = &seedCatalog{profiles: profiles, byModel: byModel}
+		seedCat = &Catalog{profiles: profiles, byModel: byModel}
 	})
 	return seedCat
 }
 
-func (c *seedCatalog) Name() string { return "seed" }
-
-// Profiles returns a fresh copy: the historical package-level Profiles()
-// rebuilt its slice on every call, so callers may have learned to mutate
-// the result, and the shared cache must not be corruptible.
-func (c *seedCatalog) Profiles() []Profile {
+// Profiles lists every profile in Table I order. It returns a fresh copy:
+// the historical package-level Profiles() rebuilt its slice on every
+// call, so callers may have learned to mutate the result, and the shared
+// cache must not be corruptible.
+func (c *Catalog) Profiles() []Profile {
 	out := make([]Profile, len(c.profiles))
 	copy(out, c.profiles)
 	return out
 }
 
-func (c *seedCatalog) ByModel(model string) (Profile, bool) {
+// ByModel finds a profile by model name; ok is false when absent.
+func (c *Catalog) ByModel(model string) (Profile, bool) {
 	i, ok := c.byModel[model]
 	if !ok {
 		return Profile{}, false
@@ -75,8 +53,9 @@ func (c *seedCatalog) ByModel(model string) (Profile, bool) {
 }
 
 // Default returns the Google Pixel 2 on Android 11, the phone of the
-// paper's demo video.
-func (c *seedCatalog) Default() Profile {
+// paper's demo video: the device an experiment runs on when it does not
+// care which phone it uses.
+func (c *Catalog) Default() Profile {
 	if p, ok := c.ByModel("pixel 2"); ok {
 		return p
 	}
@@ -87,7 +66,7 @@ func (c *seedCatalog) Default() Profile {
 
 // ByVersionIn returns all profiles in cat running the given major Android
 // version, in catalog order.
-func ByVersionIn(cat Catalog, major int) []Profile {
+func ByVersionIn(cat *Catalog, major int) []Profile {
 	var out []Profile
 	for _, p := range cat.Profiles() {
 		if p.Version.Major == major {

@@ -13,9 +13,6 @@ import (
 // lookup functions.
 func TestSeedCatalogMatchesLegacy(t *testing.T) {
 	cat := Seed()
-	if cat.Name() != "seed" {
-		t.Fatalf("seed catalog Name = %q, want %q", cat.Name(), "seed")
-	}
 	legacy := seedProfiles()
 	if got := cat.Profiles(); !reflect.DeepEqual(got, legacy) {
 		t.Fatal("Seed().Profiles() differs from the hand-calibrated set")

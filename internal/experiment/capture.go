@@ -141,7 +141,6 @@ func runCaptureTrial(p device.Profile, typist *input.Typist, d time.Duration, rn
 // via JournalName, one journal.
 type captureExp struct {
 	fig8 bool
-	cat  device.Catalog
 	ds   []time.Duration
 }
 
@@ -156,7 +155,7 @@ func (e *captureExp) Name() string {
 // the same 210-trial capture study.
 func (e *captureExp) JournalName() string { return "capture" }
 
-func (e *captureExp) Params() string { return catParam("", e.cat) }
+func (e *captureExp) Params() string { return "" }
 
 func (e *captureExp) Trials(seed int64) ([]Trial, error) {
 	root := simrand.New(seed)
@@ -169,7 +168,7 @@ func (e *captureExp) Trials(seed int64) ([]Trial, error) {
 	for di, d := range e.ds {
 		for i := 0; i < NumParticipants; i++ {
 			di, d, i := di, d, i
-			p := participantDevice(catOr(e.cat), i)
+			p := participantDevice(i)
 			// Every shared-stream derivation happens here, in the exact
 			// order the old sequential runner performed them, so the trial
 			// closures are independent and the driver may run them in any
@@ -203,7 +202,7 @@ func (e *captureExp) study(results []any) *CaptureStudy {
 	study := &CaptureStudy{Ds: e.ds, Results: make(map[time.Duration][]ParticipantCapture)}
 	for di, d := range e.ds {
 		for i := 0; i < NumParticipants; i++ {
-			p := participantDevice(catOr(e.cat), i)
+			p := participantDevice(i)
 			study.Results[d] = append(study.Results[d], ParticipantCapture{
 				Participant:  i,
 				Model:        p.Model,
@@ -228,7 +227,7 @@ func (e *captureExp) Render(results []any) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	modelRows, err := Fig7ModelOn(e.cat)
+	modelRows, err := Fig7Model()
 	if err != nil {
 		return Output{}, err
 	}

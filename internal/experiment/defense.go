@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/appstore"
 	"repro/internal/binder"
-	"repro/internal/core"
 	"repro/internal/defense"
 	"repro/internal/device"
 	"repro/internal/faults"
@@ -45,72 +44,27 @@ type DefenseIPCReport struct {
 	InjectedDrops uint64
 }
 
+// ipcAttackDur is how long the attack runs against the armed detector.
+const ipcAttackDur = 20 * time.Second
+
 // DefenseIPC evaluates the IPC-based detector on both an attack scenario
-// and a benign-workload scenario.
-func DefenseIPC(seed int64) (DefenseIPCReport, error) {
-	return DefenseIPCWith(seed, faults.None())
-}
-
-// DefenseIPCWith runs the same evaluation with a fault profile active on
-// the attack scenario's stack (the benign scenario stays unfaulted — its
-// job is measuring false positives under normal conditions). A zero
-// profile attaches no plane at all, so DefenseIPCWith(seed, faults.None())
-// is bit-identical to the unfaulted DefenseIPC(seed).
-func DefenseIPCWith(seed int64, prof faults.Profile) (DefenseIPCReport, error) {
-	return DefenseIPCOn(nil, seed, prof)
-}
-
-// DefenseIPCOn is DefenseIPCWith on an arbitrary device catalog's default
-// device (nil means the seed catalog).
-func DefenseIPCOn(cat device.Catalog, seed int64, prof faults.Profile) (DefenseIPCReport, error) {
-	var rep DefenseIPCReport
-	p := catOr(cat).Default()
+// and a benign-workload scenario. prof is the fault profile active on the
+// attack scenario's stack; the benign scenario stays unfaulted, since its
+// job is measuring false positives under normal conditions. A zero profile
+// attaches no plane at all.
+func DefenseIPC(seed int64, prof faults.Profile) (DefenseIPCReport, error) {
+	p := device.Seed().Default()
 
 	// Scenario 1: the draw-and-destroy overlay attack, detector armed to
 	// terminate.
-	var opts []sysserver.Option
-	if !prof.Zero() {
-		rep.FaultProfile = prof.Name
-		opts = append(opts, sysserver.WithFaults(faults.NewPlane(prof, seed)))
-	}
-	st, err := assembleAttackStack(p, seed, opts...)
+	opts, pl := planeFor(prof, seed)
+	rep, err := ipcAttack(p, time.Duration(float64(p.PaperUpperBoundD)*0.9), seed, opts...)
 	if err != nil {
 		return rep, err
 	}
-	det, err := defense.NewIPCDetector()
-	if err != nil {
-		return rep, fmt.Errorf("experiment: detector: %w", err)
+	if pl != nil {
+		rep.FaultProfile = prof.Name
 	}
-	if err := det.Install(st, true); err != nil {
-		return rep, fmt.Errorf("experiment: install detector: %w", err)
-	}
-	atk, err := core.NewOverlayAttack(st, core.OverlayAttackConfig{
-		App:    AttackerApp,
-		D:      time.Duration(float64(p.PaperUpperBoundD) * 0.9),
-		Bounds: screenOf(p),
-	})
-	if err != nil {
-		return rep, fmt.Errorf("experiment: attack: %w", err)
-	}
-	if err := atk.Start(); err != nil {
-		return rep, fmt.Errorf("experiment: start attack: %w", err)
-	}
-	st.Clock.MustAfter(20*time.Second, "experiment/stopAttack", atk.Stop)
-	if err := st.Clock.RunFor(25 * time.Second); err != nil {
-		return rep, fmt.Errorf("experiment: run attack scenario: %w", err)
-	}
-	if err := det.Err(); err != nil {
-		return rep, fmt.Errorf("experiment: detector: %w", err)
-	}
-	rep.AttackDetected = det.Detected(AttackerApp)
-	if ds := det.Detections(); len(ds) > 0 {
-		rep.DetectionLatency = ds[0].At
-	}
-	rep.AttackTerminated = !st.WM.HasOverlayPermission(AttackerApp) && st.WM.OverlayCount(AttackerApp) == 0
-	rep.AlertOutcomeAfter = st.UI.WorstOutcome()
-	rep.TransactionsObserved = det.Observed()
-	rep.LogEntriesDropped = st.Bus.DroppedLogEntries()
-	rep.InjectedDrops = st.Bus.InjectedDrops()
 
 	// Scenario 2: benign workload — a floating music widget toggling
 	// slowly must not be flagged.
@@ -157,6 +111,40 @@ func DefenseIPCOn(cat device.Catalog, seed int64, prof faults.Profile) (DefenseI
 	return rep, nil
 }
 
+// ipcAttack runs the overlay attack at window d against the §VII-A
+// detector armed to terminate, and fills the report's attack-scenario
+// fields: the verdict, its latency, the alert outcome and how complete
+// the detector's transaction stream was.
+func ipcAttack(p device.Profile, d time.Duration, seed int64, opts ...sysserver.Option) (DefenseIPCReport, error) {
+	var rep DefenseIPCReport
+	st, err := assembleAttackStack(p, seed, opts...)
+	if err != nil {
+		return rep, err
+	}
+	det, err := defense.NewIPCDetector()
+	if err != nil {
+		return rep, fmt.Errorf("experiment: detector: %w", err)
+	}
+	if err := det.Install(st, true); err != nil {
+		return rep, fmt.Errorf("experiment: install detector: %w", err)
+	}
+	if rep.AlertOutcomeAfter, err = runOverlayAttackOn(st, d, ipcAttackDur, 5*time.Second, false); err != nil {
+		return rep, err
+	}
+	if err := det.Err(); err != nil {
+		return rep, fmt.Errorf("experiment: detector: %w", err)
+	}
+	rep.AttackDetected = det.Detected(AttackerApp)
+	if ds := det.Detections(); len(ds) > 0 {
+		rep.DetectionLatency = ds[0].At
+	}
+	rep.AttackTerminated = !st.WM.HasOverlayPermission(AttackerApp) && st.WM.OverlayCount(AttackerApp) == 0
+	rep.TransactionsObserved = det.Observed()
+	rep.LogEntriesDropped = st.Bus.DroppedLogEntries()
+	rep.InjectedDrops = st.Bus.InjectedDrops()
+	return rep, nil
+}
+
 // RenderDefenseIPC formats the report.
 func RenderDefenseIPC(r DefenseIPCReport) string {
 	var sb strings.Builder
@@ -190,72 +178,38 @@ type DefenseNotifReport struct {
 	HonestAlertGone bool
 }
 
-// DefenseNotif evaluates the enhanced-notification defense: the same
-// attack run with and without the delayed-removal patch, plus an honest
-// overlay app under the patch.
-func DefenseNotif(seed int64) (DefenseNotifReport, error) {
-	return DefenseNotifWith(seed, faults.None())
-}
+// notifDelayT is the §VII-B delayed-removal time the paper evaluates.
+const notifDelayT = 690 * time.Millisecond
 
-// DefenseNotifWith runs the same evaluation with a fault profile active on
-// every stack (each run gets a fresh plane from its own seed), so the
-// degradation sweep can ask whether the delayed-removal patch still wins
-// on a lossy platform. A zero profile attaches no plane at all, keeping
-// DefenseNotifWith(seed, faults.None()) byte-identical to DefenseNotif.
-func DefenseNotifWith(seed int64, prof faults.Profile) (DefenseNotifReport, error) {
-	return DefenseNotifOn(nil, seed, prof)
-}
-
-// DefenseNotifOn is DefenseNotifWith on an arbitrary catalog (nil means
-// the seed catalog): the paper's Pixel 2 when the catalog has it, else
-// the closest Android 11 device, else the catalog default.
-func DefenseNotifOn(cat device.Catalog, seed int64, prof faults.Profile) (DefenseNotifReport, error) {
-	const delayT = 690 * time.Millisecond
-	rep := DefenseNotifReport{DelayT: delayT}
-	p := pickModel(catOr(cat), "pixel 2", 11)
-	d := time.Duration(float64(boundOf(p)) * 0.9)
-	planeOpts := func(planeSeed int64) []sysserver.Option {
-		if prof.Zero() {
-			return nil
-		}
-		return []sysserver.Option{sysserver.WithFaults(faults.NewPlane(prof, planeSeed))}
-	}
-
-	run := func(seed int64, enableDefense bool) (sysui.Outcome, error) {
-		st, err := assembleAttackStack(p, seed, planeOpts(seed+100)...)
-		if err != nil {
-			return 0, err
-		}
-		if enableDefense {
-			st.Server.EnableEnhancedNotificationDefense(delayT)
-		}
-		atk, err := core.NewOverlayAttack(st, core.OverlayAttackConfig{App: AttackerApp, D: d, Bounds: screenOf(p)})
-		if err != nil {
-			return 0, fmt.Errorf("experiment: attack: %w", err)
-		}
-		if err := atk.Start(); err != nil {
-			return 0, fmt.Errorf("experiment: start: %w", err)
-		}
-		st.Clock.MustAfter(10*time.Second, "experiment/stop", atk.Stop)
-		if err := st.Clock.RunFor(15 * time.Second); err != nil {
-			return 0, fmt.Errorf("experiment: run: %w", err)
-		}
-		return st.UI.WorstOutcome(), nil
-	}
-	var err error
-	if rep.OutcomeWithout, err = run(seed, false); err != nil {
+// DefenseNotif evaluates the enhanced-notification defense on the Pixel 2:
+// the same attack run with and without the delayed-removal patch, plus an
+// honest overlay app under the patch. prof is active on every stack (each
+// run gets a fresh plane from its own seed), so the degradation sweep can
+// ask whether the patch still wins on a lossy platform; a zero profile
+// attaches no plane at all.
+func DefenseNotif(seed int64, prof faults.Profile) (DefenseNotifReport, error) {
+	rep := DefenseNotifReport{DelayT: notifDelayT}
+	p, err := seedDevice("pixel 2")
+	if err != nil {
 		return rep, err
 	}
-	if rep.OutcomeWith, err = run(seed+1, true); err != nil {
+	d := time.Duration(float64(boundOf(p)) * 0.9)
+	opts, _ := planeFor(prof, seed+100)
+	if rep.OutcomeWithout, err = notifOutcome(p, d, 10*time.Second, false, seed, opts...); err != nil {
+		return rep, err
+	}
+	opts, _ = planeFor(prof, seed+101)
+	if rep.OutcomeWith, err = notifOutcome(p, d, 10*time.Second, true, seed+1, opts...); err != nil {
 		return rep, err
 	}
 
 	// Honest overlay app under the defense: correct lifecycle.
-	st, err := sysserver.Assemble(p, seed+2, planeOpts(seed+102)...)
+	opts, _ = planeFor(prof, seed+102)
+	st, err := sysserver.Assemble(p, seed+2, opts...)
 	if err != nil {
 		return rep, fmt.Errorf("experiment: honest stack: %w", err)
 	}
-	st.Server.EnableEnhancedNotificationDefense(delayT)
+	st.Server.EnableEnhancedNotificationDefense(notifDelayT)
 	const honestApp binder.ProcessID = "com.maps.app"
 	st.WM.GrantOverlayPermission(honestApp)
 	if _, err := st.Bus.Call(honestApp, binder.SystemServer, sysserver.MethodAddView, sysserver.AddViewRequest{
@@ -278,6 +232,20 @@ func DefenseNotifOn(cat device.Catalog, seed int64, prof faults.Profile) (Defens
 	rep.HonestOutcome = st.UI.WorstOutcome()
 	rep.HonestAlertGone = !st.UI.ActiveAlert(honestApp)
 	return rep, nil
+}
+
+// notifOutcome runs the overlay attack at window d for attackDur, with
+// the §VII-B delayed-removal patch enabled when defend, and reports the
+// worst alert outcome: Λ5 means the defense won.
+func notifOutcome(p device.Profile, d, attackDur time.Duration, defend bool, seed int64, opts ...sysserver.Option) (sysui.Outcome, error) {
+	st, err := assembleAttackStack(p, seed, opts...)
+	if err != nil {
+		return 0, err
+	}
+	if defend {
+		st.Server.EnableEnhancedNotificationDefense(notifDelayT)
+	}
+	return runOverlayAttackOn(st, d, attackDur, 5*time.Second, false)
 }
 
 // RenderDefenseNotif formats the report.
@@ -381,57 +349,17 @@ type DefenseToastGapReport struct {
 // device and a device with the gap defense; the defense must force the
 // toast to vanish between hand-offs (visible flicker).
 func DefenseToastGap(seed int64) (DefenseToastGapReport, error) {
-	return DefenseToastGapOn(nil, seed)
-}
-
-// DefenseToastGapOn is DefenseToastGap on an arbitrary catalog's default
-// device (nil means the seed catalog).
-func DefenseToastGapOn(cat device.Catalog, seed int64) (DefenseToastGapReport, error) {
 	const gap = 400 * time.Millisecond
 	rep := DefenseToastGapReport{Gap: gap}
-	p := catOr(cat).Default()
-	run := func(seed int64, defend bool) (float64, error) {
-		st, err := sysserver.Assemble(p, seed)
-		if err != nil {
-			return 0, err
-		}
-		if defend {
-			st.Server.EnableToastGapDefense(gap)
-		}
-		atk, err := core.NewToastAttack(st, core.ToastAttackConfig{
-			App:     AttackerApp,
-			Bounds:  screenOf(p).Inset(100),
-			Content: func() string { return "kbd" },
-		})
-		if err != nil {
-			return 0, err
-		}
-		if err := atk.Start(); err != nil {
-			return 0, err
-		}
-		minAlpha := 1.0
-		var probe func()
-		probe = func() {
-			if st.Clock.Now() > 15*time.Second {
-				return
-			}
-			if a := st.WM.TopToastAlpha(AttackerApp); a < minAlpha {
-				minAlpha = a
-			}
-			st.Clock.MustAfter(10*time.Millisecond, "probe", probe)
-		}
-		st.Clock.MustAfter(time.Second, "probe", probe)
-		st.Clock.MustAfter(16*time.Second, "stop", atk.Stop)
-		if err := st.Clock.RunFor(25 * time.Second); err != nil {
-			return 0, err
-		}
-		return minAlpha, nil
-	}
+	p := device.Seed().Default()
 	var err error
-	if rep.MinAlphaWithout, err = run(seed, false); err != nil {
+	if rep.MinAlphaWithout, err = toastMinAlpha(p, seed, 10*time.Millisecond, nil); err != nil {
 		return rep, fmt.Errorf("experiment: toast-gap baseline: %w", err)
 	}
-	if rep.MinAlphaWith, err = run(seed+1, true); err != nil {
+	rep.MinAlphaWith, err = toastMinAlpha(p, seed+1, 10*time.Millisecond, func(st *sysserver.Stack) {
+		st.Server.EnableToastGapDefense(gap)
+	})
+	if err != nil {
 		return rep, fmt.Errorf("experiment: toast-gap defended: %w", err)
 	}
 	return rep, nil

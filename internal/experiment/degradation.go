@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/input"
@@ -169,14 +168,13 @@ type degMeta struct {
 // the sweep shards across the driver's worker pool.
 type degradationExp struct {
 	profileName string
-	cat         device.Catalog
 	meta        []degMeta
 	profile     string
 	seed        int64
 }
 
 func (e *degradationExp) Name() string   { return "degradation" }
-func (e *degradationExp) Params() string { return catParam("profile="+e.profileName, e.cat) }
+func (e *degradationExp) Params() string { return "profile=" + e.profileName }
 
 func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 	base, err := faults.ByName(e.profileName)
@@ -185,7 +183,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 	}
 	e.profile = base.Name
 	e.seed = seed
-	p := catOr(e.cat).Default()
+	p := device.Seed().Default()
 	attackD := time.Duration(float64(boundOf(p)) * 0.9)
 	root := simrand.New(seed)
 	typists, err := input.Participants(root.Derive("typists"), degradationParticipants)
@@ -216,23 +214,10 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 		prof := base.Scale(x)
 		pseed := seed + int64(ii)*7919
 
-		// A fresh plane per sub-experiment keeps each one's fault stream
-		// independent of how long the previous one ran. Planes are built
-		// inside the trial closures from fixed seeds, so they draw nothing
-		// from the shared roots.
-		planeOpts := func(planeSeed int64) ([]sysserver.Option, *faults.Plane) {
-			if prof.Zero() {
-				return nil, nil
-			}
-			pl := faults.NewPlane(prof, planeSeed)
-			return []sysserver.Option{sysserver.WithFaults(pl)}, pl
-		}
-		planeStats := func(pl *faults.Plane) faults.Stats {
-			if pl == nil {
-				return faults.Stats{}
-			}
-			return pl.Stats()
-		}
+		// Every sub-experiment run gets a fresh plane from planeFor, so its
+		// fault stream is independent of how long the previous one ran.
+		// Planes are built inside the trial closures from fixed seeds, so
+		// they draw nothing from the shared roots.
 
 		// Sub-experiment 1 — monitored attack run at 0.9× the bound: does
 		// the alert stay invisible, and do the platform invariants hold?
@@ -240,36 +225,22 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 			fmt.Sprintf("degradation seed=%d profile=%s x=%.2f attack", seed, base.Name, x),
 			fmt.Sprintf("degradation attack (x=%.2f)", x),
 			func() (degAttackRec, error) {
-				opts, pl := planeOpts(pseed)
+				opts, pl := planeFor(prof, pseed)
 				opts = append(opts, sysserver.WithMonitor())
 				var st *sysserver.Stack
+				var o sysui.Outcome
 				err := safeTrial(fmt.Sprintf("degradation attack (x=%.2f)", x), func() error {
 					var terr error
-					st, terr = assembleAttackStack(p, pseed, opts...)
-					if terr != nil {
+					if st, terr = assembleAttackStack(p, pseed, opts...); terr != nil {
 						return terr
 					}
-					atk, terr := core.NewOverlayAttack(st, core.OverlayAttackConfig{
-						App:    AttackerApp,
-						D:      attackD,
-						Bounds: screenOf(p),
-					})
-					if terr != nil {
-						return terr
-					}
-					if terr := atk.Start(); terr != nil {
-						return terr
-					}
-					st.Clock.MustAfter(6*time.Second, "experiment/stop", atk.Stop)
-					return st.Clock.RunFor(11 * time.Second)
+					o, terr = runOverlayAttackOn(st, attackD, 6*time.Second, 5*time.Second, false)
+					return terr
 				})
 				if err != nil {
 					return degAttackRec{Skipped: true}, nil
 				}
-				rec := degAttackRec{
-					Suppressed: st.UI.WorstOutcome() == sysui.Lambda1,
-					Faults:     planeStats(pl),
-				}
+				rec := degAttackRec{Suppressed: o == sysui.Lambda1, Faults: pl.Stats()}
 				if st.Monitor != nil {
 					rec.Violations = st.Monitor.Count()
 					for _, v := range st.Monitor.Violations() {
@@ -287,7 +258,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 			fmt.Sprintf("degradation seed=%d profile=%s x=%.2f bound", seed, base.Name, x),
 			fmt.Sprintf("degradation bound (x=%.2f)", x),
 			func() (degBoundRec, error) {
-				opts, pl := planeOpts(pseed + 1)
+				opts, pl := planeFor(prof, pseed+1)
 				var d time.Duration
 				err := safeTrial(fmt.Sprintf("degradation bound (x=%.2f)", x), func() error {
 					var terr error
@@ -297,7 +268,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 				if err != nil {
 					return degBoundRec{Skipped: true}, nil
 				}
-				return degBoundRec{BoundD: d, Faults: planeStats(pl)}, nil
+				return degBoundRec{BoundD: d, Faults: pl.Stats()}, nil
 			}))
 
 		// Sub-experiment 3 — Fig. 7 capture-rate ordering: mean capture at
@@ -317,7 +288,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 					fmt.Sprintf("degradation seed=%d profile=%s x=%.2f capture d=%dms p=%d", seed, base.Name, x, d/time.Millisecond, i),
 					fmt.Sprintf("degradation capture (x=%.2f, D=%v, participant %d)", x, d, i),
 					func() (degCaptureRec, error) {
-						opts, pl := planeOpts(pseed + 2 + int64(di*100+i))
+						opts, pl := planeFor(prof, pseed+2+int64(di*100+i))
 						var rate float64
 						err := safeTrial(fmt.Sprintf("degradation capture (x=%.2f, D=%v, participant %d)", x, d, i), func() error {
 							var terr error
@@ -328,7 +299,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 						if err != nil {
 							return degCaptureRec{Skipped: true}, nil
 						}
-						return degCaptureRec{Rate: rate, Faults: planeStats(pl)}, nil
+						return degCaptureRec{Rate: rate, Faults: pl.Stats()}, nil
 					}))
 			}
 		}
@@ -346,7 +317,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 				fmt.Sprintf("degradation seed=%d profile=%s x=%.2f steal p=%d", seed, base.Name, x, i),
 				fmt.Sprintf("degradation steal (x=%.2f, participant %d)", x, i),
 				func() (degStealRec, error) {
-					opts, pl := planeOpts(pseed + 500 + int64(i))
+					opts, pl := planeFor(prof, pseed+500+int64(i))
 					var trial StealTrialResult
 					err := safeTrial(fmt.Sprintf("degradation steal (x=%.2f, participant %d)", x, i), func() error {
 						var terr error
@@ -359,7 +330,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 					}
 					return degStealRec{
 						Success: ClassifyTrial(password, trial.Stolen) == ErrorNone,
-						Faults:  planeStats(pl),
+						Faults:  pl.Stats(),
 					}, nil
 				}))
 		}
@@ -372,7 +343,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 				var drep DefenseIPCReport
 				err := safeTrial(fmt.Sprintf("degradation defense-ipc (x=%.2f)", x), func() error {
 					var terr error
-					drep, terr = DefenseIPCOn(e.cat, pseed+4000, prof)
+					drep, terr = DefenseIPC(pseed+4000, prof)
 					return terr
 				})
 				if err != nil {
@@ -394,7 +365,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 				var nrep DefenseNotifReport
 				err := safeTrial(fmt.Sprintf("degradation defense-notif (x=%.2f)", x), func() error {
 					var terr error
-					nrep, terr = DefenseNotifOn(e.cat, pseed+5000, prof)
+					nrep, terr = DefenseNotif(pseed+5000, prof)
 					return terr
 				})
 				if err != nil {

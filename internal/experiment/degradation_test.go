@@ -71,9 +71,9 @@ func TestDegradationCancel(t *testing.T) {
 // dropped transactions — the detector's input stream was lossy.
 func TestDefenseIPCFaultSurface(t *testing.T) {
 	prof := faults.BinderStress()
-	rep, err := DefenseIPCWith(11, prof)
+	rep, err := DefenseIPC(11, prof)
 	if err != nil {
-		t.Fatalf("DefenseIPCWith: %v", err)
+		t.Fatalf("DefenseIPC: %v", err)
 	}
 	if rep.FaultProfile != prof.Name {
 		t.Fatalf("FaultProfile = %q, want %q", rep.FaultProfile, prof.Name)
@@ -90,17 +90,18 @@ func TestDefenseIPCFaultSurface(t *testing.T) {
 	}
 }
 
-// TestDefenseIPCZeroProfileIdentical: the zero-fault strict no-op — running
-// through the fault-aware entry point with the none profile renders
-// byte-identically to the plain entry point.
+// TestDefenseIPCZeroProfileIdentical: the zero-fault strict no-op — a
+// fault profile scaled to zero intensity (the degradation sweep's first
+// point) attaches no plane and renders byte-identically to the none
+// profile.
 func TestDefenseIPCZeroProfileIdentical(t *testing.T) {
-	plain, err := DefenseIPC(5)
+	plain, err := DefenseIPC(5, faults.None())
 	if err != nil {
-		t.Fatalf("DefenseIPC: %v", err)
+		t.Fatalf("DefenseIPC(none): %v", err)
 	}
-	viaNone, err := DefenseIPCWith(5, faults.None())
+	viaNone, err := DefenseIPC(5, faults.BinderStress().Scale(0))
 	if err != nil {
-		t.Fatalf("DefenseIPCWith(none): %v", err)
+		t.Fatalf("DefenseIPC(binder x0): %v", err)
 	}
 	a, b := RenderDefenseIPC(plain), RenderDefenseIPC(viaNone)
 	if a != b {
@@ -135,7 +136,7 @@ func TestDegradationZeroIntensityTracksUnfaultedRunners(t *testing.T) {
 		t.Errorf("zero-intensity BoundD = %v, standalone bound = %v", p0.BoundD, bound)
 	}
 
-	ipc, err := DefenseIPC(seed + 4000)
+	ipc, err := DefenseIPC(seed+4000, faults.None())
 	if err != nil {
 		t.Fatalf("DefenseIPC: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestDegradationZeroIntensityTracksUnfaultedRunners(t *testing.T) {
 			ipc.AttackDetected, ipc.AttackTerminated, ipc.BenignFlagged)
 	}
 
-	notif, err := DefenseNotif(seed + 5000)
+	notif, err := DefenseNotif(seed+5000, faults.None())
 	if err != nil {
 		t.Fatalf("DefenseNotif: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/stats"
 )
 
@@ -42,15 +41,9 @@ type DrawerCheckRow struct {
 // DrawerCheck samples drawer state at 1 ms granularity over a 20 s attack
 // for several attacking windows.
 func DrawerCheck(model string, seed int64) (DrawerCheckReport, error) {
-	return DrawerCheckOn(nil, model, seed)
-}
-
-// DrawerCheckOn is DrawerCheck with the model resolved in an arbitrary
-// device catalog (nil means the seed catalog).
-func DrawerCheckOn(cat device.Catalog, model string, seed int64) (DrawerCheckReport, error) {
-	p, ok := catOr(cat).ByModel(model)
-	if !ok {
-		return DrawerCheckReport{}, fmt.Errorf("experiment: unknown device model %q", model)
+	p, err := seedDevice(model)
+	if err != nil {
+		return DrawerCheckReport{}, err
 	}
 	rep := DrawerCheckReport{Model: model}
 	bound := float64(boundOf(p))

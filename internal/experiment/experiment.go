@@ -95,12 +95,30 @@ func driveKeystrokes(st *sysserver.Stack, ks []input.Keystroke, sink *errSink) e
 	return nil
 }
 
-// participantDevice assigns participant i their phone from the catalog:
-// with the seed catalog the study pairs the 30 participants 1:1 with the
-// Table I devices.
-func participantDevice(cat device.Catalog, i int) device.Profile {
-	profiles := cat.Profiles()
+// participantDevice assigns participant i their phone: the study pairs
+// the 30 participants 1:1 with the Table I devices.
+func participantDevice(i int) device.Profile {
+	profiles := device.Seed().Profiles()
 	return profiles[i%len(profiles)]
+}
+
+// seedDevice resolves a Table I phone by model name.
+func seedDevice(model string) (device.Profile, error) {
+	p, ok := device.Seed().ByModel(model)
+	if !ok {
+		return device.Profile{}, fmt.Errorf("experiment: unknown device model %q", model)
+	}
+	return p, nil
+}
+
+// boundOf is the device's calibrated Λ1 bound: the paper's Table-II
+// value for seed profiles, the analytical Equation-(3) bound for
+// synthetic ones (whose PaperUpperBoundD is zero).
+func boundOf(p device.Profile) time.Duration {
+	if p.PaperUpperBoundD > 0 {
+		return p.PaperUpperBoundD
+	}
+	return p.ExpectedUpperBoundD()
 }
 
 // errNoKeystrokes guards empty sessions.

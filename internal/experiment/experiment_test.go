@@ -5,7 +5,10 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/faults"
+	"repro/internal/fleet"
 	"repro/internal/input"
 	"repro/internal/simrand"
 	"repro/internal/sysui"
@@ -145,7 +148,7 @@ func TestCaptureRateShape(t *testing.T) {
 		byVersionN := make(map[int]int)
 		sum := 0.0
 		for i := 0; i < NumParticipants; i++ {
-			p := participantDevice(device.Seed(), i)
+			p := participantDevice(i)
 			rate, err := runCaptureTrial(p, typists[i], d, root.DeriveIndexed("s", int(d/time.Millisecond)*100+i), 5+int64(i))
 			if err != nil {
 				t.Fatalf("runCaptureTrial: %v", err)
@@ -302,7 +305,7 @@ func TestStealthiness(t *testing.T) {
 // TestDefenseIPCReport: detection fast, termination effective, zero false
 // positives, negligible overhead (few analyzed transactions per second).
 func TestDefenseIPCReport(t *testing.T) {
-	rep, err := DefenseIPC(17)
+	rep, err := DefenseIPC(17, faults.None())
 	if err != nil {
 		t.Fatalf("DefenseIPC: %v", err)
 	}
@@ -329,7 +332,7 @@ func TestDefenseIPCReport(t *testing.T) {
 // TestDefenseNotifReport: without the patch the attack wins (Λ1); with
 // t = 690 ms it loses (Λ5); honest apps keep a correct alert lifecycle.
 func TestDefenseNotifReport(t *testing.T) {
-	rep, err := DefenseNotif(19)
+	rep, err := DefenseNotif(19, faults.None())
 	if err != nil {
 		t.Fatalf("DefenseNotif: %v", err)
 	}
@@ -432,5 +435,28 @@ func TestRunStealTrialFillsVictimWidget(t *testing.T) {
 	}
 	if trial.Keystrokes == 0 || trial.DownsCaptured == 0 {
 		t.Fatalf("no keystrokes recorded: %+v", trial)
+	}
+}
+
+// TestRunStealTrialReportsAttackWindow: the trial reports the window the
+// stealer actually attacked with. On a generated fleet phone, which has no
+// Table II measurement, that is the fingerprinting default, not zero.
+func TestRunStealTrialReportsAttackWindow(t *testing.T) {
+	fl, err := fleet.Generate(3, 42)
+	if err != nil {
+		t.Fatalf("fleet.Generate: %v", err)
+	}
+	p := fl.Entries()[0].Profile
+	typist, err := input.NewTypist(simrand.New(31))
+	if err != nil {
+		t.Fatalf("NewTypist: %v", err)
+	}
+	bofa, _ := apps.ByName("Bank of America")
+	trial, err := RunStealTrial(p, typist, bofa, "abc123", 31)
+	if err != nil {
+		t.Fatalf("RunStealTrial: %v", err)
+	}
+	if want := core.SelectAttackWindow(p); trial.D != want || want <= 0 {
+		t.Fatalf("reported D = %v, want the stealer's window %v > 0", trial.D, want)
 	}
 }

@@ -5,41 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/device"
-	"repro/internal/sysserver"
 	"repro/internal/sysui"
 )
-
-// OutcomeForD runs the draw-and-destroy overlay attack on one device with
-// a given attacking window for attackDur and reports the worst Λ outcome
-// the user could have seen. Extra assembly options (fault plane, invariant
-// monitor) pass through to the stack.
-func OutcomeForD(p device.Profile, d, attackDur time.Duration, seed int64, opts ...sysserver.Option) (sysui.Outcome, error) {
-	st, err := assembleAttackStack(p, seed, opts...)
-	if err != nil {
-		return 0, err
-	}
-	atk, err := core.NewOverlayAttack(st, core.OverlayAttackConfig{
-		App:    AttackerApp,
-		D:      d,
-		Bounds: screenOf(p),
-	})
-	if err != nil {
-		return 0, fmt.Errorf("experiment: build overlay attack: %w", err)
-	}
-	if err := atk.Start(); err != nil {
-		return 0, fmt.Errorf("experiment: start overlay attack: %w", err)
-	}
-	st.Clock.MustAfter(attackDur, "experiment/stop", atk.Stop)
-	if err := st.Clock.RunFor(attackDur + 5*time.Second); err != nil {
-		return 0, fmt.Errorf("experiment: run: %w", err)
-	}
-	if err := atk.Err(); err != nil {
-		return 0, err
-	}
-	return st.UI.WorstOutcome(), nil
-}
 
 // Fig6Point is one sample of the outcome-versus-D sweep.
 type Fig6Point struct {
@@ -55,17 +22,16 @@ type Fig6Point struct {
 // point.
 type fig6Exp struct {
 	model string
-	cat   device.Catalog
 	ds    []time.Duration
 }
 
 func (e *fig6Exp) Name() string   { return "fig6" }
-func (e *fig6Exp) Params() string { return catParam("model="+e.model, e.cat) }
+func (e *fig6Exp) Params() string { return "model=" + e.model }
 
 func (e *fig6Exp) Trials(seed int64) ([]Trial, error) {
-	p, ok := catOr(e.cat).ByModel(e.model)
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown device model %q", e.model)
+	p, err := seedDevice(e.model)
+	if err != nil {
+		return nil, err
 	}
 	bound := boundOf(p)
 	// Sweep from 40% of the bound to bound + 750 ms in 30 ms steps: the

@@ -6,25 +6,20 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/defense"
 	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/sysserver"
 	"repro/internal/sysui"
 )
 
-// Fleet-sweep measurement constants: the notification-defense delay is the
-// paper's t = 690 ms; the coarse bound search trades Table II's 5 ms
-// resolution for a 20 ms grid so a thousand-device sweep stays tractable.
+// Fleet-sweep measurement constants: the coarse bound search trades Table
+// II's 5 ms resolution for a 20 ms grid so a thousand-device sweep stays
+// tractable.
 const (
-	fleetNotifDelayT   = 690 * time.Millisecond
 	fleetBoundResol    = 20 * time.Millisecond
 	fleetBoundCeil     = 1600 * time.Millisecond
 	fleetBoundTrialDur = 4 * time.Second
 	fleetAttackDur     = 6 * time.Second
-	fleetIPCAttackDur  = 20 * time.Second
 	fleetTrialSeedStep = 7919 // distinct prime stride per device
 	fleetDefaultSize   = 1000
 	fleetDefaultSeed   = 42
@@ -68,117 +63,18 @@ func (e *fleetExp) Params() string {
 	return fmt.Sprintf("size=%d fleet-seed=%d", e.size, e.fleetSeed)
 }
 
-// planeFor builds the per-run assembly options for a device's fault
-// profile: a fresh plane per stack (planes are stateful), none at all for
-// a zero profile so unfaulted devices keep the exact unfaulted stack.
-func planeFor(prof faults.Profile, seed int64) []sysserver.Option {
-	if prof.Zero() {
-		return nil
-	}
-	return []sysserver.Option{sysserver.WithFaults(faults.NewPlane(prof, seed))}
-}
-
 // fleetCoarseBound is measureUpperBoundD on a 20 ms grid with a single
 // vote per probe — each probe under a fresh instance of the device's
 // fault plane.
 func fleetCoarseBound(p device.Profile, prof faults.Profile, seed int64) (time.Duration, error) {
 	probe := int64(0)
-	lambda1At := func(d time.Duration) (bool, error) {
+	return largestPassingD(fleetBoundResol, fleetBoundCeil, func(d time.Duration) (bool, error) {
 		probe++
 		s := seed + probe*101
-		o, err := OutcomeForD(p, d, fleetBoundTrialDur, s, planeFor(prof, s)...)
-		if err != nil {
-			return false, err
-		}
-		return o == sysui.Lambda1, nil
-	}
-	lo, hi := fleetBoundResol, fleetBoundCeil
-	ok, err := lambda1At(lo)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, nil
-	}
-	for hi-lo > fleetBoundResol {
-		mid := (lo + hi) / 2 / fleetBoundResol * fleetBoundResol
-		ok, err := lambda1At(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}
-
-// fleetNotifHolds reruns the attack with the §VII-B delayed-removal patch
-// enabled and reports whether the defense wins (the outcome degrades to
-// Λ5: the alert completes its lifecycle in front of the user).
-func fleetNotifHolds(p device.Profile, prof faults.Profile, d time.Duration, seed int64) (bool, error) {
-	st, err := assembleAttackStack(p, seed, planeFor(prof, seed+1)...)
-	if err != nil {
-		return false, err
-	}
-	st.Server.EnableEnhancedNotificationDefense(fleetNotifDelayT)
-	o, err := runOverlayAttackOn(st, p, d, fleetAttackDur)
-	if err != nil {
-		return false, err
-	}
-	return o == sysui.Lambda5, nil
-}
-
-// fleetIPCVerdict runs the armed Binder detector against the attack and
-// reports whether it flagged the attacker and revoked its overlays.
-func fleetIPCVerdict(p device.Profile, prof faults.Profile, d time.Duration, seed int64) (detected, terminated bool, err error) {
-	st, err := assembleAttackStack(p, seed, planeFor(prof, seed+1)...)
-	if err != nil {
-		return false, false, err
-	}
-	det, err := defense.NewIPCDetector()
-	if err != nil {
-		return false, false, fmt.Errorf("experiment: fleet detector: %w", err)
-	}
-	if err := det.Install(st, true); err != nil {
-		return false, false, fmt.Errorf("experiment: install fleet detector: %w", err)
-	}
-	if _, err := runOverlayAttackOn(st, p, d, fleetIPCAttackDur); err != nil {
-		return false, false, err
-	}
-	if err := det.Err(); err != nil {
-		return false, false, fmt.Errorf("experiment: fleet detector: %w", err)
-	}
-	detected = det.Detected(AttackerApp)
-	terminated = !st.WM.HasOverlayPermission(AttackerApp) && st.WM.OverlayCount(AttackerApp) == 0
-	return detected, terminated, nil
-}
-
-// runOverlayAttackOn starts the draw-and-destroy attack on an assembled
-// stack, runs it for attackDur plus settle time, and reports the worst
-// alert outcome.
-func runOverlayAttackOn(st *sysserver.Stack, p device.Profile, d, attackDur time.Duration) (sysui.Outcome, error) {
-	atk, err := core.NewOverlayAttack(st, core.OverlayAttackConfig{
-		App:    AttackerApp,
-		D:      d,
-		Bounds: screenOf(p),
+		opts, _ := planeFor(prof, s)
+		o, err := OutcomeForD(p, d, fleetBoundTrialDur, s, opts...)
+		return o == sysui.Lambda1, err
 	})
-	if err != nil {
-		return 0, fmt.Errorf("experiment: build overlay attack: %w", err)
-	}
-	if err := atk.Start(); err != nil {
-		return 0, fmt.Errorf("experiment: start attack: %w", err)
-	}
-	st.Clock.MustAfter(attackDur, "experiment/stop", atk.Stop)
-	if err := st.Clock.RunFor(attackDur + 5*time.Second); err != nil {
-		return 0, fmt.Errorf("experiment: run: %w", err)
-	}
-	if err := atk.Err(); err != nil {
-		return 0, err
-	}
-	return st.UI.WorstOutcome(), nil
 }
 
 func (e *fleetExp) Trials(seed int64) ([]Trial, error) {
@@ -217,7 +113,8 @@ func measureFleetDevice(rec *fleetRec, ent fleet.Entry, seed int64) error {
 	p := ent.Profile
 	d := time.Duration(float64(boundOf(p)) * 0.9)
 
-	o, err := OutcomeForD(p, d, fleetAttackDur, seed, planeFor(ent.Faults, seed)...)
+	opts, _ := planeFor(ent.Faults, seed)
+	o, err := OutcomeForD(p, d, fleetAttackDur, seed, opts...)
 	if err != nil {
 		return err
 	}
@@ -226,12 +123,21 @@ func measureFleetDevice(rec *fleetRec, ent fleet.Entry, seed int64) error {
 	if rec.BoundD, err = fleetCoarseBound(p, ent.Faults, seed+1000); err != nil {
 		return err
 	}
-	if rec.NotifHolds, err = fleetNotifHolds(p, ent.Faults, d, seed+2000); err != nil {
+	// §VII-B: the delayed-removal patch wins when the alert completes its
+	// lifecycle in front of the user (Λ5).
+	opts, _ = planeFor(ent.Faults, seed+2001)
+	if o, err = notifOutcome(p, d, fleetAttackDur, true, seed+2000, opts...); err != nil {
 		return err
 	}
-	if rec.IPCDetected, rec.IPCTerminated, err = fleetIPCVerdict(p, ent.Faults, d, seed+3000); err != nil {
+	rec.NotifHolds = o == sysui.Lambda5
+	// §VII-A: the armed Binder detector flags the attacker and revokes
+	// its overlays.
+	opts, _ = planeFor(ent.Faults, seed+3001)
+	ipc, err := ipcAttack(p, d, seed+3000, opts...)
+	if err != nil {
 		return err
 	}
+	rec.IPCDetected, rec.IPCTerminated = ipc.AttackDetected, ipc.AttackTerminated
 	return nil
 }
 

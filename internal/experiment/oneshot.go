@@ -25,3 +25,15 @@ func (e *oneShot) Trials(seed int64) ([]Trial, error) {
 func (e *oneShot) Render(results []any) (Output, error) {
 	return Output{Text: Res[string](results, 0)}, nil
 }
+
+// single builds a oneShot from a report runner and the renderer of its
+// report.
+func single[R any](name, params string, run func(seed int64) (R, error), render func(R) string) *oneShot {
+	return &oneShot{name: name, params: params, run: func(seed int64) (string, error) {
+		r, err := run(seed)
+		if err != nil {
+			return "", err
+		}
+		return render(r), nil
+	}}
+}

@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/device"
+	"repro/internal/appstore"
 	"repro/internal/faults"
 )
 
@@ -25,11 +25,6 @@ type Config struct {
 	// seed 42).
 	FleetSize int
 	FleetSeed int64
-	// Catalog is the device population the experiments draw from. Nil means
-	// the seed catalog (the paper's Table I devices), which keeps every
-	// journal identity and golden report byte-identical to the pre-catalog
-	// builds.
-	Catalog device.Catalog
 }
 
 // journalNamer lets an experiment override the journal identity its runs
@@ -66,106 +61,48 @@ var registrations = []registration{
 	{"fig4", true, func(Config) Experiment {
 		return &oneShot{name: "fig4", run: func(int64) (string, error) { return RenderFig4(), nil }}
 	}},
-	{"fig6", true, func(cfg Config) Experiment { return &fig6Exp{model: cfg.Model, cat: cfg.Catalog} }},
-	{"table2", true, func(cfg Config) Experiment { return &table2Exp{cat: cfg.Catalog} }},
-	{"load", true, func(cfg Config) Experiment { return &loadExp{model: cfg.Model, cat: cfg.Catalog} }},
-	{"fig7", true, func(cfg Config) Experiment { return &captureExp{cat: cfg.Catalog} }},
-	{"fig8", true, func(cfg Config) Experiment { return &captureExp{fig8: true, cat: cfg.Catalog} }},
-	{"table3", true, func(cfg Config) Experiment {
-		return &table3Exp{perParticipant: cfg.Trials, cat: cfg.Catalog}
-	}},
-	{"table4", true, func(cfg Config) Experiment {
-		return &oneShot{name: "table4", params: catParam("", cfg.Catalog), run: func(seed int64) (string, error) {
-			rows, err := TableIVOn(cfg.Catalog, seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderTableIV(rows), nil
-		}}
-	}},
-	{"stealth", true, func(cfg Config) Experiment {
-		return &oneShot{name: "stealth", params: catParam("", cfg.Catalog), run: func(seed int64) (string, error) {
-			rep, err := StealthinessOn(cfg.Catalog, seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderStealth(rep), nil
-		}}
-	}},
+	{"fig6", true, func(cfg Config) Experiment { return &fig6Exp{model: cfg.Model} }},
+	{"table2", true, func(Config) Experiment { return &table2Exp{} }},
+	{"load", true, func(cfg Config) Experiment { return &loadExp{model: cfg.Model} }},
+	{"fig7", true, func(Config) Experiment { return &captureExp{} }},
+	{"fig8", true, func(Config) Experiment { return &captureExp{fig8: true} }},
+	{"table3", true, func(cfg Config) Experiment { return &table3Exp{perParticipant: cfg.Trials} }},
+	{"table4", true, func(Config) Experiment { return single("table4", "", TableIV, RenderTableIV) }},
+	{"stealth", true, func(Config) Experiment { return single("stealth", "", Stealthiness, RenderStealth) }},
 	{"corpus", true, func(cfg Config) Experiment {
-		return &oneShot{name: "corpus", params: fmt.Sprintf("corpus=%d", cfg.CorpusN), run: func(seed int64) (string, error) {
-			rep, err := CorpusStudy(seed, cfg.CorpusN)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("§VI-C2 — app-market prevalence study\n%v\n", rep), nil
-		}}
+		return single("corpus", fmt.Sprintf("corpus=%d", cfg.CorpusN),
+			func(seed int64) (appstore.Report, error) { return CorpusStudy(seed, cfg.CorpusN) },
+			func(rep appstore.Report) string {
+				return fmt.Sprintf("§VI-C2 — app-market prevalence study\n%v\n", rep)
+			})
 	}},
-	{"precision", true, func(cfg Config) Experiment {
-		return &precisionExp{corpusN: cfg.CorpusN}
+	{"precision", true, func(cfg Config) Experiment { return &precisionExp{corpusN: cfg.CorpusN} }},
+	{"defense-ipc", true, func(Config) Experiment {
+		return single("defense-ipc", "",
+			func(seed int64) (DefenseIPCReport, error) { return DefenseIPC(seed, faults.None()) },
+			RenderDefenseIPC)
 	}},
-	{"defense-ipc", true, func(cfg Config) Experiment {
-		return &oneShot{name: "defense-ipc", params: catParam("", cfg.Catalog), run: func(seed int64) (string, error) {
-			rep, err := DefenseIPCOn(cfg.Catalog, seed, faults.None())
-			if err != nil {
-				return "", err
-			}
-			return RenderDefenseIPC(rep), nil
-		}}
+	{"defense-notif", true, func(Config) Experiment {
+		return single("defense-notif", "",
+			func(seed int64) (DefenseNotifReport, error) { return DefenseNotif(seed, faults.None()) },
+			RenderDefenseNotif)
 	}},
-	{"defense-notif", true, func(cfg Config) Experiment {
-		return &oneShot{name: "defense-notif", params: catParam("", cfg.Catalog), run: func(seed int64) (string, error) {
-			rep, err := DefenseNotifOn(cfg.Catalog, seed, faults.None())
-			if err != nil {
-				return "", err
-			}
-			return RenderDefenseNotif(rep), nil
-		}}
-	}},
-	{"defense-toastgap", true, func(cfg Config) Experiment {
-		return &oneShot{name: "defense-toastgap", params: catParam("", cfg.Catalog), run: func(seed int64) (string, error) {
-			rep, err := DefenseToastGapOn(cfg.Catalog, seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderDefenseToastGap(rep), nil
-		}}
+	{"defense-toastgap", true, func(Config) Experiment {
+		return single("defense-toastgap", "", DefenseToastGap, RenderDefenseToastGap)
 	}},
 	{"drawer", true, func(cfg Config) Experiment {
-		return &oneShot{name: "drawer", params: catParam("model="+cfg.Model, cfg.Catalog), run: func(seed int64) (string, error) {
-			rep, err := DrawerCheckOn(cfg.Catalog, cfg.Model, seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderDrawerCheck(rep), nil
-		}}
+		return single("drawer", "model="+cfg.Model,
+			func(seed int64) (DrawerCheckReport, error) { return DrawerCheck(cfg.Model, seed) },
+			RenderDrawerCheck)
 	}},
 	{"sensitivity", true, func(Config) Experiment {
-		return &oneShot{name: "sensitivity", run: func(seed int64) (string, error) {
-			rows, err := ScatterSensitivity(seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderScatterSensitivity(rows), nil
-		}}
+		return single("sensitivity", "", ScatterSensitivity, RenderScatterSensitivity)
 	}},
-	{"ablations", true, func(cfg Config) Experiment {
-		return &oneShot{name: "ablations", params: catParam("", cfg.Catalog), run: func(seed int64) (string, error) {
-			rep, err := AblationsOn(cfg.Catalog, seed)
-			if err != nil {
-				return "", err
-			}
-			return RenderAblations(rep), nil
-		}}
+	{"ablations", true, func(Config) Experiment { return single("ablations", "", Ablations, RenderAblations) }},
+	{"devices", false, func(Config) Experiment {
+		return &oneShot{name: "devices", run: func(int64) (string, error) { return RenderDeviceCatalog(), nil }}
 	}},
-	{"devices", false, func(cfg Config) Experiment {
-		return &oneShot{name: "devices", params: catParam("", cfg.Catalog), run: func(int64) (string, error) {
-			return RenderDeviceCatalogOf(catOr(cfg.Catalog)), nil
-		}}
-	}},
-	{"degradation", false, func(cfg Config) Experiment {
-		return &degradationExp{profileName: cfg.FaultProfile, cat: cfg.Catalog}
-	}},
+	{"degradation", false, func(cfg Config) Experiment { return &degradationExp{profileName: cfg.FaultProfile} }},
 	{"fleet", false, func(cfg Config) Experiment {
 		size, fseed := cfg.FleetSize, cfg.FleetSeed
 		if size == 0 {

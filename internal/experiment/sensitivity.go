@@ -86,14 +86,8 @@ type Fig7ModelRow struct {
 // Fig7Model evaluates the closed-form capture model for every Fig. 7 D
 // over the 30-device fleet with the calibrated ~14 ms press window.
 func Fig7Model() ([]Fig7ModelRow, error) {
-	return Fig7ModelOn(nil)
-}
-
-// Fig7ModelOn is Fig7Model over an arbitrary device catalog (nil means
-// the seed catalog).
-func Fig7ModelOn(cat device.Catalog) ([]Fig7ModelRow, error) {
 	const pressWindow = 14 * time.Millisecond
-	profiles := catOr(cat).Profiles()
+	profiles := device.Seed().Profiles()
 	out := make([]Fig7ModelRow, 0, len(CaptureDs()))
 	for _, d := range CaptureDs() {
 		sum := 0.0

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/device"
 	"repro/internal/input"
 	"repro/internal/simrand"
 	"repro/internal/sysui"
@@ -41,12 +40,6 @@ type StealthReport struct {
 // Stealthiness runs the survey: each participant opens the Bank of America
 // app and types a given password while the malicious app attacks.
 func Stealthiness(seed int64) (StealthReport, error) {
-	return StealthinessOn(nil, seed)
-}
-
-// StealthinessOn is Stealthiness with participants paired against an
-// arbitrary device catalog (nil means the seed catalog).
-func StealthinessOn(cat device.Catalog, seed int64) (StealthReport, error) {
 	rep := StealthReport{Participants: NumParticipants, WorstOutcome: sysui.Lambda1, MinToastAlpha: 1}
 	root := simrand.New(seed)
 	typists, err := input.Participants(root.Derive("typists"), NumParticipants)
@@ -60,7 +53,7 @@ func StealthinessOn(cat device.Catalog, seed int64) (StealthReport, error) {
 	const password = "mY9&pass" // the "given password" of the survey
 	recovered := 0
 	for i := 0; i < NumParticipants; i++ {
-		p := participantDevice(catOr(cat), i)
+		p := participantDevice(i)
 		trial, err := RunStealTrial(p, typists[i], bofa, password, seed+int64(i)*389)
 		if err != nil {
 			return rep, fmt.Errorf("experiment: stealth trial %d: %w", i, err)

@@ -22,66 +22,35 @@ type TableIIRow struct {
 	MeasuredD time.Duration
 }
 
-// measureUpperBoundD finds the largest D (5 ms resolution) for which
-// repeated attack trials stay at Λ1, the way the paper's authors probed
-// each phone with increasing D until the alert became visible. Extra
-// assembly options (fault plane) pass through to every trial stack.
+// measureUpperBoundD finds the largest D (5 ms resolution, below 800 ms)
+// for which repeated attack trials stay at Λ1, the way the paper's
+// authors probed each phone with increasing D until the alert became
+// visible. Extra assembly options (fault plane) pass through to every
+// trial stack. The predicate is monotone up to per-trial jitter, which
+// the double-trial vote smooths.
 func measureUpperBoundD(p device.Profile, seed int64, opts ...sysserver.Option) (time.Duration, error) {
-	const (
-		resolution = 5 * time.Millisecond
-		trialDur   = 4 * time.Second
-		trials     = 2
-	)
-	lambda1At := func(d time.Duration) (bool, error) {
-		for r := 0; r < trials; r++ {
-			o, err := OutcomeForD(p, d, trialDur, seed+int64(r)*101, opts...)
-			if err != nil {
+	return largestPassingD(5*time.Millisecond, 800*time.Millisecond, func(d time.Duration) (bool, error) {
+		for r := 0; r < 2; r++ {
+			o, err := OutcomeForD(p, d, 4*time.Second, seed+int64(r)*101, opts...)
+			if err != nil || o != sysui.Lambda1 {
 				return false, err
-			}
-			if o != sysui.Lambda1 {
-				return false, nil
 			}
 		}
 		return true, nil
-	}
-	lo, hi := resolution, 800*time.Millisecond
-	ok, err := lambda1At(lo)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, nil // even the smallest D leaks; should not happen
-	}
-	// Binary search the Λ1/¬Λ1 boundary; the predicate is monotone up to
-	// per-trial jitter, which the double-trial vote smooths.
-	for hi-lo > resolution {
-		mid := (lo + hi) / 2 / resolution * resolution
-		ok, err := lambda1At(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
+	})
 }
 
-// table2Exp regenerates Table II: the upper boundary of D per device, one
-// trial per device (the catalog's devices; the seed catalog reproduces
-// the paper's 30 phones).
+// table2Exp regenerates Table II: the upper boundary of D on each of the
+// paper's 30 phones, one trial per device.
 type table2Exp struct {
-	cat      device.Catalog
 	profiles []device.Profile
 }
 
 func (e *table2Exp) Name() string   { return "table2" }
-func (e *table2Exp) Params() string { return catParam("", e.cat) }
+func (e *table2Exp) Params() string { return "" }
 
 func (e *table2Exp) Trials(seed int64) ([]Trial, error) {
-	e.profiles = catOr(e.cat).Profiles()
+	e.profiles = device.Seed().Profiles()
 	profiles := e.profiles
 	trials := make([]Trial, 0, len(profiles))
 	for i, p := range profiles {
@@ -135,20 +104,10 @@ func RenderTableII(rows []TableIIRow) string {
 // screen, Android version, analytical Λ1 bound (Equation (3) form) and
 // expected mistouch window — the calibration view of the 30 phones.
 func RenderDeviceCatalog() string {
-	return RenderDeviceCatalogOf(device.Seed())
-}
-
-// RenderDeviceCatalogOf is RenderDeviceCatalog for any catalog; the seed
-// catalog renders the historical header and rows byte-identically.
-func RenderDeviceCatalogOf(cat device.Catalog) string {
 	var sb strings.Builder
-	if cat.Name() == device.Seed().Name() {
-		sb.WriteString("Device catalog — Tables I/II with calibrated timing model\n")
-	} else {
-		fmt.Fprintf(&sb, "Device catalog — %s\n", cat.Name())
-	}
+	sb.WriteString("Device catalog — Tables I/II with calibrated timing model\n")
 	sb.WriteString("  manufacturer  model        ver   screen      paper-D  analytic-D  E[Tmis]\n")
-	for _, p := range cat.Profiles() {
+	for _, p := range device.Seed().Profiles() {
 		fmt.Fprintf(&sb, "  %-12s  %-12s %-4s  %4dx%-5d  %5dms  %7.0fms  %5.2fms\n",
 			p.Manufacturer, p.Model, p.Version,
 			p.ScreenW, p.ScreenH,
@@ -170,17 +129,16 @@ type LoadImpactRow struct {
 // bounds "almost the same".
 type loadExp struct {
 	model string
-	cat   device.Catalog
 	loads []int
 }
 
 func (e *loadExp) Name() string   { return "load" }
-func (e *loadExp) Params() string { return catParam("model="+e.model, e.cat) }
+func (e *loadExp) Params() string { return "model=" + e.model }
 
 func (e *loadExp) Trials(seed int64) ([]Trial, error) {
-	p, ok := catOr(e.cat).ByModel(e.model)
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown device model %q", e.model)
+	p, err := seedDevice(e.model)
+	if err != nil {
+		return nil, err
 	}
 	e.loads = []int{0, 3, 5}
 	trials := make([]Trial, 0, len(e.loads))

@@ -111,14 +111,14 @@ func RunStealTrial(p device.Profile, typist *input.Typist, victim apps.VictimApp
 	if _, err := ime.Show(st, kb, sess.Activity); err != nil {
 		return res, fmt.Errorf("experiment: show ime: %w", err)
 	}
-	// The attacker fingerprints the phone and uses its Table II bound.
-	d := time.Duration(float64(p.PaperUpperBoundD) * 0.9)
-	res.D = d
+	// The attacker fingerprints the phone and picks its window from the
+	// Table II bound (a conservative default on unmeasured phones).
+	res.D = core.SelectAttackWindow(p)
 	stealer, err := core.NewPasswordStealer(st, core.PasswordStealerConfig{
 		App:      AttackerApp,
 		Victim:   sess,
 		Keyboard: kb,
-		D:        d,
+		D:        res.D,
 	})
 	if err != nil {
 		return res, fmt.Errorf("experiment: stealer: %w", err)
@@ -229,14 +229,11 @@ type stealTrialMeta struct {
 // sub-keyboards (10 in the paper).
 type table3Exp struct {
 	perParticipant int
-	cat            device.Catalog
 	meta           []stealTrialMeta
 }
 
-func (e *table3Exp) Name() string { return "table3" }
-func (e *table3Exp) Params() string {
-	return catParam(fmt.Sprintf("trials=%d", e.perParticipant), e.cat)
-}
+func (e *table3Exp) Name() string   { return "table3" }
+func (e *table3Exp) Params() string { return fmt.Sprintf("trials=%d", e.perParticipant) }
 
 func (e *table3Exp) Trials(seed int64) ([]Trial, error) {
 	if e.perParticipant <= 0 {
@@ -256,7 +253,7 @@ func (e *table3Exp) Trials(seed int64) ([]Trial, error) {
 	var trials []Trial
 	for li, length := range PasswordLengths() {
 		for i := 0; i < NumParticipants; i++ {
-			p := participantDevice(catOr(e.cat), i)
+			p := participantDevice(i)
 			for tr := 0; tr < e.perParticipant; tr++ {
 				li, length, i, tr := li, length, i, tr
 				// Every shared-stream draw happens here, in the exact order

@@ -25,15 +25,9 @@ type TableIVRow struct {
 }
 
 // TableIV regenerates Table IV: the password-stealing attack against the
-// eight real-world apps, on the seed catalog's default device.
+// eight real-world apps, on the paper's demo phone (Pixel 2).
 func TableIV(seed int64) ([]TableIVRow, error) {
-	return TableIVOn(nil, seed)
-}
-
-// TableIVOn is TableIV against an arbitrary device catalog (nil means the
-// seed catalog): the attack runs on the catalog's default device.
-func TableIVOn(cat device.Catalog, seed int64) ([]TableIVRow, error) {
-	p := catOr(cat).Default()
+	p := device.Seed().Default()
 	typist, err := input.NewTypist(simrand.New(seed).Derive("tab4-typist"))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: typist: %w", err)

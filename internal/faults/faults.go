@@ -388,8 +388,14 @@ func NewPlane(p Profile, seed int64) *Plane {
 // Profile returns the profile the plane was built from.
 func (pl *Plane) Profile() Profile { return pl.prof }
 
-// Stats reports the faults injected so far.
-func (pl *Plane) Stats() Stats { return pl.stats }
+// Stats reports the faults injected so far; a nil plane (an unfaulted
+// run) injected none.
+func (pl *Plane) Stats() Stats {
+	if pl == nil {
+		return Stats{}
+	}
+	return pl.stats
+}
 
 // TransactionFault implements binder.FaultInjector: it decides the fate of
 // one transaction. A dropped transaction short-circuits the remaining

@@ -1,5 +1,5 @@
 // Package fleet generates seeded, market-share-weighted synthetic device
-// populations behind the device.Catalog interface. A Fleet is built from
+// populations. A Fleet is built from
 // (size, seed) alone: each device draws its OEM family, Android version,
 // display, animation scaling, background load, popularity weight and
 // fault calibration from named simrand sub-streams of its own per-device
@@ -158,14 +158,11 @@ type Entry struct {
 	Background int
 }
 
-// Fleet is a generated device population. It implements device.Catalog.
+// Fleet is a generated device population.
 type Fleet struct {
 	size    int
 	seed    int64
 	entries []Entry
-	byModel map[string]int
-	// defaultIdx is the highest-weight device.
-	defaultIdx int
 }
 
 // Generate builds the fleet for (size, seed). The same pair always
@@ -181,7 +178,6 @@ func Generate(size int, seed int64) (*Fleet, error) {
 		size:    size,
 		seed:    seed,
 		entries: make([]Entry, size),
-		byModel: make(map[string]int, size),
 	}
 	var totalWeight float64
 	for i := 0; i < size; i++ {
@@ -191,10 +187,6 @@ func Generate(size int, seed int64) (*Fleet, error) {
 	}
 	for i := range f.entries {
 		f.entries[i].Weight /= totalWeight
-		f.byModel[f.entries[i].Profile.Model] = i
-		if f.entries[i].Weight > f.entries[f.defaultIdx].Weight {
-			f.defaultIdx = i
-		}
 	}
 	return f, nil
 }
@@ -355,9 +347,7 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// --- device.Catalog ---
-
-// Name identifies the fleet for experiment params and journal identity.
+// Name identifies the fleet in reports.
 func (f *Fleet) Name() string { return fmt.Sprintf("fleet(size=%d,seed=%d)", f.size, f.seed) }
 
 // Size reports the number of generated devices.
@@ -369,36 +359,6 @@ func (f *Fleet) Seed() int64 { return f.seed }
 // Entries returns the generated devices in generation order. Callers
 // must not mutate the returned slice.
 func (f *Fleet) Entries() []Entry { return f.entries }
-
-// Profiles implements device.Catalog.
-func (f *Fleet) Profiles() []device.Profile {
-	out := make([]device.Profile, len(f.entries))
-	for i, e := range f.entries {
-		out[i] = e.Profile
-	}
-	return out
-}
-
-// ByModel implements device.Catalog.
-func (f *Fleet) ByModel(model string) (device.Profile, bool) {
-	i, ok := f.byModel[model]
-	if !ok {
-		return device.Profile{}, false
-	}
-	return f.entries[i].Profile, true
-}
-
-// Default implements device.Catalog: the highest-market-share device.
-func (f *Fleet) Default() device.Profile { return f.entries[f.defaultIdx].Profile }
-
-// Entry returns the full entry for a model.
-func (f *Fleet) Entry(model string) (Entry, bool) {
-	i, ok := f.byModel[model]
-	if !ok {
-		return Entry{}, false
-	}
-	return f.entries[i], true
-}
 
 // --- manifest ---
 

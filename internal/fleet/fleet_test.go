@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/device"
 	"repro/internal/experiment/sched"
 )
 
@@ -40,8 +39,6 @@ func checkGolden(t *testing.T, name, got string) {
 			name, path, got, string(want))
 	}
 }
-
-var _ device.Catalog = (*Fleet)(nil)
 
 func mustGenerate(t *testing.T, size int, seed int64) *Fleet {
 	t.Helper()
@@ -143,39 +140,29 @@ func TestGoldenManifest(t *testing.T) {
 	}
 }
 
+// TestCatalogSurface checks what the sweep reads off a fleet: a name
+// carrying (size, seed), and entries with unique, family-tagged models.
 func TestCatalogSurface(t *testing.T) {
 	f := mustGenerate(t, 100, 42)
 	if f.Name() != "fleet(size=100,seed=42)" {
 		t.Fatalf("Name = %q", f.Name())
 	}
+	if len(f.Entries()) != 100 {
+		t.Fatalf("%d entries, want 100", len(f.Entries()))
+	}
 	models := map[string]bool{}
-	for _, p := range f.Profiles() {
+	for _, e := range f.Entries() {
+		p := e.Profile
 		if models[p.Model] {
 			t.Fatalf("duplicate model %q", p.Model)
 		}
 		models[p.Model] = true
-		got, ok := f.ByModel(p.Model)
-		if !ok || !reflect.DeepEqual(got, p) {
-			t.Fatalf("ByModel(%q) does not round-trip", p.Model)
-		}
 		if p.Family == "" {
 			t.Fatalf("%s has no family tag", p.Model)
 		}
 	}
-	if _, ok := f.ByModel("pixel 2"); ok {
-		t.Fatal("fleet resolved a seed-catalog model name")
-	}
-	// Default is the highest-weight device.
-	def := f.Default()
-	e, ok := f.Entry(def.Model)
-	if !ok {
-		t.Fatalf("Default() model %q missing from fleet", def.Model)
-	}
-	for _, other := range f.Entries() {
-		if other.Weight > e.Weight {
-			t.Fatalf("Default() %s (w=%v) outweighed by %s (w=%v)",
-				def.Model, e.Weight, other.Profile.Model, other.Weight)
-		}
+	if models["pixel 2"] {
+		t.Fatal("fleet reused a seed-catalog model name")
 	}
 }
 
