@@ -6,8 +6,9 @@
 #
 # Steps: build, unit tests, go vet, the simlint determinism/robustness
 # pass, a race-detector pass over the short tests, a coverage floor on
-# the experiment-harness core packages, the streaming detector, the
-# simulator's detector adapter and the fleet generator, the scheduler
+# the experiment-harness core packages, the attacks they drive, the
+# streaming detector, the simulator's detector adapter and the fleet
+# generator, the scheduler
 # parity diff plus a 200-device fleet-sweep parity smoke, a vetd
 # serving smoke (checked vetload replay +
 # clean SIGINT shutdown), a distributed ring smoke (3 vetd peers behind
@@ -39,21 +40,22 @@ go run ./cmd/simlint
 echo "==> go test -race -short ./..."
 go test -race -short ./...
 
-# Coverage floor for the experiment-harness core, the streaming detector,
-# the simulator's detector adapter, the fleet generator and the shared
-# serving core: the journaled runners and the sweep-wide invariant
-# aggregation are the crash-safety layer, the sentry engine/server carry
-# the accounting and shard-invariance contracts, internal/sentring
-# carries the routed ingest's batch accounting and topology-independent
-# report, internal/defense is the
-# simulator's only entry point to the §VII-A rule, the fleet generator
-# carries the population-determinism contract, internal/ring carries
-# both routers' retry and accounting machinery, and internal/applog
-# carries every log's crash-safety contract — a drop below the floor
-# means those paths lost their tests. All packages currently sit well
-# above it.
+# Coverage floor for the experiment-harness core, the attacks it drives,
+# the streaming detector, the simulator's detector adapter, the fleet
+# generator and the shared serving core: the journaled runners and the
+# sweep-wide invariant aggregation are the crash-safety layer,
+# internal/core holds the overlay, toast and password-stealing attacks
+# that the experiments' shared attack runner drives, the sentry
+# engine/server carry the accounting and shard-invariance contracts,
+# internal/sentring carries the routed ingest's batch accounting and
+# topology-independent report, internal/defense is the simulator's only
+# entry point to the §VII-A rule, the fleet generator carries the
+# population-determinism contract, internal/ring carries both routers'
+# retry and accounting machinery, and internal/applog carries every
+# log's crash-safety contract — a drop below the floor means those paths
+# lost their tests. All packages currently sit well above it.
 COVER_FLOOR=65
-COVER_PKGS="./internal/experiment ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog"
+COVER_PKGS="./internal/experiment ./internal/core ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog"
 echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
 go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
