@@ -173,29 +173,37 @@ func animbenchDefaults() Config {
 	}
 }
 
+// registryCase is one TestGoldenRegistry entry: the golden's file stem,
+// the registered experiment, and overrides of the animbench defaults (a
+// fault profile, or a corpus size small enough for the suite).
+type registryCase struct {
+	golden, name, profile string
+	corpusN               int
+}
+
 // TestGoldenRegistry locks, through the registry and the generic driver
 // (New + Run), every suite experiment that has no dedicated golden above,
-// the device catalog, and the degradation sweep at each fault profile
-// besides chaos (TestGoldenDegradation pins chaos).
+// the device catalog, the corpus study at 20,000 apps, and the
+// degradation sweep at each fault profile besides chaos
+// (TestGoldenDegradation pins chaos).
 func TestGoldenRegistry(t *testing.T) {
-	cases := []struct {
-		golden, name, profile string
-	}{
-		{"fig8", "fig8", ""},
-		{"load", "load", ""},
-		{"table4", "table4", ""},
-		{"stealth", "stealth", ""},
-		{"defense-ipc", "defense-ipc", ""},
-		{"defense-notif", "defense-notif", ""},
-		{"defense-toastgap", "defense-toastgap", ""},
-		{"drawer", "drawer", ""},
-		{"sensitivity", "sensitivity", ""},
-		{"ablations", "ablations", ""},
-		{"devices", "devices", ""},
+	cases := []registryCase{
+		{golden: "fig8", name: "fig8"},
+		{golden: "load", name: "load"},
+		{golden: "table4", name: "table4"},
+		{golden: "stealth", name: "stealth"},
+		{golden: "corpus", name: "corpus", corpusN: 20000},
+		{golden: "defense-ipc", name: "defense-ipc"},
+		{golden: "defense-notif", name: "defense-notif"},
+		{golden: "defense-toastgap", name: "defense-toastgap"},
+		{golden: "drawer", name: "drawer"},
+		{golden: "sensitivity", name: "sensitivity"},
+		{golden: "ablations", name: "ablations"},
+		{golden: "devices", name: "devices"},
 	}
 	for _, prof := range faults.Names() {
 		if prof != "none" && prof != "chaos" {
-			cases = append(cases, struct{ golden, name, profile string }{"degradation-" + prof, "degradation", prof})
+			cases = append(cases, registryCase{golden: "degradation-" + prof, name: "degradation", profile: prof})
 		}
 	}
 	for _, tc := range cases {
@@ -204,6 +212,9 @@ func TestGoldenRegistry(t *testing.T) {
 			cfg := animbenchDefaults()
 			if tc.profile != "" {
 				cfg.FaultProfile = tc.profile
+			}
+			if tc.corpusN != 0 {
+				cfg.CorpusN = tc.corpusN
 			}
 			for _, c := range goldenSeeds() {
 				exp, err := New(tc.name, cfg)
