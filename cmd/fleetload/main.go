@@ -121,7 +121,7 @@ func run() int {
 
 	fmt.Printf("fleetload: replaying %d devices (%d records) against %s with %d clients\n",
 		len(fl.Devices), fl.Records(), base, cfg.clients)
-	rs := sentry.ReplayFleetOpts(client, base, fl, sentry.ReplayOptions{
+	rs := sentry.ReplayFleet(client, base, fl, sentry.ReplayOptions{
 		Clients: cfg.clients, Batch: cfg.batch, Retry429: cfg.retry429, Seed: cfg.seed,
 	})
 	if rs.Errors > 0 {

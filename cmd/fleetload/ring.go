@@ -101,7 +101,7 @@ func runRing(cfg config, fl *sentry.Fleet) int {
 	if cfg.chaos > 0 {
 		h.StartChaos(cfg.chaos, cfg.chaosKills)
 	}
-	rs := sentry.ReplayFleetOpts(client, base, fl, sentry.ReplayOptions{
+	rs := sentry.ReplayFleet(client, base, fl, sentry.ReplayOptions{
 		Clients: cfg.clients, Batch: cfg.batch, Retry429: cfg.retry429, Seed: cfg.seed,
 	})
 	if cfg.chaos > 0 {

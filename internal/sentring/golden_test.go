@@ -48,7 +48,7 @@ func replayAgainstRing(t *testing.T, fl *sentry.Fleet, nodes, clients int, mutat
 	t.Cleanup(front.Close)
 
 	client := &http.Client{Timeout: 15 * time.Second}
-	rs := sentry.ReplayFleet(client, front.URL, fl, clients, 48)
+	rs := sentry.ReplayFleet(client, front.URL, fl, sentry.ReplayOptions{Clients: clients, Batch: 48})
 	if rs.Errors > 0 {
 		t.Fatalf("replay errors: %d (first: %s)", rs.Errors, rs.FirstError)
 	}

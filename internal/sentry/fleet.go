@@ -292,8 +292,8 @@ func (rs *ReplayStats) merge(o ReplayStats) {
 	}
 }
 
-// ReplayOptions tunes ReplayFleetOpts beyond the basic open-loop
-// replay.
+// ReplayOptions tunes ReplayFleet; the zero value is one client sending
+// one record per batch, open-loop.
 type ReplayOptions struct {
 	// Clients is the replay goroutine count (default 1, clamped to the
 	// device count).
@@ -310,7 +310,7 @@ type ReplayOptions struct {
 }
 
 // ReplayFleet replays the fleet's streams against a sentry server at
-// base (e.g. "http://127.0.0.1:8475") from the given number of client
+// base (e.g. "http://127.0.0.1:8475") from opts.Clients client
 // goroutines, open-loop: clients send as the schedule dictates and
 // never slow down for the server — an overloaded node sheds, it is not
 // protected by client backoff.
@@ -319,16 +319,11 @@ type ReplayOptions struct {
 // devices round-robin, one batch per device per pass, so per-device
 // batches arrive strictly in stream order (the engine's sequence
 // contract) while the fleet's streams interleave freely. 429 responses
-// are counted shed and the stream continues with the next batch — the
-// skipped sequence range is exactly the gap the engine tolerates.
-// Transport errors are counted, not fatal, so a replay can ride
-// through a server restart.
-func ReplayFleet(client *http.Client, base string, fl *Fleet, clients, batch int) ReplayStats {
-	return ReplayFleetOpts(client, base, fl, ReplayOptions{Clients: clients, Batch: batch})
-}
-
-// ReplayFleetOpts is ReplayFleet with the full option set.
-func ReplayFleetOpts(client *http.Client, base string, fl *Fleet, opts ReplayOptions) ReplayStats {
+// are counted shed and, once opts.Retry429 re-sends are spent, the
+// stream continues with the next batch — the skipped sequence range is
+// exactly the gap the engine tolerates. Transport errors are counted,
+// not fatal, so a replay can ride through a server restart.
+func ReplayFleet(client *http.Client, base string, fl *Fleet, opts ReplayOptions) ReplayStats {
 	clients := opts.Clients
 	if clients < 1 {
 		clients = 1

@@ -68,7 +68,7 @@ func replayAgainstFreshServer(t *testing.T, fl *Fleet, shards, clients int) stri
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := &http.Client{Timeout: 15 * time.Second}
-	rs := ReplayFleet(client, ts.URL, fl, clients, 48)
+	rs := ReplayFleet(client, ts.URL, fl, ReplayOptions{Clients: clients, Batch: 48})
 	if rs.Errors > 0 {
 		t.Fatalf("replay errors: %d (first: %s)", rs.Errors, rs.FirstError)
 	}

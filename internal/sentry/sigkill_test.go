@@ -112,7 +112,7 @@ func TestDetectionSurvivesSIGKILLRestart(t *testing.T) {
 	victim, base := spawnHelper(t)
 	client := &http.Client{Timeout: 15 * time.Second}
 	done := make(chan ReplayStats, 1)
-	go func() { done <- ReplayFleet(client, base, fl, 16, 48) }()
+	go func() { done <- ReplayFleet(client, base, fl, ReplayOptions{Clients: 16, Batch: 48}) }()
 	time.Sleep(15 * time.Millisecond)
 	_ = victim.Process.Kill()
 	_ = victim.Wait() // reap; kill signal expected
@@ -125,7 +125,7 @@ func TestDetectionSurvivesSIGKILLRestart(t *testing.T) {
 		_ = restarted.Process.Kill()
 		_ = restarted.Wait()
 	}()
-	rs := ReplayFleet(client, base, fl, 16, 48)
+	rs := ReplayFleet(client, base, fl, ReplayOptions{Clients: 16, Batch: 48})
 	if rs.Errors > 0 {
 		t.Fatalf("post-restart replay errors: %d (first: %s)", rs.Errors, rs.FirstError)
 	}
