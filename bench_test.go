@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -178,11 +179,11 @@ func BenchmarkStealthiness(b *testing.B) {
 }
 
 // BenchmarkCorpus runs the §VI-C2 study at the paper's full scale
-// (890,855 synthetic apps through both scanners).
+// (890,855 synthetic apps through both scanners), sequentially.
 func BenchmarkCorpus(b *testing.B) {
 	var overlayA11y int
 	for i := 0; i < b.N; i++ {
-		rep, err := appstore.Study(benchSeed, appstore.PaperCorpusSize)
+		rep, err := appstore.ScanRange(benchSeed, 0, appstore.PaperCorpusSize, appstore.PaperRates(), staticanalysis.Tier0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,16 +194,25 @@ func BenchmarkCorpus(b *testing.B) {
 
 // BenchmarkCorpusScan tracks the parallel scanner's throughput across PRs:
 // a fixed 100k-app slice through generation, grep baseline and call-graph
-// analysis, with apps/sec as the headline metric. Worker count follows
-// GOMAXPROCS, as in cmd/corpusscan.
+// analysis, with apps/sec as the headline metric. The registered corpus
+// experiment runs its chunk trials on GOMAXPROCS workers, as
+// `animbench -exp corpus -workers $(nproc)` does.
 func BenchmarkCorpusScan(b *testing.B) {
 	const n = 100_000
+	exp, err := experiment.New("corpus", experiment.Config{CorpusN: n})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var precision float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := appstore.StudyWith(benchSeed, n, appstore.StudyOptions{})
+		results, err := experiment.Collect(exp, experiment.RunOpts{Seed: benchSeed, Workers: runtime.GOMAXPROCS(0)})
 		if err != nil {
 			b.Fatal(err)
+		}
+		var rep appstore.Report
+		for j := range results {
+			rep.Merge(experiment.Res[appstore.Report](results, j))
 		}
 		precision = rep.StaticOverlay.Precision()
 	}

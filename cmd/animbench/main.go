@@ -7,6 +7,8 @@
 //	animbench -exp fig7 -seed 42
 //	animbench -exp table2 -workers 4
 //	animbench -exp all -journal /tmp/animbench-journal
+//	animbench -exp corpus -seed 1 -workers $(nproc)   # §VI-C2 at full scale
+//	animbench -exp corpus -corpus 100000 -tier 2
 //
 // Every experiment is dispatched through the experiment registry and runs
 // on the unified driver: -workers N executes independent trials on a
@@ -39,6 +41,7 @@ import (
 	"repro/internal/appstore"
 	"repro/internal/experiment"
 	"repro/internal/faults"
+	"repro/internal/staticanalysis"
 )
 
 func main() {
@@ -51,6 +54,7 @@ type runConfig struct {
 	model        string
 	trials       int
 	corpusN      int
+	tier         staticanalysis.Tier
 	faultProfile string
 	fleetSize    int
 	fleetSeed    int64
@@ -66,6 +70,7 @@ func run(args []string) int {
 		model        = fs.String("model", "mi8", "device model for single-device experiments (fig6, load)")
 		trials       = fs.Int("trials", 10, "passwords per participant for table3 (paper: 10)")
 		corpus       = fs.Int("corpus", appstore.PaperCorpusSize, "synthetic corpus size for the §VI-C2 study")
+		tierArg      = fs.String("tier", "0", "static-analysis precision tier (0..2) of the §VI-C2 corpus scan")
 		faultProfile = fs.String("faultprofile", "chaos", "fault profile for the degradation sweep ("+strings.Join(faults.Names(), ", ")+")")
 		fleetSize    = fs.Int("fleet-size", 1000, "generated device population size for the fleet sweep")
 		fleetSeed    = fs.Int64("fleet-seed", 42, "generation seed for the fleet sweep's device population")
@@ -75,11 +80,17 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	tier, err := staticanalysis.ParseTier(*tierArg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "animbench: %v\n", err)
+		return 2
+	}
 	cfg := runConfig{
 		seed:         *seed,
 		model:        *model,
 		trials:       *trials,
 		corpusN:      *corpus,
+		tier:         tier,
 		faultProfile: *faultProfile,
 		fleetSize:    *fleetSize,
 		fleetSeed:    *fleetSeed,
@@ -148,6 +159,7 @@ func runOne(ctx context.Context, name string, cfg runConfig) (skipped int, err e
 		Model:        cfg.model,
 		Trials:       cfg.trials,
 		CorpusN:      cfg.corpusN,
+		Tier:         cfg.tier,
 		FaultProfile: cfg.faultProfile,
 		FleetSize:    cfg.fleetSize,
 		FleetSeed:    cfg.fleetSeed,

@@ -115,6 +115,9 @@ func TestRunUsageError(t *testing.T) {
 	if got := run([]string{"-no-such-flag"}); got != 2 {
 		t.Fatalf("run with bad flag = %d, want 2", got)
 	}
+	if got := run([]string{"-exp", "corpus", "-tier", "3"}); got != 2 {
+		t.Fatalf("run with unknown tier = %d, want 2", got)
+	}
 }
 
 // helperCmd builds an exec.Cmd that re-runs this test binary as the

@@ -14,7 +14,6 @@
 //	internal/...         the simulated Android substrates
 //	cmd/animbench        regenerate all tables and figures
 //	cmd/animsim          run a single attack scenario with a timeline
-//	cmd/corpusscan       the §VI-C2 app-market study
 //	cmd/defensecheck     evaluate both defenses
 //	examples/            runnable walk-throughs of the public API
 //

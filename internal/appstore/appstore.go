@@ -31,14 +31,10 @@
 package appstore
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/dexir"
-	"repro/internal/experiment/sched"
 	"repro/internal/simrand"
 	"repro/internal/staticanalysis"
 )
@@ -303,7 +299,7 @@ func NewGenerator(rng *simrand.Source, rates Rates) (*Generator, error) {
 }
 
 // newGeneratorAt builds a generator whose package ids start at base+1;
-// the parallel study uses it so every chunk names disjoint apps.
+// every corpus chunk uses one so chunks name disjoint apps.
 func newGeneratorAt(rng *simrand.Source, rates Rates, base int) (*Generator, error) {
 	g, err := NewGenerator(rng, rates)
 	if err != nil {
@@ -649,41 +645,51 @@ func buildIR(pkg string, f features) *dexir.App {
 // GenerateApps returns apps start..start+n-1 (0-based) of the seeded
 // synthetic corpus — the exact APKs the market study scans at those
 // positions, for any worker count. The corpus is a pure function of the
-// seed: app i lives in chunk i/studyChunkSize, whose generator stream is
+// seed: app i lives in chunk i/StudyChunkSize, whose generator stream is
 // derived from (seed, chunk), so a range is produced by regenerating each
 // touched chunk's prefix once. vetd's tests and cmd/vetload share this
 // accessor with the study instead of duplicating the generator.
 func GenerateApps(seed int64, start, n int) ([]APK, error) {
-	if start < 0 {
-		return nil, fmt.Errorf("appstore: negative corpus index %d", start)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("appstore: non-positive app count %d", n)
-	}
-	rates := PaperRates()
-	if err := validateRates(rates); err != nil {
+	var out []APK
+	if err := walkRange(seed, start, n, PaperRates(), func(apk APK) { out = append(out, apk) }); err != nil {
 		return nil, err
-	}
-	out := make([]APK, 0, n)
-	for chunk := start / studyChunkSize; len(out) < n; chunk++ {
-		gen, err := newGeneratorAt(chunkStream(seed, chunk), rates, chunk*studyChunkSize)
-		if err != nil {
-			return nil, err
-		}
-		lo := chunk * studyChunkSize
-		for j := 0; j < studyChunkSize && len(out) < n; j++ {
-			apk := gen.Next()
-			if lo+j >= start {
-				out = append(out, apk)
-			}
-		}
 	}
 	return out, nil
 }
 
+// walkRange generates apps [start, start+n) of the corpus seeded by seed
+// at the given rates and hands each to visit, in corpus order. Each
+// touched chunk is regenerated from its own stream, skipping the prefix
+// before start.
+func walkRange(seed int64, start, n int, rates Rates, visit func(APK)) error {
+	if start < 0 {
+		return fmt.Errorf("appstore: negative corpus index %d", start)
+	}
+	if n <= 0 {
+		return fmt.Errorf("appstore: non-positive app count %d", n)
+	}
+	if err := validateRates(rates); err != nil {
+		return err
+	}
+	end := start + n
+	for chunk := start / StudyChunkSize; chunk*StudyChunkSize < end; chunk++ {
+		lo := chunk * StudyChunkSize
+		gen, err := newGeneratorAt(chunkStream(seed, chunk), rates, lo)
+		if err != nil {
+			return err
+		}
+		for i := lo; i < min(lo+StudyChunkSize, end); i++ {
+			if apk := gen.Next(); i >= start {
+				visit(apk)
+			}
+		}
+	}
+	return nil
+}
+
 // GenerateApp returns one app of the seeded corpus: app i's IR plus its
 // ground-truth label, identical to what the study's scan visits at
-// position i. Cost is O(i mod studyChunkSize) — the chunk prefix is
+// position i. Cost is O(i mod StudyChunkSize) — the chunk prefix is
 // regenerated — so callers wanting a contiguous range should use
 // GenerateApps.
 func GenerateApp(seed int64, i int) (*dexir.App, Truth, error) {
@@ -993,219 +999,28 @@ func (r Report) String() string {
 	return sb.String()
 }
 
-// studyChunkSize is the generation/scan unit of the parallel study. Each
+// StudyChunkSize is the generation/scan unit of the corpus study. Each
 // chunk derives an independent random stream from (seed, chunk index), so
-// the corpus content is a pure function of the seed — identical for any
-// worker count.
-const studyChunkSize = 4096
-
-// StudyChunkSize exports the study's generation/scan unit so callers
-// slicing the corpus themselves (the precision experiment's per-chunk
-// trials) can align ranges to chunk boundaries and pay no prefix
-// regeneration.
-const StudyChunkSize = studyChunkSize
+// the corpus content is a pure function of the seed, and ranges aligned
+// to chunk boundaries (the corpus and precision experiments' per-chunk
+// trials) can be generated and scanned independently, in any order.
+const StudyChunkSize = 4096
 
 // chunkStream derives the deterministic stream for one chunk.
 func chunkStream(seed int64, chunk int) *simrand.Source {
 	return simrand.New(seed).DeriveIndexed("corpus-chunk", chunk)
 }
 
-// StudyOptions tunes the parallel corpus study.
-type StudyOptions struct {
-	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS.
-	Workers int
-	// Progress, if non-nil, is called after each finished chunk with the
-	// cumulative number of scanned apps. Calls are serialized. On a
-	// resumed run the count starts at the checkpointed volume.
-	Progress func(scanned, total int)
-	// Ctx, if non-nil, cancels the study between chunks; the run then
-	// returns an *InterruptedError naming the resume point.
-	Ctx context.Context
-	// CheckpointPath, if non-empty, journals every finished chunk to this
-	// file (fsynced per chunk). A later run with the same seed, n and path
-	// resumes from the journal and still produces a Report byte-identical
-	// to an uninterrupted run; the file is deleted on success. The
-	// checkpoint header pins the tier and rates, so a resume under a
-	// different analysis configuration fails loudly instead of merging
-	// incompatible chunks.
-	CheckpointPath string
-	// Tier selects the static pass's precision tier (zero value: Tier0,
-	// the paper baseline).
-	Tier staticanalysis.Tier
-	// Rates, if non-nil, overrides the corpus rates (default PaperRates).
-	Rates *Rates
-}
-
-// StudyWith generates and scans a synthetic corpus of n apps with a
-// bounded worker pool. Results are identical for any worker count, and —
-// via StudyOptions.CheckpointPath — identical whether or not the run was
-// interrupted and resumed.
-func StudyWith(seed int64, n int, opts StudyOptions) (Report, error) {
-	if n <= 0 {
-		return Report{}, fmt.Errorf("appstore: non-positive corpus size %d", n)
-	}
-	rates := PaperRates()
-	if opts.Rates != nil {
-		rates = *opts.Rates
-	}
-	if err := validateRates(rates); err != nil {
-		return Report{}, err
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunks := (n + studyChunkSize - 1) / studyChunkSize
-	if workers > chunks {
-		workers = chunks
-	}
-	chunkLen := func(c int) int {
-		if start := c * studyChunkSize; start+studyChunkSize > n {
-			return n - start
-		}
-		return studyChunkSize
-	}
-
-	var cp *checkpoint
-	if opts.CheckpointPath != "" {
-		var err error
-		cp, err = openCheckpoint(opts.CheckpointPath, seed, n, opts.Tier, rates)
-		if err != nil {
-			return Report{}, err
-		}
-		defer cp.close()
-	}
-
-	partial := make([]Report, chunks)
-	errs := make([]error, chunks)
-	done := make([]bool, chunks)
-	scanned := 0
-	if cp != nil {
-		for c := 0; c < chunks; c++ {
-			if rep, ok := cp.done[c]; ok {
-				partial[c], done[c] = rep, true
-				scanned += chunkLen(c)
-			}
-		}
-	}
-
-	pending := make([]int, 0, chunks)
-	for c := 0; c < chunks; c++ {
-		if !done[c] {
-			pending = append(pending, c)
-		}
-	}
-	var progMu sync.Mutex
-	runErr := sched.Run(ctx, workers, len(pending), func(i int) error {
-		c := pending[i]
-		size := chunkLen(c)
-		rep, err := scanChunk(seed, c, size, rates, opts.Tier)
-		if err == nil && cp != nil {
-			err = cp.record(c, rep)
-		}
-		// Distinct chunk slots: lock-free per-index writes, published to the
-		// post-Run reads below by sched.Run's completion barrier.
-		partial[c], errs[c] = rep, err
-		done[c] = err == nil
-		progMu.Lock()
-		if opts.Progress != nil {
-			scanned += size
-			opts.Progress(scanned, n)
-		}
-		progMu.Unlock()
-		return nil
-	})
-
-	if err := ctx.Err(); err != nil {
-		return Report{}, interruption(done, err)
-	}
-	if runErr != nil {
-		// The tasks never return errors (per-chunk failures land in errs),
-		// so this is a confined panic from the scheduler.
-		return Report{}, runErr
-	}
-	var rep Report
-	for c := 0; c < chunks; c++ {
-		if errs[c] != nil {
-			return Report{}, errs[c]
-		}
-		rep.Merge(partial[c])
-	}
-	if cp != nil {
-		if err := cp.finish(); err != nil {
-			return Report{}, err
-		}
-	}
-	return rep, nil
-}
-
-// interruption summarizes which chunks survive an interrupted run.
-func interruption(done []bool, cause error) *InterruptedError {
-	e := &InterruptedError{ChunksTotal: len(done), NextChunk: len(done), Err: cause}
-	for c, ok := range done {
-		if ok {
-			e.ChunksDone++
-		} else if e.NextChunk == len(done) {
-			e.NextChunk = c
-		}
-	}
-	return e
-}
-
-// scanChunk generates and scans one chunk.
-func scanChunk(seed int64, chunk, size int, rates Rates, tier staticanalysis.Tier) (Report, error) {
-	gen, err := newGeneratorAt(chunkStream(seed, chunk), rates, chunk*studyChunkSize)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := Report{Tier: tier}
-	for i := 0; i < size; i++ {
-		rep.Add(ScanAppTier(gen.Next(), tier))
-	}
-	return rep, nil
-}
-
 // ScanRange generates and scans apps [start, start+n) of the corpus
 // seeded by seed — the same apps a full study visits at those positions —
 // with the given rates and analysis tier. Ranges aligned to
-// StudyChunkSize regenerate no prefix; the precision experiment's trials
-// are exactly such ranges, one Report each, merged in trial order.
+// StudyChunkSize regenerate no prefix; the corpus and precision
+// experiments' trials are exactly such ranges, one Report each, merged in
+// trial order.
 func ScanRange(seed int64, start, n int, rates Rates, tier staticanalysis.Tier) (Report, error) {
-	if start < 0 {
-		return Report{}, fmt.Errorf("appstore: negative corpus index %d", start)
-	}
-	if n <= 0 {
-		return Report{}, fmt.Errorf("appstore: non-positive app count %d", n)
-	}
-	if err := validateRates(rates); err != nil {
+	rep := Report{Tier: tier}
+	if err := walkRange(seed, start, n, rates, func(apk APK) { rep.Add(ScanAppTier(apk, tier)) }); err != nil {
 		return Report{}, err
 	}
-	rep := Report{Tier: tier}
-	scanned := 0
-	for chunk := start / studyChunkSize; scanned < n; chunk++ {
-		gen, err := newGeneratorAt(chunkStream(seed, chunk), rates, chunk*studyChunkSize)
-		if err != nil {
-			return Report{}, err
-		}
-		lo := chunk * studyChunkSize
-		for j := 0; j < studyChunkSize && scanned < n; j++ {
-			apk := gen.Next()
-			if lo+j >= start {
-				rep.Add(ScanAppTier(apk, tier))
-				scanned++
-			}
-		}
-	}
 	return rep, nil
-}
-
-// Study generates and scans a synthetic corpus of n apps sequentially.
-// Use n = PaperCorpusSize for the full-scale reproduction; StudyWith runs
-// the same study on a worker pool with identical results.
-func Study(seed int64, n int) (Report, error) {
-	return StudyWith(seed, n, StudyOptions{Workers: 1})
 }

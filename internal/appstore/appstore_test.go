@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/simrand"
+	"repro/internal/staticanalysis"
 )
 
 func TestPaperRatesInRange(t *testing.T) {
@@ -283,9 +284,9 @@ func TestA11yTimingWiring(t *testing.T) {
 // three §VI-C2 counts land within 20% of the paper's proportions.
 func TestStudyReproducesPaperProportions(t *testing.T) {
 	const n = 50000
-	rep, err := Study(1, n)
+	rep, err := ScanRange(1, 0, n, PaperRates(), staticanalysis.Tier0)
 	if err != nil {
-		t.Fatalf("Study: %v", err)
+		t.Fatalf("ScanRange: %v", err)
 	}
 	if rep.Total != n {
 		t.Fatalf("Total = %d, want %d", rep.Total, n)
@@ -319,104 +320,17 @@ func TestStudyReproducesPaperProportions(t *testing.T) {
 	}
 }
 
-// TestFullScaleCorpusCalibration is the §VI-C2 acceptance check: at the
-// paper's exact corpus size the parallel scanner's three headline counts
-// land within ±2% of the paper's values.
-func TestFullScaleCorpusCalibration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 890,855-app scan skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("full 890,855-app scan skipped under -race (minutes-long)")
-	}
-	rep, err := StudyWith(1, PaperCorpusSize, StudyOptions{})
-	if err != nil {
-		t.Fatalf("StudyWith: %v", err)
-	}
-	checks := []struct {
-		name  string
-		got   int
-		paper int
-	}{
-		{"overlay+a11y", rep.OverlayPlusA11y, PaperOverlayPlusA11y},
-		{"add/remove+SAW", rep.AddRemoveWithSAW, PaperAddRemoveWithSAW},
-		{"custom toast", rep.CustomToast, PaperCustomToast},
-	}
-	for _, c := range checks {
-		dev := math.Abs(float64(c.got)-float64(c.paper)) / float64(c.paper)
-		if dev > 0.02 {
-			t.Errorf("%s = %d deviates %.2f%% from paper %d (limit 2%%)", c.name, c.got, 100*dev, c.paper)
-		}
-	}
-}
-
-func TestStudyValidation(t *testing.T) {
-	if _, err := Study(1, 0); err == nil {
-		t.Fatal("zero corpus accepted")
-	}
-	if _, err := StudyWith(1, -5, StudyOptions{}); err == nil {
-		t.Fatal("negative corpus accepted")
-	}
-}
-
 func TestStudyDeterministic(t *testing.T) {
-	a, err := Study(7, 2000)
+	a, err := ScanRange(7, 0, 2000, PaperRates(), staticanalysis.Tier0)
 	if err != nil {
-		t.Fatalf("Study: %v", err)
+		t.Fatalf("ScanRange: %v", err)
 	}
-	b, err := Study(7, 2000)
+	b, err := ScanRange(7, 0, 2000, PaperRates(), staticanalysis.Tier0)
 	if err != nil {
-		t.Fatalf("Study: %v", err)
+		t.Fatalf("ScanRange: %v", err)
 	}
 	if a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
-	}
-}
-
-// TestStudyWorkerCountInvariant: the report is a pure function of (seed,
-// n) — identical for any worker count, including a count above the chunk
-// count.
-func TestStudyWorkerCountInvariant(t *testing.T) {
-	const n = 3*studyChunkSize + 17
-	base, err := StudyWith(9, n, StudyOptions{Workers: 1})
-	if err != nil {
-		t.Fatalf("StudyWith(1 worker): %v", err)
-	}
-	for _, workers := range []int{2, 4, 16} {
-		rep, err := StudyWith(9, n, StudyOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("StudyWith(%d workers): %v", workers, err)
-		}
-		if rep != base {
-			t.Fatalf("worker count %d changed the report:\n%+v\nvs\n%+v", workers, rep, base)
-		}
-	}
-}
-
-// TestStudyProgress: the progress callback reports monotonically
-// increasing scanned counts ending at n.
-func TestStudyProgress(t *testing.T) {
-	const n = 2*studyChunkSize + 5
-	var calls []int
-	_, err := StudyWith(3, n, StudyOptions{Workers: 2, Progress: func(scanned, total int) {
-		if total != n {
-			t.Errorf("total = %d, want %d", total, n)
-		}
-		calls = append(calls, scanned)
-	}})
-	if err != nil {
-		t.Fatalf("StudyWith: %v", err)
-	}
-	if len(calls) != 3 {
-		t.Fatalf("progress calls = %d, want 3 (one per chunk)", len(calls))
-	}
-	for i := 1; i < len(calls); i++ {
-		if calls[i] <= calls[i-1] {
-			t.Fatalf("progress not monotone: %v", calls)
-		}
-	}
-	if calls[len(calls)-1] != n {
-		t.Fatalf("final progress = %d, want %d", calls[len(calls)-1], n)
 	}
 }
 
@@ -458,10 +372,10 @@ func TestDetectorStats(t *testing.T) {
 
 // TestGenerateAppsMatchesStudyCorpus pins the public corpus accessor to
 // the study's own generation: the report assembled by scanning
-// GenerateApps output must be byte-identical to StudyWith over the same
+// GenerateApps output must be byte-identical to ScanRange over the same
 // seed and size, including across a chunk boundary.
 func TestGenerateAppsMatchesStudyCorpus(t *testing.T) {
-	const seed, n = 42, studyChunkSize + 257
+	const seed, n = 42, StudyChunkSize + 257
 	apks, err := GenerateApps(seed, 0, n)
 	if err != nil {
 		t.Fatal(err)
@@ -473,12 +387,12 @@ func TestGenerateAppsMatchesStudyCorpus(t *testing.T) {
 	for _, apk := range apks {
 		got.Add(ScanApp(apk))
 	}
-	want, err := Study(seed, n)
+	want, err := ScanRange(seed, 0, n, PaperRates(), staticanalysis.Tier0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Fatalf("GenerateApps corpus diverges from Study:\n%s\nvs\n%s", got, want)
+		t.Fatalf("GenerateApps corpus diverges from ScanRange:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -487,16 +401,16 @@ func TestGenerateAppsMatchesStudyCorpus(t *testing.T) {
 // returned label is the generator's own truth.
 func TestGenerateAppRandomAccess(t *testing.T) {
 	const seed = 7
-	const idx = studyChunkSize + 904
+	const idx = StudyChunkSize + 904
 	ir, truth, err := GenerateApp(seed, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	apks, err := GenerateApps(seed, studyChunkSize, 1000)
+	apks, err := GenerateApps(seed, StudyChunkSize, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := apks[idx-studyChunkSize]
+	want := apks[idx-StudyChunkSize]
 	if ir.Package != want.IR.Package || truth != want.Truth {
 		t.Fatalf("GenerateApp(%d) = %s %+v, want %s %+v", idx, ir.Package, truth, want.IR.Package, want.Truth)
 	}

@@ -145,34 +145,6 @@ func TestFlagA11yDecoy(t *testing.T) {
 	}
 }
 
-// TestScanRangeMatchesStudy: a full-range ScanRange is the same study,
-// and chunk-aligned sub-ranges merge to the byte-identical report.
-func TestScanRangeMatchesStudy(t *testing.T) {
-	const n = 3 * studyChunkSize
-	want, err := Study(31, n)
-	if err != nil {
-		t.Fatalf("Study: %v", err)
-	}
-	got, err := ScanRange(31, 0, n, PaperRates(), staticanalysis.Tier0)
-	if err != nil {
-		t.Fatalf("ScanRange: %v", err)
-	}
-	if got != want {
-		t.Fatalf("ScanRange(0, n) differs from Study:\n got %+v\nwant %+v", got, want)
-	}
-	var merged Report
-	for c := 0; c < 3; c++ {
-		part, err := ScanRange(31, c*studyChunkSize, studyChunkSize, PaperRates(), staticanalysis.Tier0)
-		if err != nil {
-			t.Fatalf("ScanRange chunk %d: %v", c, err)
-		}
-		merged.Merge(part)
-	}
-	if merged != want {
-		t.Fatalf("merged chunk reports differ from Study:\n got %+v\nwant %+v", merged, want)
-	}
-}
-
 func TestScanRangeValidation(t *testing.T) {
 	if _, err := ScanRange(1, -1, 10, PaperRates(), staticanalysis.Tier0); err == nil {
 		t.Fatal("negative start accepted")
@@ -192,7 +164,7 @@ func TestScanRangeValidation(t *testing.T) {
 // improves from Tier0 to Tier2 with recall never lower, the guarded
 // evidence disappears and the reflective evidence grows.
 func TestPrecisionRatesTierMonotonic(t *testing.T) {
-	const n = 2 * studyChunkSize
+	const n = 2 * StudyChunkSize
 	reps := make([]Report, 0, 3)
 	for _, tier := range staticanalysis.Tiers() {
 		rep, err := ScanRange(51, 0, n, PrecisionRates(), tier)

@@ -2,6 +2,6 @@
 
 package appstore
 
-// raceEnabled gates the full-scale corpus test: under the race detector
+// RaceEnabled gates the full-scale corpus test: under the race detector
 // the 890,855-app scan takes minutes, so it only runs in normal builds.
-const raceEnabled = true
+const RaceEnabled = true

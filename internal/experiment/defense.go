@@ -258,12 +258,6 @@ func RenderDefenseNotif(r DefenseNotifReport) string {
 	return sb.String()
 }
 
-// CorpusStudy wraps the Section VI-C2 synthetic-corpus scan. Use
-// appstore.PaperCorpusSize for the full-scale run.
-func CorpusStudy(seed int64, n int) (appstore.Report, error) {
-	return appstore.Study(seed, n)
-}
-
 // DefenseVetReport is the static half of the Section VII defense: a
 // scan-before-install vetting pass over a small generated market slice,
 // with the full verdicts (including evidence traces) for the denied apps.

@@ -399,10 +399,15 @@ func TestDrawerCheck(t *testing.T) {
 }
 
 func TestCorpusStudySmall(t *testing.T) {
-	rep, err := CorpusStudy(21, 20000)
+	exp, err := New("corpus", Config{CorpusN: 20000})
 	if err != nil {
-		t.Fatalf("CorpusStudy: %v", err)
+		t.Fatalf("New(corpus): %v", err)
 	}
+	results, err := Collect(exp, RunOpts{Seed: 21})
+	if err != nil {
+		t.Fatalf("corpus: %v", err)
+	}
+	rep := mergeReports(results)
 	if rep.Total != 20000 {
 		t.Fatalf("Total = %d", rep.Total)
 	}

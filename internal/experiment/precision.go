@@ -15,10 +15,9 @@ import (
 // per capability, the confusion matrix against the generator's truth
 // bits: what dead-branch pruning (Tier1) and interprocedural constant
 // propagation (Tier2) each buy in precision, and what reflective
-// recovery buys in recall. Each (tier, chunk) pair is one trial, so the
-// sweep shards across the driver's worker pool and renders
-// byte-identically at any worker count; chunks are StudyChunkSize-
-// aligned so no trial regenerates another's prefix.
+// recovery buys in recall. Each (tier, chunk) pair is one scanTrials
+// trial, so the sweep shards across the driver's worker pool and renders
+// byte-identically at any worker count.
 type precisionExp struct {
 	corpusN int
 	seed    int64
@@ -27,34 +26,14 @@ type precisionExp struct {
 func (e *precisionExp) Name() string   { return "precision" }
 func (e *precisionExp) Params() string { return fmt.Sprintf("corpus=%d", e.corpusN) }
 
-// chunks is the per-tier trial count: the corpus split into
-// StudyChunkSize units, last one partial.
-func (e *precisionExp) chunks() int {
-	return (e.corpusN + appstore.StudyChunkSize - 1) / appstore.StudyChunkSize
-}
-
 func (e *precisionExp) Trials(seed int64) ([]Trial, error) {
 	if e.corpusN <= 0 {
 		return nil, fmt.Errorf("experiment: precision needs a positive corpus size, got %d", e.corpusN)
 	}
 	e.seed = seed
-	rates := appstore.PrecisionRates()
 	var trials []Trial
 	for _, tier := range staticanalysis.Tiers() {
-		tier := tier
-		for c := 0; c < e.chunks(); c++ {
-			start := c * appstore.StudyChunkSize
-			size := appstore.StudyChunkSize
-			if start+size > e.corpusN {
-				size = e.corpusN - start
-			}
-			trials = append(trials, NewTrial(
-				fmt.Sprintf("precision seed=%d n=%d rates=precision tier=%s chunk=%d", seed, e.corpusN, tier, c),
-				fmt.Sprintf("precision %s chunk %d", tier, c),
-				func() (appstore.Report, error) {
-					return appstore.ScanRange(seed, start, size, rates, tier)
-				}))
-		}
+		trials = append(trials, scanTrials("precision", seed, e.corpusN, "precision", appstore.PrecisionRates(), tier)...)
 	}
 	return trials, nil
 }
@@ -62,14 +41,10 @@ func (e *precisionExp) Trials(seed int64) ([]Trial, error) {
 // reports reassembles one merged Report per tier from the per-chunk
 // results, in tier order.
 func (e *precisionExp) reports(results []any) []appstore.Report {
-	nc := e.chunks()
+	nc := len(results) / len(staticanalysis.Tiers())
 	out := make([]appstore.Report, 0, len(staticanalysis.Tiers()))
 	for ti := range staticanalysis.Tiers() {
-		var rep appstore.Report
-		for c := 0; c < nc; c++ {
-			rep.Merge(Res[appstore.Report](results, ti*nc+c))
-		}
-		out = append(out, rep)
+		out = append(out, mergeReports(results[ti*nc:(ti+1)*nc]))
 	}
 	return out
 }

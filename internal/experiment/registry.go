@@ -3,8 +3,8 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/appstore"
 	"repro/internal/faults"
+	"repro/internal/staticanalysis"
 )
 
 // Config carries the CLI-level parameters an experiment constructor may
@@ -18,6 +18,10 @@ type Config struct {
 	Trials int
 	// CorpusN is the synthetic corpus size for the §VI-C2 study.
 	CorpusN int
+	// Tier is the static-analysis precision tier of the §VI-C2 corpus
+	// scan (zero value: Tier0, the paper baseline). The precision
+	// experiment scans every tier and ignores it.
+	Tier staticanalysis.Tier
 	// FaultProfile names the fault profile for the degradation sweep.
 	FaultProfile string
 	// FleetSize and FleetSeed parameterize the generated population of the
@@ -69,13 +73,7 @@ var registrations = []registration{
 	{"table3", true, func(cfg Config) Experiment { return &table3Exp{perParticipant: cfg.Trials} }},
 	{"table4", true, func(Config) Experiment { return single("table4", "", TableIV, RenderTableIV) }},
 	{"stealth", true, func(Config) Experiment { return single("stealth", "", Stealthiness, RenderStealth) }},
-	{"corpus", true, func(cfg Config) Experiment {
-		return single("corpus", fmt.Sprintf("corpus=%d", cfg.CorpusN),
-			func(seed int64) (appstore.Report, error) { return CorpusStudy(seed, cfg.CorpusN) },
-			func(rep appstore.Report) string {
-				return fmt.Sprintf("§VI-C2 — app-market prevalence study\n%v\n", rep)
-			})
-	}},
+	{"corpus", true, func(cfg Config) Experiment { return &corpusExp{n: cfg.CorpusN, tier: cfg.Tier} }},
 	{"precision", true, func(cfg Config) Experiment { return &precisionExp{corpusN: cfg.CorpusN} }},
 	{"defense-ipc", true, func(Config) Experiment {
 		return single("defense-ipc", "",

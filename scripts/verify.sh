@@ -45,7 +45,9 @@ go test -race -short ./...
 # generator and the shared serving core: the journaled runners and the
 # sweep-wide invariant aggregation are the crash-safety layer,
 # internal/core holds the overlay, toast and password-stealing attacks
-# that the experiments' shared attack runner drives, the sentry
+# that the experiments' shared attack runner drives, internal/appstore
+# holds the §VI-C2 corpus generator and scanners the corpus and
+# precision experiments shard into chunk trials, the sentry
 # engine/server carry the accounting and shard-invariance contracts,
 # internal/sentring carries the routed ingest's batch accounting and
 # topology-independent report, internal/defense is the simulator's only
@@ -55,7 +57,7 @@ go test -race -short ./...
 # log's crash-safety contract — a drop below the floor means those paths
 # lost their tests. All packages currently sit well above it.
 COVER_FLOOR=65
-COVER_PKGS="./internal/experiment ./internal/core ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog"
+COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog"
 echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
 go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
