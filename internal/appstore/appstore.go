@@ -650,7 +650,7 @@ func buildIR(pkg string, f features) *dexir.App {
 // touched chunk's prefix once. vetd's tests and cmd/vetload share this
 // accessor with the study instead of duplicating the generator.
 func GenerateApps(seed int64, start, n int) ([]APK, error) {
-	var out []APK
+	out := make([]APK, 0, max(n, 0))
 	if err := walkRange(seed, start, n, PaperRates(), func(apk APK) { out = append(out, apk) }); err != nil {
 		return nil, err
 	}
