@@ -687,6 +687,48 @@ func BenchmarkFleetSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSimrandNew measures seeding one random stream, which every
+// assembled stack does eleven times (four in Assemble, seven in
+// faults.NewPlane). scripts/bench.sh records it in BENCH_fleet.json.
+func BenchmarkSimrandNew(b *testing.B) {
+	b.ReportAllocs()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += simrand.New(int64(i)).Float64()
+	}
+	_ = sink
+}
+
+// BenchmarkAssemble measures the per-trial construction the fleet sweep
+// repeats about ten times per device: sysserver.Assemble with the fault
+// plane of one fleet device, seeded the way the sweep seeds device i.
+// scripts/bench.sh records it in BENCH_fleet.json.
+func BenchmarkAssemble(b *testing.B) {
+	fl, err := fleet.Generate(32, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx := -1
+	for i, e := range fl.Entries() {
+		if !e.Faults.Zero() {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
+		b.Fatal("no faulted device in the fleet sample")
+	}
+	ent := fl.Entries()[idx]
+	seed := benchSeed + int64(idx)*7919
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sysserver.Assemble(ent.Profile, seed, sysserver.WithFaults(faults.NewPlane(ent.Faults, seed))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkInterpolatorFastOutSlowIn measures the Bézier solve per frame.
 func BenchmarkInterpolatorFastOutSlowIn(b *testing.B) {
 	ip := anim.FastOutSlowIn()

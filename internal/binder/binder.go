@@ -209,7 +209,7 @@ func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, erro
 		deliverAt = last // per-stream FIFO
 	}
 	b.lastDelivery[key] = deliverAt
-	label := fmt.Sprintf("binder:%s→%s.%s", from, to, method)
+	label := "binder:" + string(from) + "→" + string(to) + "." + method
 	deliver := func() {
 		tx.DeliveredAt = b.clock.Now()
 		b.record(tx)

@@ -13,15 +13,22 @@ import (
 	"time"
 )
 
-// Source is a deterministic random stream. It wraps math/rand with
-// domain-specific draws used across the simulator.
+// Source is a deterministic random stream with domain-specific draws used
+// across the simulator. Its generator is fibSource, which draws exactly
+// what rand.NewSource would for the same seed but seeds faster; the draws
+// themselves (Float64, NormFloat64, ExpFloat64, Intn, Perm) are math/rand's
+// rand.Rand code on top of it.
 type Source struct {
 	rng *rand.Rand
+	src fibSource
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+	s := &Source{}
+	s.src.Seed(seed)
+	s.rng = rand.New(&s.src)
+	return s
 }
 
 // Derive returns a child Source whose seed is a hash of the parent seed

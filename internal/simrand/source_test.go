@@ -1,0 +1,124 @@
+package simrand
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// sourceDraws wraps the 607-word state more than twice, so every word is
+// read both as a freshly seeded value and after it has been rewritten.
+const sourceDraws = 1500
+
+// edgeSeeds are the seeds where math/rand's reduction mod 2³¹−1 branches:
+// zero and its multiples (replaced by a fixed seed), negatives, and values
+// at or beyond 31 and 63 bits.
+var edgeSeeds = []int64{
+	0, 1, -1, 42, 7, 89482311,
+	seedMod, -seedMod, 1 << 31, 1 << 62,
+	math.MinInt64, math.MaxInt64, 2 * seedMod,
+}
+
+// compareSource checks fibSource against rand.NewSource(seed), alternating
+// Uint64 and Int63, and fails on the first differing draw.
+func compareSource(t *testing.T, seed int64) {
+	t.Helper()
+	var got fibSource
+	got.Seed(seed)
+	want := rand.NewSource(seed).(rand.Source64)
+	for i := 0; i < sourceDraws; i++ {
+		if i%2 == 0 {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d: Uint64 draw %d = %d, math/rand gives %d", seed, i, g, w)
+			}
+		} else if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d: Int63 draw %d = %d, math/rand gives %d", seed, i, g, w)
+		}
+	}
+}
+
+func TestSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range edgeSeeds {
+		compareSource(t, seed)
+	}
+	seeds := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		seed := seeds.Int63()
+		if i%2 == 1 {
+			seed = -seed
+		}
+		compareSource(t, seed)
+	}
+}
+
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for _, seed := range edgeSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(compareSource)
+}
+
+// TestReseedMatchesMathRand checks that Seed on a used source restarts it
+// exactly where a fresh math/rand source starts.
+func TestReseedMatchesMathRand(t *testing.T) {
+	var got fibSource
+	got.Seed(3)
+	for i := 0; i < 1000; i++ {
+		got.Uint64()
+	}
+	got.Seed(5)
+	want := rand.NewSource(5)
+	for i := 0; i < sourceDraws; i++ {
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("reseeded draw %d = %d, math/rand gives %d", i, g, w)
+		}
+	}
+}
+
+// TestDrawsMatchMathRand checks the draws the simulator makes through
+// rand.Rand on top of the source.
+func TestDrawsMatchMathRand(t *testing.T) {
+	for _, seed := range edgeSeeds {
+		got := New(seed).rng
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < sourceDraws; i++ {
+			switch i % 5 {
+			case 0:
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d: Float64 draw %d = %v, math/rand gives %v", seed, i, g, w)
+				}
+			case 1:
+				if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
+					t.Fatalf("seed %d: NormFloat64 draw %d = %v, math/rand gives %v", seed, i, g, w)
+				}
+			case 2:
+				if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
+					t.Fatalf("seed %d: ExpFloat64 draw %d = %v, math/rand gives %v", seed, i, g, w)
+				}
+			case 3:
+				n := 1 + i*7919%1000
+				if g, w := got.Intn(n), want.Intn(n); g != w {
+					t.Fatalf("seed %d: Intn(%d) draw %d = %d, math/rand gives %d", seed, n, i, g, w)
+				}
+			case 4:
+				g, w := got.Perm(9), want.Perm(9)
+				for j := range g {
+					if g[j] != w[j] {
+						t.Fatalf("seed %d: Perm draw %d = %v, math/rand gives %v", seed, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCookedTableIsSeedIndependent checks that the table recovered from
+// other seeds is the one seeding uses, which holds only if the inversion
+// and the Park–Miller words both match math/rand.
+func TestCookedTableIsSeedIndependent(t *testing.T) {
+	for _, seed := range []int64{0, -1, 42, math.MinInt64} {
+		if got := recoverCooked(seed); got != fibCooked {
+			t.Fatalf("cooked table recovered from seed %d differs from the one seeding uses", seed)
+		}
+	}
+}

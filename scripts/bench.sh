@@ -8,8 +8,10 @@
 # sentryd's HTTP stack) to BENCH_sentry.json, the multi-node sentry
 # benchmark (a fleet replay through the sentring router, healthy vs
 # one-peer-down) to BENCH_sentring.json, and the device-fleet
-# benchmarks (population generation plus the 200-device market-weighted
-# sweep at 1 and 4 workers) to BENCH_fleet.json — all at the repo root so
+# benchmarks (population generation, the 200-device market-weighted
+# sweep at 1 and 4 workers, and its per-trial construction layer:
+# seeding one random stream and assembling one faulted stack) to
+# BENCH_fleet.json — all at the repo root so
 # throughput regressions show up as a diff, not an anecdote. Run from
 # anywhere:
 #
@@ -89,4 +91,4 @@ emit 'CorpusScan$|AnalyzeTier' static "$OUT"
 emit 'VetServe$|RingServe$' vetd "$OUT_VETD"
 emit 'SentryIngest$' sentry "$OUT_SENTRY"
 emit 'RouterIngest$' sentring "$OUT_SENTRING"
-emit 'FleetGenerate$|FleetSweep$' fleet "$OUT_FLEET"
+emit 'FleetGenerate$|FleetSweep$|SimrandNew$|Assemble$' fleet "$OUT_FLEET"

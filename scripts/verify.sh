@@ -53,11 +53,14 @@ go test -race -short ./...
 # topology-independent report, internal/defense is the simulator's only
 # entry point to the §VII-A rule, the fleet generator carries the
 # population-determinism contract, internal/ring carries both routers'
-# retry and accounting machinery, and internal/applog carries every
-# log's crash-safety contract — a drop below the floor means those paths
-# lost their tests. All packages currently sit well above it.
+# retry and accounting machinery, internal/applog carries every
+# log's crash-safety contract, internal/simrand's generator must draw
+# exactly what math/rand draws for every seed, and internal/binder
+# carries the transaction ordering and fault delivery every trial runs
+# on — a drop below the floor means those paths lost their tests. All
+# packages currently sit well above it.
 COVER_FLOOR=65
-COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog"
+COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog ./internal/simrand ./internal/binder"
 echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
 go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
