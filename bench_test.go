@@ -699,6 +699,26 @@ func BenchmarkSimrandNew(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkSimrandStream measures one stream's life, seeding plus draws
+// values. Most of the fleet sweep's streams draw fewer than 8; a stream
+// that draws past 273 values also builds the generator's full state.
+// scripts/bench.sh records it in BENCH_fleet.json.
+func BenchmarkSimrandStream(b *testing.B) {
+	for _, draws := range []int{8, 100, 1000} {
+		b.Run(fmt.Sprintf("draws=%d", draws), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				s := simrand.New(int64(i))
+				for j := 0; j < draws; j++ {
+					sink += s.Float64()
+				}
+			}
+			_ = sink
+		})
+	}
+}
+
 // BenchmarkAssemble measures the per-trial construction the fleet sweep
 // repeats about ten times per device: sysserver.Assemble with the fault
 // plane of one fleet device, seeded the way the sweep seeds device i.

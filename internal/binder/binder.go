@@ -83,8 +83,9 @@ type Bus struct {
 	nextID   uint64
 
 	// lastDelivery enforces per-stream FIFO: a call may not be delivered
-	// before an earlier call on the same (from,to,method) stream.
-	lastDelivery map[streamKey]time.Duration
+	// before an earlier call on the same (from,to,method) stream. Each
+	// entry also carries the stream's event label.
+	lastDelivery map[streamKey]stream
 
 	log       []Transaction
 	logLimit  int
@@ -100,6 +101,13 @@ type Bus struct {
 type streamKey struct {
 	from, to ProcessID
 	method   string
+}
+
+// stream is one (from,to,method) stream's state: the latest delivery time
+// scheduled on it and its event label, built on the stream's first call.
+type stream struct {
+	last  time.Duration
+	label string
 }
 
 // Config configures a Bus.
@@ -137,7 +145,7 @@ func NewBus(cfg Config) (*Bus, error) {
 		rng:          cfg.RNG,
 		latency:      cfg.Latency,
 		handlers:     make(map[ProcessID]Handler),
-		lastDelivery: make(map[streamKey]time.Duration),
+		lastDelivery: make(map[streamKey]stream),
 		logLimit:     limit,
 	}, nil
 }
@@ -205,40 +213,45 @@ func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, erro
 	delay += fault.Delay
 	deliverAt := b.clock.Now() + delay
 	key := streamKey{from: from, to: to, method: method}
-	if last, ok := b.lastDelivery[key]; ok && deliverAt < last {
-		deliverAt = last // per-stream FIFO
+	st, ok := b.lastDelivery[key]
+	if !ok {
+		st.label = "binder:" + string(from) + "→" + string(to) + "." + method
+	} else if deliverAt < st.last {
+		deliverAt = st.last // per-stream FIFO
 	}
-	b.lastDelivery[key] = deliverAt
-	label := "binder:" + string(from) + "→" + string(to) + "." + method
+	st.last = deliverAt
+	b.lastDelivery[key] = st
 	deliver := func() {
 		tx.DeliveredAt = b.clock.Now()
 		b.record(tx)
 		handler(tx)
 	}
-	if _, err := b.clock.At(deliverAt, label, deliver); err != nil {
+	if _, err := b.clock.At(deliverAt, st.label, deliver); err != nil {
 		return 0, fmt.Errorf("binder: schedule delivery: %w", err)
 	}
 	if fault.Duplicate {
-		if _, err := b.clock.At(deliverAt, label+"/dup", deliver); err != nil {
+		if _, err := b.clock.At(deliverAt, st.label+"/dup", deliver); err != nil {
 			return 0, fmt.Errorf("binder: schedule duplicate delivery: %w", err)
 		}
 	}
 	return tx.ID, nil
 }
 
+// record logs a delivered transaction, unless logging is disabled, and
+// notifies the observers either way.
 func (b *Bus) record(tx Transaction) {
-	if b.logLimit < 0 {
-		return
+	if b.logLimit >= 0 {
+		if len(b.log) >= b.logLimit {
+			// Drop the oldest half rather than one-at-a-time to keep
+			// append amortized O(1). The evictions are counted: a
+			// truncated log must not masquerade as a quiet caller to
+			// log-based analyses.
+			keep := b.logLimit / 2
+			b.droppedLog += uint64(len(b.log) - keep)
+			b.log = append(b.log[:0], b.log[len(b.log)-keep:]...)
+		}
+		b.log = append(b.log, tx)
 	}
-	if len(b.log) >= b.logLimit {
-		// Drop the oldest half rather than one-at-a-time to keep append
-		// amortized O(1). The evictions are counted: a truncated log must
-		// not masquerade as a quiet caller to log-based analyses.
-		keep := b.logLimit / 2
-		b.droppedLog += uint64(len(b.log) - keep)
-		b.log = append(b.log[:0], b.log[len(b.log)-keep:]...)
-	}
-	b.log = append(b.log, tx)
 	for _, obs := range b.observers {
 		obs(tx)
 	}

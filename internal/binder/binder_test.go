@@ -284,6 +284,9 @@ func TestNegativeLogLimitDisablesLogging(t *testing.T) {
 	if err := bus.Register(SystemServer, func(Transaction) {}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
+	// Observers see deliveries whether or not the bus keeps a log.
+	var seen []Transaction
+	bus.Observe(func(tx Transaction) { seen = append(seen, tx) })
 	if _, err := bus.Call("a", SystemServer, "m", nil); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -292,6 +295,9 @@ func TestNegativeLogLimitDisablesLogging(t *testing.T) {
 	}
 	if len(bus.Log()) != 0 {
 		t.Fatal("logging disabled but log non-empty")
+	}
+	if len(seen) != 1 || seen[0].From != "a" || seen[0].Method != "m" {
+		t.Fatalf("observer saw %v; want the one delivery", seen)
 	}
 }
 

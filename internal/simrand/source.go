@@ -9,7 +9,31 @@ import "math/rand"
 // Park–Miller generator x ← 48271·x mod (2³¹−1) through 1,841 serially
 // dependent divisions; fibSource reads the same values as seedPow[k]·x₀
 // mod (2³¹−1), independent products the CPU can overlap.
+//
+// Most simulator streams draw a handful of values, so the 4.9 KB state is
+// built only when a stream needs it. A fresh source is lazy: it keeps the
+// reduced seed x and the feed index, and full is nil. Draw n writes word
+// 333−n, the sum of words 333−n and 606−n. The first fibTap draws write
+// words 333 down to 61 and read words 333 down to 61 and 606 down to 334,
+// so each reads a word no earlier draw wrote: its value follows from the
+// seed alone, and nothing needs storing. Draw fibTap is the first to read
+// a written word (333, as its tap), so it first builds full: the state
+// seeded as math/rand seeds it, plus the lap's writes so far. From there
+// full runs the recurrence. Seed returns the source to the lazy mode.
+// fibTap is the generator's tap distance, not a tuning choice.
 type fibSource struct {
+	x    uint64
+	feed int
+	full *fibState
+	// owner is the Source drawing from this source, if any. Building full
+	// repoints owner.rng at it, so later draws run fibState's code
+	// directly instead of through the lazy check. A Source never reseeds,
+	// so the repointing is never undone.
+	owner *Source
+}
+
+// fibState is the built generator: math/rand's state and recurrence.
+type fibState struct {
 	tap, feed int
 	vec       [fibLen]int64
 }
@@ -62,35 +86,36 @@ func init() {
 // result is the same for every seed.
 func recoverCooked(seed int64) [fibLen]int64 {
 	ref := rand.NewSource(seed).(rand.Source64)
-	var r fibSource
-	r.feed = fibLen - fibTap
+	var vec [fibLen]int64
+	tap, feed := 0, fibLen-fibTap
 	for n := 0; n < fibLen; n++ {
-		r.feed = (r.feed + fibLen - 1) % fibLen
-		r.vec[r.feed] = int64(ref.Uint64())
+		feed = (feed + fibLen - 1) % fibLen
+		vec[feed] = int64(ref.Uint64())
 	}
 	// A full lap leaves tap and feed where seeding put them (tap 0, feed
 	// fibLen−fibTap), which are also the indices the lap's last step
 	// used; undo the steps newest first.
 	for n := 0; n < fibLen; n++ {
-		r.vec[r.feed] -= r.vec[r.tap]
-		r.feed = (r.feed + 1) % fibLen
-		r.tap = (r.tap + 1) % fibLen
+		vec[feed] -= vec[tap]
+		feed = (feed + 1) % fibLen
+		tap = (tap + 1) % fibLen
 	}
-	var none, cooked [fibLen]int64
-	var chain fibSource
-	chain.seed(seed, &none)
-	for i := range cooked {
-		cooked[i] = r.vec[i] ^ chain.vec[i]
+	x := reduceSeed(seed)
+	for i := range vec {
+		vec[i] ^= seedWord(x, i)
 	}
-	return cooked
+	return vec
 }
 
-// Seed resets the state to math/rand's for seed.
-func (r *fibSource) Seed(seed int64) { r.seed(seed, &fibCooked) }
-
-func (r *fibSource) seed(seed int64, cooked *[fibLen]int64) {
-	r.tap = 0
+// Seed resets the source to math/rand's state for seed, in the lazy mode.
+func (r *fibSource) Seed(seed int64) {
+	r.x = reduceSeed(seed)
 	r.feed = fibLen - fibTap
+	r.full = nil
+}
+
+// reduceSeed maps seed into [1, seedMod) as math/rand's seeding does.
+func reduceSeed(seed int64) uint64 {
 	seed %= seedMod
 	if seed < 0 {
 		seed += seedMod
@@ -98,13 +123,35 @@ func (r *fibSource) seed(seed int64, cooked *[fibLen]int64) {
 	if seed == 0 {
 		seed = zeroSeed
 	}
-	x := uint64(seed)
-	for i, pow := range &seedPow {
-		u := int64(mulMod(pow[0], x)) << 40
-		u ^= int64(mulMod(pow[1], x)) << 20
-		u ^= int64(mulMod(pow[2], x))
-		r.vec[i] = u ^ cooked[i]
+	return uint64(seed)
+}
+
+// seedWord packs the three Park–Miller values behind state word i for the
+// reduced seed x, before the cooked table is XORed in.
+func seedWord(x uint64, i int) int64 {
+	pow := &seedPow[i]
+	u := int64(mulMod(pow[0], x)) << 40
+	u ^= int64(mulMod(pow[1], x)) << 20
+	u ^= int64(mulMod(pow[2], x))
+	return u
+}
+
+// word returns state word i as seeding leaves it for the reduced seed x.
+func word(x uint64, i int) int64 { return seedWord(x, i) ^ fibCooked[i] }
+
+// build returns the state the lazy source stands for: the seeded words
+// plus the writes of the draws made so far. Those draws wrote words
+// feed … fibLen−fibTap−1 from words fibTap places above, which no draw
+// has written, so the writes commute.
+func (r *fibSource) build() *fibState {
+	s := new(fibState)
+	s.Seed(int64(r.x))
+	for i := r.feed; i < fibLen-fibTap; i++ {
+		s.vec[i] += s.vec[i+fibTap]
 	}
+	s.tap = r.feed + fibTap
+	s.feed = r.feed
+	return s
 }
 
 // mulMod returns a·x mod seedMod for a, x in [1, seedMod). Two Mersenne
@@ -125,15 +172,45 @@ func (r *fibSource) Int63() int64 { return int64(r.Uint64() & fibMask) }
 
 // Uint64 returns the next 64-bit value.
 func (r *fibSource) Uint64() uint64 {
-	r.tap--
-	if r.tap < 0 {
-		r.tap += fibLen
+	if r.full == nil {
+		// A lazy source's tap is feed+fibTap; while feed stays above
+		// fibLen−2·fibTap, both words it reads are still as seeded.
+		if r.feed > fibLen-2*fibTap {
+			r.feed--
+			return uint64(word(r.x, r.feed) + word(r.x, r.feed+fibTap))
+		}
+		r.full = r.build()
+		if r.owner != nil {
+			r.owner.rng = rand.New(r.full)
+		}
 	}
-	r.feed--
-	if r.feed < 0 {
-		r.feed += fibLen
+	return r.full.Uint64()
+}
+
+// Seed resets the state to math/rand's for seed.
+func (s *fibState) Seed(seed int64) {
+	x := reduceSeed(seed)
+	s.tap = 0
+	s.feed = fibLen - fibTap
+	for i := range s.vec {
+		s.vec[i] = word(x, i)
 	}
-	x := r.vec[r.feed] + r.vec[r.tap]
-	r.vec[r.feed] = x
+}
+
+// Int63 returns a non-negative 63-bit integer.
+func (s *fibState) Int63() int64 { return int64(s.Uint64() & fibMask) }
+
+// Uint64 returns the next 64-bit value.
+func (s *fibState) Uint64() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += fibLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += fibLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
 	return uint64(x)
 }

@@ -59,18 +59,80 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 }
 
 // TestReseedMatchesMathRand checks that Seed on a used source restarts it
-// exactly where a fresh math/rand source starts.
+// exactly where a fresh math/rand source starts, whether the source was
+// still lazy, one draw from building its state, or already built.
 func TestReseedMatchesMathRand(t *testing.T) {
-	var got fibSource
-	got.Seed(3)
-	for i := 0; i < 1000; i++ {
-		got.Uint64()
+	for _, used := range []int{0, 1, fibTap - 1, fibTap, fibTap + 1, 1000} {
+		var got fibSource
+		got.Seed(3)
+		for i := 0; i < used; i++ {
+			got.Uint64()
+		}
+		got.Seed(5)
+		want := rand.NewSource(5)
+		for i := 0; i < sourceDraws; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("reseeded after %d draws: draw %d = %d, math/rand gives %d", used, i, g, w)
+			}
+		}
 	}
-	got.Seed(5)
-	want := rand.NewSource(5)
-	for i := 0; i < sourceDraws; i++ {
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("reseeded draw %d = %d, math/rand gives %d", i, g, w)
+}
+
+// TestStateBuiltAtFirstLap checks that a source allocates its state only
+// at the draw that first reads a rewritten word: draws 0 … fibTap−1 read
+// seeded words only, and draw fibTap reads the word draw 0 wrote.
+func TestStateBuiltAtFirstLap(t *testing.T) {
+	var r fibSource
+	r.Seed(42)
+	for i := 0; i < fibTap; i++ {
+		r.Uint64()
+	}
+	if r.full != nil {
+		t.Fatalf("state allocated after %d draws; want it only at draw %d", fibTap, fibTap)
+	}
+	r.Uint64()
+	if r.full == nil {
+		t.Fatalf("state still lazy after %d draws", fibTap+1)
+	}
+	r.Seed(42)
+	if r.full != nil {
+		t.Fatal("Seed left the state allocated; want the lazy mode")
+	}
+}
+
+// TestSourceMatchesAcrossStateBuild checks Source's own draws against
+// math/rand past the draw that builds the state, which repoints the
+// Source's rand.Rand at it, possibly in the middle of a Perm.
+func TestSourceMatchesAcrossStateBuild(t *testing.T) {
+	for _, seed := range edgeSeeds {
+		got := New(seed)
+		lazy := got.rng
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < sourceDraws; i++ {
+			switch i % 4 {
+			case 0:
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d: Float64 draw %d = %v, math/rand gives %v", seed, i, g, w)
+				}
+			case 1:
+				if g, w := got.Normal(0, 1), want.NormFloat64(); g != w {
+					t.Fatalf("seed %d: Normal draw %d = %v, math/rand gives %v", seed, i, g, w)
+				}
+			case 2:
+				if g, w := got.Intn(1000), want.Intn(1000); g != w {
+					t.Fatalf("seed %d: Intn draw %d = %d, math/rand gives %d", seed, i, g, w)
+				}
+			case 3:
+				g, w := got.Perm(9), want.Perm(9)
+				for j := range g {
+					if g[j] != w[j] {
+						t.Fatalf("seed %d: Perm draw %d = %v, math/rand gives %v", seed, i, g, w)
+					}
+				}
+			}
+		}
+		if got.rng == lazy {
+			t.Fatalf("seed %d: Source still draws through the lazy source after its state was built", seed)
 		}
 	}
 }

@@ -10,7 +10,8 @@
 # one-peer-down) to BENCH_sentring.json, and the device-fleet
 # benchmarks (population generation, the 200-device market-weighted
 # sweep at 1 and 4 workers, and its per-trial construction layer:
-# seeding one random stream and assembling one faulted stack) to
+# seeding one random stream, one stream's life at 8, 100 and 1000
+# draws, and assembling one faulted stack) to
 # BENCH_fleet.json — all at the repo root so
 # throughput regressions show up as a diff, not an anecdote. Run from
 # anywhere:
@@ -91,4 +92,4 @@ emit 'CorpusScan$|AnalyzeTier' static "$OUT"
 emit 'VetServe$|RingServe$' vetd "$OUT_VETD"
 emit 'SentryIngest$' sentry "$OUT_SENTRY"
 emit 'RouterIngest$' sentring "$OUT_SENTRING"
-emit 'FleetGenerate$|FleetSweep$|SimrandNew$|Assemble$' fleet "$OUT_FLEET"
+emit 'FleetGenerate$|FleetSweep$|SimrandNew$|SimrandStream$|Assemble$' fleet "$OUT_FLEET"

@@ -8,7 +8,8 @@
 # pass, a race-detector pass over the short tests, a coverage floor on
 # the experiment-harness core packages, the attacks they drive, the
 # streaming detector, the simulator's detector adapter and the fleet
-# generator, the scheduler
+# generator, a 10 s fuzz of the random source against math/rand, the
+# scheduler
 # parity diff plus a 200-device fleet-sweep parity smoke, a vetd
 # serving smoke (checked vetload replay +
 # clean SIGINT shutdown), a distributed ring smoke (3 vetd peers behind
@@ -72,6 +73,12 @@ awk -v floor="$COVER_FLOOR" '
 	END { exit bad }
 ' /tmp/verify-cover.$$
 rm -f /tmp/verify-cover.$$
+
+# internal/simrand's source runs lazily for a stream's first 273 draws and
+# on its full state after; fuzz seeds against math/rand so both modes stay
+# draw-for-draw equal to rand.NewSource for arbitrary seeds.
+echo "==> go test -fuzz FuzzSourceMatchesMathRand (10s)"
+go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/simrand
 
 # Parallel-scheduler contract: the full suite must render byte-identically
 # at one worker and four. Any diff means a trial still draws from a shared
