@@ -264,20 +264,6 @@ func (b *Bus) Log() []Transaction {
 	return out
 }
 
-// LogSince returns delivered transactions with DeliveredAt >= t.
-func (b *Bus) LogSince(t time.Duration) []Transaction {
-	var out []Transaction
-	for _, tx := range b.log {
-		if tx.DeliveredAt >= t {
-			out = append(out, tx)
-		}
-	}
-	return out
-}
-
-// ResetLog clears the transaction log (observers are unaffected).
-func (b *Bus) ResetLog() { b.log = b.log[:0] }
-
 // Dropped reports how many calls targeted unregistered processes.
 func (b *Bus) Dropped() uint64 { return b.dropped }
 
@@ -289,6 +275,6 @@ func (b *Bus) InjectedDrops() uint64 { return b.injectedDrops }
 
 // DroppedLogEntries reports how many delivered transactions have been
 // evicted from the in-memory log because LogLimit was hit. Consumers of
-// Log/LogSince must treat a non-zero value as an incomplete view: an app
+// Log must treat a non-zero value as an incomplete view: an app
 // absent from a truncated log is not necessarily a quiet caller.
 func (b *Bus) DroppedLogEntries() uint64 { return b.droppedLog }

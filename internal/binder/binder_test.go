@@ -183,36 +183,6 @@ func TestLogRecordsDeliveries(t *testing.T) {
 			t.Fatal("transaction ids not increasing")
 		}
 	}
-	bus.ResetLog()
-	if len(bus.Log()) != 0 {
-		t.Fatal("ResetLog did not clear the log")
-	}
-}
-
-func TestLogSince(t *testing.T) {
-	latency := func(_, _ ProcessID, _ string) simrand.Dist { return simrand.Constant(10) }
-	bus, clock := newTestBus(t, latency)
-	if err := bus.Register(SystemServer, func(Transaction) {}); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if _, err := bus.Call("a", SystemServer, "m", nil); err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	clock.MustAfter(50*time.Millisecond, "later", func() {
-		if _, err := bus.Call("a", SystemServer, "m", nil); err != nil {
-			t.Errorf("Call: %v", err)
-		}
-	})
-	if err := clock.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	since := bus.LogSince(30 * time.Millisecond)
-	if len(since) != 1 {
-		t.Fatalf("LogSince returned %d entries, want 1", len(since))
-	}
-	if since[0].DeliveredAt != 60*time.Millisecond {
-		t.Fatalf("DeliveredAt = %v, want 60ms", since[0].DeliveredAt)
-	}
 }
 
 func TestLogLimitTrims(t *testing.T) {

@@ -73,7 +73,7 @@ func ablationAttack(seed int64, addFirst bool, opts ...sysserver.Option) (sysui.
 	if err != nil {
 		return 0, err
 	}
-	return runOverlayAttackOn(st, time.Duration(float64(boundOf(p))*0.9), 8*time.Second, ablationSettle, addFirst)
+	return runOverlayAttackOn(st, time.Duration(float64(boundOf(p))*0.9), 8*time.Second, ablationSettle, addFirst, 0)
 }
 
 // ablationANA measures the Λ1 bound on an Android 10 phone with the stock
@@ -93,7 +93,7 @@ func ablationANA(seed int64) (with, without time.Duration, err error) {
 				if noANA {
 					st.Server.SetANADelay(0)
 				}
-				o, err := runOverlayAttackOn(st, d, 4*time.Second, ablationSettle, false)
+				o, err := runOverlayAttackOn(st, d, 4*time.Second, ablationSettle, false, 0)
 				if err != nil || o != sysui.Lambda1 {
 					return false, err
 				}

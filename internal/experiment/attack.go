@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faults"
+	"repro/internal/simclock"
 	"repro/internal/sysserver"
 	"repro/internal/sysui"
 )
@@ -29,7 +30,13 @@ func planeFor(prof faults.Profile, seed int64) ([]sysserver.Option, *faults.Plan
 // attackDur, lets the stack settle for settle more, and reports the worst
 // alert outcome the user could have seen. addFirst inverts the swap to
 // add-then-remove, the order the paper warns against.
-func runOverlayAttackOn(st *sysserver.Stack, d, attackDur, settle time.Duration, addFirst bool) (sysui.Outcome, error) {
+//
+// until, when non-zero, is the outcome that decides the caller's verdict:
+// the run ends at the first event after which the worst outcome reaches
+// it, and reports that outcome. WorstOutcome never decreases, so no later
+// event could move a verdict of the form "worst outcome < until". Zero
+// runs the full attackDur + settle.
+func runOverlayAttackOn(st *sysserver.Stack, d, attackDur, settle time.Duration, addFirst bool, until sysui.Outcome) (sysui.Outcome, error) {
 	atk, err := core.NewOverlayAttack(st, core.OverlayAttackConfig{
 		App:             AttackerApp,
 		D:               d,
@@ -43,8 +50,14 @@ func runOverlayAttackOn(st *sysserver.Stack, d, attackDur, settle time.Duration,
 		return 0, fmt.Errorf("experiment: start overlay attack: %w", err)
 	}
 	st.Clock.MustAfter(attackDur, "experiment/stop", atk.Stop)
-	if err := st.Clock.RunFor(attackDur + settle); err != nil {
-		return 0, fmt.Errorf("experiment: run: %w", err)
+	end := st.Clock.Now() + attackDur + settle
+	for st.Clock.NextEventTime() <= end && st.Clock.Step() {
+		if until != 0 && st.UI.WorstOutcome() >= until {
+			break
+		}
+	}
+	if st.Clock.Stopped() {
+		return 0, fmt.Errorf("experiment: run: %w", simclock.ErrStopped)
 	}
 	if err := atk.Err(); err != nil {
 		return 0, err
@@ -57,11 +70,22 @@ func runOverlayAttackOn(st *sysserver.Stack, d, attackDur, settle time.Duration,
 // the user could have seen. Extra assembly options (fault plane, invariant
 // monitor) pass through to the stack.
 func OutcomeForD(p device.Profile, d, attackDur time.Duration, seed int64, opts ...sysserver.Option) (sysui.Outcome, error) {
+	return attackOutcome(p, d, attackDur, false, 0, seed, opts...)
+}
+
+// attackOutcome runs the overlay attack at window d for attackDur on a
+// fresh stack, with the §VII-B delayed-removal patch enabled when defend,
+// and reports the worst alert outcome (Λ5 under defend means the defense
+// won). until is runOverlayAttackOn's early stop.
+func attackOutcome(p device.Profile, d, attackDur time.Duration, defend bool, until sysui.Outcome, seed int64, opts ...sysserver.Option) (sysui.Outcome, error) {
 	st, err := assembleAttackStack(p, seed, opts...)
 	if err != nil {
 		return 0, err
 	}
-	return runOverlayAttackOn(st, d, attackDur, 5*time.Second, false)
+	if defend {
+		st.Server.EnableEnhancedNotificationDefense(notifDelayT)
+	}
+	return runOverlayAttackOn(st, d, attackDur, 5*time.Second, false, until)
 }
 
 // largestPassingD is the one Λ1 bound search: the largest D on the

@@ -128,7 +128,7 @@ func ipcAttack(p device.Profile, d time.Duration, seed int64, opts ...sysserver.
 	if err := det.Install(st, true); err != nil {
 		return rep, fmt.Errorf("experiment: install detector: %w", err)
 	}
-	if rep.AlertOutcomeAfter, err = runOverlayAttackOn(st, d, ipcAttackDur, 5*time.Second, false); err != nil {
+	if rep.AlertOutcomeAfter, err = runOverlayAttackOn(st, d, ipcAttackDur, 5*time.Second, false, 0); err != nil {
 		return rep, err
 	}
 	if err := det.Err(); err != nil {
@@ -195,11 +195,11 @@ func DefenseNotif(seed int64, prof faults.Profile) (DefenseNotifReport, error) {
 	}
 	d := time.Duration(float64(boundOf(p)) * 0.9)
 	opts, _ := planeFor(prof, seed+100)
-	if rep.OutcomeWithout, err = notifOutcome(p, d, 10*time.Second, false, seed, opts...); err != nil {
+	if rep.OutcomeWithout, err = attackOutcome(p, d, 10*time.Second, false, 0, seed, opts...); err != nil {
 		return rep, err
 	}
 	opts, _ = planeFor(prof, seed+101)
-	if rep.OutcomeWith, err = notifOutcome(p, d, 10*time.Second, true, seed+1, opts...); err != nil {
+	if rep.OutcomeWith, err = attackOutcome(p, d, 10*time.Second, true, 0, seed+1, opts...); err != nil {
 		return rep, err
 	}
 
@@ -232,20 +232,6 @@ func DefenseNotif(seed int64, prof faults.Profile) (DefenseNotifReport, error) {
 	rep.HonestOutcome = st.UI.WorstOutcome()
 	rep.HonestAlertGone = !st.UI.ActiveAlert(honestApp)
 	return rep, nil
-}
-
-// notifOutcome runs the overlay attack at window d for attackDur, with
-// the §VII-B delayed-removal patch enabled when defend, and reports the
-// worst alert outcome: Λ5 means the defense won.
-func notifOutcome(p device.Profile, d, attackDur time.Duration, defend bool, seed int64, opts ...sysserver.Option) (sysui.Outcome, error) {
-	st, err := assembleAttackStack(p, seed, opts...)
-	if err != nil {
-		return 0, err
-	}
-	if defend {
-		st.Server.EnableEnhancedNotificationDefense(notifDelayT)
-	}
-	return runOverlayAttackOn(st, d, attackDur, 5*time.Second, false)
 }
 
 // RenderDefenseNotif formats the report.

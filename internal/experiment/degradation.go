@@ -234,7 +234,7 @@ func (e *degradationExp) Trials(seed int64) ([]Trial, error) {
 					if st, terr = assembleAttackStack(p, pseed, opts...); terr != nil {
 						return terr
 					}
-					o, terr = runOverlayAttackOn(st, attackD, 6*time.Second, 5*time.Second, false)
+					o, terr = runOverlayAttackOn(st, attackD, 6*time.Second, 5*time.Second, false, 0)
 					return terr
 				})
 				if err != nil {

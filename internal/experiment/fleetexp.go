@@ -63,16 +63,17 @@ func (e *fleetExp) Params() string {
 	return fmt.Sprintf("size=%d fleet-seed=%d", e.size, e.fleetSeed)
 }
 
-// fleetCoarseBound is measureUpperBoundD on a 20 ms grid with a single
+// fleetCoarseBound is the Λ1 bound search on a 20 ms grid with a single
 // vote per probe — each probe under a fresh instance of the device's
-// fault plane.
+// fault plane, and each stopped at the first visible alert pixel (Λ2),
+// which settles its verdict.
 func fleetCoarseBound(p device.Profile, prof faults.Profile, seed int64) (time.Duration, error) {
 	probe := int64(0)
 	return largestPassingD(fleetBoundResol, fleetBoundCeil, func(d time.Duration) (bool, error) {
 		probe++
 		s := seed + probe*101
 		opts, _ := planeFor(prof, s)
-		o, err := OutcomeForD(p, d, fleetBoundTrialDur, s, opts...)
+		o, err := attackOutcome(p, d, fleetBoundTrialDur, false, sysui.Lambda2, s, opts...)
 		return o == sysui.Lambda1, err
 	})
 }
@@ -108,13 +109,16 @@ func (e *fleetExp) Trials(seed int64) ([]Trial, error) {
 	return trials, nil
 }
 
-// measureFleetDevice runs the four sweep measurements on one device.
+// measureFleetDevice runs the four sweep measurements on one device. Each
+// attack run whose verdict is a threshold on the worst alert outcome stops
+// at the event that settles it; every run has its own stack and fault
+// plane, so stopping one early changes no draw of another.
 func measureFleetDevice(rec *fleetRec, ent fleet.Entry, seed int64) error {
 	p := ent.Profile
 	d := time.Duration(float64(boundOf(p)) * 0.9)
 
 	opts, _ := planeFor(ent.Faults, seed)
-	o, err := OutcomeForD(p, d, fleetAttackDur, seed, opts...)
+	o, err := attackOutcome(p, d, fleetAttackDur, false, sysui.Lambda2, seed, opts...)
 	if err != nil {
 		return err
 	}
@@ -126,7 +130,7 @@ func measureFleetDevice(rec *fleetRec, ent fleet.Entry, seed int64) error {
 	// §VII-B: the delayed-removal patch wins when the alert completes its
 	// lifecycle in front of the user (Λ5).
 	opts, _ = planeFor(ent.Faults, seed+2001)
-	if o, err = notifOutcome(p, d, fleetAttackDur, true, seed+2000, opts...); err != nil {
+	if o, err = attackOutcome(p, d, fleetAttackDur, true, sysui.Lambda5, seed+2000, opts...); err != nil {
 		return err
 	}
 	rec.NotifHolds = o == sysui.Lambda5

@@ -2,9 +2,14 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"repro/internal/fleet"
+	"repro/internal/sysui"
 )
 
 // fleetTestSize keeps the sweep's test population small enough for the
@@ -92,4 +97,93 @@ func TestFleetJournalResume(t *testing.T) {
 		t.Fatalf("resumed render diverges from baseline\n-- baseline --\n%s\n-- resumed --\n%s",
 			baseline.Text, resumed.Text)
 	}
+}
+
+// TestFleetEarlyStopMatchesFullRuns replays every verdict run the sweep
+// makes on the golden fleets — the Suppressed run, every coarse-bound
+// probe and the NotifHolds run — once stopping at its deciding outcome and
+// once full length. Both must give the same verdict and error, the stopped
+// run may fire no more events than the full one, and the replayed
+// verdicts must be the ones measureFleetDevice records.
+func TestFleetEarlyStopMatchesFullRuns(t *testing.T) {
+	stopped, runs := 0, 0
+	for _, c := range goldenSeeds() {
+		fl, err := fleet.Generate(fleetTestSize, c.seed)
+		if err != nil {
+			t.Fatalf("generate fleet (seed %d): %v", c.seed, err)
+		}
+		for i, ent := range fl.Entries() {
+			seed := c.seed + int64(i)*fleetTrialSeedStep
+			// reached runs one verdict run both ways and reports whether the
+			// full run's worst outcome reached until.
+			reached := func(what string, d, dur time.Duration, defend bool, until sysui.Outcome, runSeed, planeSeed int64) (bool, error) {
+				early, evEarly, errEarly := fleetVerdictRun(t, ent, d, dur, defend, until, runSeed, planeSeed)
+				full, evFull, errFull := fleetVerdictRun(t, ent, d, dur, defend, 0, runSeed, planeSeed)
+				runs++
+				name := fmt.Sprintf("seed %d device %d (%s) %s", c.seed, i, ent.Profile.Model, what)
+				if fmt.Sprint(errEarly) != fmt.Sprint(errFull) {
+					t.Errorf("%s: early-stop error %v, full-run error %v", name, errEarly, errFull)
+				}
+				if (early >= until) != (full >= until) {
+					t.Errorf("%s: early-stop outcome %v, full-run outcome %v, deciding outcome %v", name, early, full, until)
+				}
+				switch {
+				case evEarly > evFull:
+					t.Errorf("%s: early-stop run fired %d events, full run %d", name, evEarly, evFull)
+				case evEarly < evFull:
+					stopped++
+				}
+				return full >= until, errFull
+			}
+
+			d := time.Duration(float64(boundOf(ent.Profile)) * 0.9)
+			var want fleetRec
+			leaked, err := reached("suppressed", d, fleetAttackDur, false, sysui.Lambda2, seed, seed)
+			want.Suppressed = !leaked
+			if err == nil {
+				probe := int64(0)
+				want.BoundD, err = largestPassingD(fleetBoundResol, fleetBoundCeil, func(d time.Duration) (bool, error) {
+					probe++
+					s := seed + 1000 + probe*101
+					leaked, err := reached(fmt.Sprintf("bound probe D=%v", d), d, fleetBoundTrialDur, false, sysui.Lambda2, s, s)
+					return !leaked, err
+				})
+			}
+			if err == nil {
+				want.NotifHolds, err = reached("notif", d, fleetAttackDur, true, sysui.Lambda5, seed+2000, seed+2001)
+			}
+
+			var got fleetRec
+			gotErr := measureFleetDevice(&got, ent, seed)
+			if fmt.Sprint(gotErr) != fmt.Sprint(err) {
+				t.Fatalf("seed %d device %d: measureFleetDevice error %v, replay error %v", c.seed, i, gotErr, err)
+			}
+			// The IPC verdict comes from a full run that is not replayed.
+			got.IPCDetected, got.IPCTerminated = false, false
+			if err == nil && got != want {
+				t.Fatalf("seed %d device %d: measureFleetDevice recorded %+v, full-run replay %+v", c.seed, i, got, want)
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatalf("none of %d verdict runs stopped early", runs)
+	}
+	t.Logf("%d of %d verdict runs stopped early", stopped, runs)
+}
+
+// fleetVerdictRun makes one fleet verdict run on a fresh stack of the
+// device under a fresh instance of its fault plane, reporting the outcome,
+// the events fired and the run's error.
+func fleetVerdictRun(t *testing.T, ent fleet.Entry, d, dur time.Duration, defend bool, until sysui.Outcome, seed, planeSeed int64) (sysui.Outcome, uint64, error) {
+	t.Helper()
+	opts, _ := planeFor(ent.Faults, planeSeed)
+	st, err := assembleAttackStack(ent.Profile, seed, opts...)
+	if err != nil {
+		t.Fatalf("assemble %s: %v", ent.Profile.Model, err)
+	}
+	if defend {
+		st.Server.EnableEnhancedNotificationDefense(notifDelayT)
+	}
+	o, err := runOverlayAttackOn(st, d, dur, 5*time.Second, false, until)
+	return o, st.Clock.Fired(), err
 }

@@ -33,9 +33,6 @@ type Event struct {
 	fn       func()
 }
 
-// When reports the virtual time the event is scheduled for.
-func (e *Event) When() Duration { return e.when }
-
 // Label reports the debug label given at scheduling time.
 func (e *Event) Label() string { return e.label }
 
@@ -158,10 +155,11 @@ func (c *Clock) MustAfter(delay Duration, label string, fn func()) *Event {
 }
 
 // Cancel marks ev canceled. Canceling a nil, already-fired, or
-// already-canceled event is a no-op. Canceled events are skipped when they
-// reach the head of the queue.
+// already-canceled event is a no-op: an event that has left the queue
+// keeps the Canceled state it left with. Canceled events are skipped when
+// they reach the head of the queue.
 func (c *Clock) Cancel(ev *Event) {
-	if ev == nil || ev.canceled {
+	if ev == nil || ev.index < 0 {
 		return
 	}
 	ev.canceled = true

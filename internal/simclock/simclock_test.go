@@ -125,6 +125,24 @@ func TestCancelNilAndDoubleCancelAreNoOps(t *testing.T) {
 	}
 }
 
+// TestCancelAfterFiringIsNoOp checks that canceling an event that already
+// ran leaves it reported as fired, not canceled.
+func TestCancelAfterFiringIsNoOp(t *testing.T) {
+	c := New()
+	fired := 0
+	ev := c.MustAfter(time.Millisecond, "x", func() { fired++ })
+	if err := c.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	c.Cancel(ev)
+	if fired != 1 {
+		t.Fatalf("event fired %d times, want 1", fired)
+	}
+	if ev.Canceled() {
+		t.Fatal("Canceled() = true for an event that fired")
+	}
+}
+
 func TestEventsScheduledDuringRun(t *testing.T) {
 	c := New()
 	var at []time.Duration

@@ -7,8 +7,8 @@
 # Steps: build, unit tests, go vet, the simlint determinism/robustness
 # pass, a race-detector pass over the short tests, a coverage floor on
 # the experiment-harness core packages, the attacks they drive, the
-# streaming detector, the simulator's detector adapter and the fleet
-# generator, a 10 s fuzz of the random source against math/rand, the
+# streaming detector, the simulator's detector adapter, the fleet
+# generator, the event clock and System UI, a 10 s fuzz of the random source against math/rand, the
 # scheduler
 # parity diff plus a 200-device fleet-sweep parity smoke, a vetd
 # serving smoke (checked vetload replay +
@@ -56,12 +56,15 @@ go test -race -short ./...
 # population-determinism contract, internal/ring carries both routers'
 # retry and accounting machinery, internal/applog carries every
 # log's crash-safety contract, internal/simrand's generator must draw
-# exactly what math/rand draws for every seed, and internal/binder
+# exactly what math/rand draws for every seed, internal/binder
 # carries the transaction ordering and fault delivery every trial runs
-# on — a drop below the floor means those paths lost their tests. All
-# packages currently sit well above it.
+# on, and internal/sysui and internal/simclock carry what lets a fleet
+# verdict run stop at its deciding event: a worst alert outcome that
+# never falls, and the event stepping the run stops between — a drop
+# below the floor means those paths lost their tests. All packages
+# currently sit well above it.
 COVER_FLOOR=65
-COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog ./internal/simrand ./internal/binder"
+COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog ./internal/simrand ./internal/binder ./internal/sysui ./internal/simclock"
 echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
 go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
