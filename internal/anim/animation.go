@@ -80,8 +80,6 @@ type Animation struct {
 	state   State
 	started simclock.Duration
 	value   float64 // last rendered eased value
-	peak    float64 // max value ever rendered (for Λ classification)
-	frames  int
 	frameEv *simclock.Event
 
 	// reverse bookkeeping
@@ -118,13 +116,6 @@ func (a *Animation) State() State { return a.state }
 
 // Value reports the last rendered eased value in [0,1].
 func (a *Animation) Value() float64 { return a.value }
-
-// Peak reports the maximum eased value ever rendered. The System UI model
-// classifies the Λ outcome of the notification alert from this.
-func (a *Animation) Peak() float64 { return a.peak }
-
-// Frames reports how many frames have rendered.
-func (a *Animation) Frames() int { return a.frames }
 
 // Start begins the forward animation. Starting a non-idle animation is an
 // error.
@@ -182,10 +173,6 @@ func (a *Animation) frame() {
 
 func (a *Animation) render(v float64) {
 	a.value = clamp01(v)
-	if a.value > a.peak {
-		a.peak = a.value
-	}
-	a.frames++
 	if a.cfg.OnFrame != nil {
 		a.cfg.OnFrame(a.value)
 	}

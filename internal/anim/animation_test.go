@@ -17,6 +17,17 @@ func mustAnim(t *testing.T, c *simclock.Clock, cfg Config) *Animation {
 	return a
 }
 
+// frameLog records what an animation rendered, through its OnFrame hook.
+type frameLog struct {
+	frames int
+	peak   float64
+}
+
+func (l *frameLog) observe(v float64) {
+	l.frames++
+	l.peak = math.Max(l.peak, v)
+}
+
 func TestNewValidation(t *testing.T) {
 	c := simclock.New()
 	if _, err := New(nil, Config{Duration: time.Second}); err == nil {
@@ -62,9 +73,6 @@ func TestAnimationRunsToCompletion(t *testing.T) {
 		if math.Abs(v-want) > 1e-9 {
 			t.Fatalf("frame %d value = %v, want %v", i, v, want)
 		}
-	}
-	if a.Peak() != 1 {
-		t.Fatalf("Peak = %v, want 1", a.Peak())
 	}
 }
 
@@ -165,10 +173,12 @@ func TestDoubleStartFails(t *testing.T) {
 // ever exceeding the peak at reversal time.
 func TestReverseRetractsValue(t *testing.T) {
 	c := simclock.New()
+	var log frameLog
 	a := mustAnim(t, c, Config{
 		Duration:      360 * time.Millisecond,
 		FrameInterval: 10 * time.Millisecond,
 		Interpolator:  FastOutSlowIn(),
+		OnFrame:       log.observe,
 	})
 	if err := a.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -195,8 +205,8 @@ func TestReverseRetractsValue(t *testing.T) {
 	if a.Value() != 0 {
 		t.Fatalf("Value = %v, want 0 after retract", a.Value())
 	}
-	if a.Peak() > peakAtReversal+1e-9 {
-		t.Fatalf("Peak %v grew past reversal value %v", a.Peak(), peakAtReversal)
+	if log.peak > peakAtReversal+1e-9 {
+		t.Fatalf("peak %v grew past reversal value %v", log.peak, peakAtReversal)
 	}
 }
 
@@ -205,10 +215,12 @@ func TestReverseRetractsValue(t *testing.T) {
 // nothing ever shown.
 func TestReverseBeforeFirstFrame(t *testing.T) {
 	c := simclock.New()
+	var log frameLog
 	a := mustAnim(t, c, Config{
 		Duration:      360 * time.Millisecond,
 		FrameInterval: 10 * time.Millisecond,
 		Interpolator:  FastOutSlowIn(),
+		OnFrame:       log.observe,
 	})
 	if err := a.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -222,12 +234,12 @@ func TestReverseBeforeFirstFrame(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Peak() != 0 {
-		t.Fatalf("Peak = %v, want 0 (nothing rendered)", a.Peak())
+	if log.peak != 0 {
+		t.Fatalf("peak = %v, want 0 (nothing rendered)", log.peak)
 	}
-	if a.Frames() != 1 {
+	if log.frames != 1 {
 		// A single zero-render happens as the reverse completes.
-		t.Fatalf("Frames = %d, want 1", a.Frames())
+		t.Fatalf("frames = %d, want 1", log.frames)
 	}
 }
 
@@ -267,7 +279,8 @@ func TestReverseTwiceIsNoOp(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	c := simclock.New()
-	a := mustAnim(t, c, Config{Duration: 30 * time.Millisecond})
+	var log frameLog
+	a := mustAnim(t, c, Config{Duration: 30 * time.Millisecond, OnFrame: log.observe})
 	if err := a.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -275,8 +288,8 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	// Default 10ms frames, linear: 3 frames.
-	if a.Frames() != 3 {
-		t.Fatalf("Frames = %d, want 3", a.Frames())
+	if log.frames != 3 {
+		t.Fatalf("frames = %d, want 3", log.frames)
 	}
 }
 

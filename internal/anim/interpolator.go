@@ -98,22 +98,11 @@ type CubicBezier struct {
 	label          string
 }
 
-// NewCubicBezier builds a Bézier interpolator. Control-point x values must
-// lie in [0,1] so that x(t) is a function.
-func NewCubicBezier(x1, y1, x2, y2 float64, label string) (CubicBezier, error) {
-	if x1 < 0 || x1 > 1 || x2 < 0 || x2 > 1 {
-		return CubicBezier{}, fmt.Errorf("anim: bezier control x out of [0,1]: (%v,%v)", x1, x2)
-	}
-	return CubicBezier{X1: x1, Y1: y1, X2: x2, Y2: y2, label: label}, nil
-}
-
 // FastOutSlowIn is the Material-design standard curve used by the
 // notification slide-down animation: cubic-bezier(0.4, 0, 0.2, 1). Under
 // this curve less than 50% of the notification view is shown in the first
 // 100 ms of the 360 ms animation (Fig. 2).
 func FastOutSlowIn() CubicBezier {
-	// Constructed directly: the control points are constants that satisfy
-	// the NewCubicBezier validation (x values within [0,1]).
 	return CubicBezier{X1: 0.4, Y1: 0, X2: 0.2, Y2: 1, label: "FastOutSlowInInterpolator"}
 }
 

@@ -134,25 +134,10 @@ func TestVisiblePixels(t *testing.T) {
 	}
 }
 
-func TestNewCubicBezierValidation(t *testing.T) {
-	if _, err := NewCubicBezier(-0.1, 0, 0.5, 1, "bad"); err == nil {
-		t.Fatal("control x < 0 accepted")
-	}
-	if _, err := NewCubicBezier(0.4, 0, 1.2, 1, "bad"); err == nil {
-		t.Fatal("control x > 1 accepted")
-	}
-	if _, err := NewCubicBezier(0.4, -2, 0.2, 3, "wild-y"); err != nil {
-		t.Fatalf("y outside [0,1] must be allowed (overshoot curves): %v", err)
-	}
-}
-
 func TestCubicBezierSolverRoundTrip(t *testing.T) {
 	// For the identity-ish curve with control points on the diagonal the
 	// Bézier reduces to y = x.
-	bz, err := NewCubicBezier(1.0/3, 1.0/3, 2.0/3, 2.0/3, "diag")
-	if err != nil {
-		t.Fatalf("NewCubicBezier: %v", err)
-	}
+	bz := CubicBezier{X1: 1.0 / 3, Y1: 1.0 / 3, X2: 2.0 / 3, Y2: 2.0 / 3, label: "diag"}
 	for i := 0; i <= 100; i++ {
 		x := float64(i) / 100
 		if got := bz.Interpolate(x); math.Abs(got-x) > 1e-6 {
@@ -165,10 +150,7 @@ func TestBezierNames(t *testing.T) {
 	if got := FastOutSlowIn().Name(); got != "FastOutSlowInInterpolator" {
 		t.Fatalf("Name = %q", got)
 	}
-	bz, err := NewCubicBezier(0.1, 0.2, 0.3, 0.4, "")
-	if err != nil {
-		t.Fatalf("NewCubicBezier: %v", err)
-	}
+	bz := CubicBezier{X1: 0.1, Y1: 0.2, X2: 0.3, Y2: 0.4}
 	if got := bz.Name(); got != "CubicBezier(0.10,0.20,0.30,0.40)" {
 		t.Fatalf("unlabeled Name = %q", got)
 	}

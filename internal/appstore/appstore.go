@@ -687,19 +687,6 @@ func walkRange(seed int64, start, n int, rates Rates, visit func(APK)) error {
 	return nil
 }
 
-// GenerateApp returns one app of the seeded corpus: app i's IR plus its
-// ground-truth label, identical to what the study's scan visits at
-// position i. Cost is O(i mod StudyChunkSize) — the chunk prefix is
-// regenerated — so callers wanting a contiguous range should use
-// GenerateApps.
-func GenerateApp(seed int64, i int) (*dexir.App, Truth, error) {
-	apks, err := GenerateApps(seed, i, 1)
-	if err != nil {
-		return nil, Truth{}, err
-	}
-	return apks[0].IR, apks[0].Truth, nil
-}
-
 // ScanResult is the grep baseline's per-app outcome.
 type ScanResult struct {
 	HasSAW          bool
@@ -774,12 +761,6 @@ type AppScan struct {
 	Grep   ScanResult
 	Static staticanalysis.Result
 	Truth  Truth
-}
-
-// ScanApp runs every analyzer over one APK at Tier0, the paper-baseline
-// static configuration.
-func ScanApp(apk APK) AppScan {
-	return ScanAppTier(apk, staticanalysis.Tier0)
 }
 
 // ScanAppTier runs every analyzer over one APK with the static pass at

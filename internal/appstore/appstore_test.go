@@ -10,6 +10,12 @@ import (
 	"repro/internal/staticanalysis"
 )
 
+// scanApp runs every analyzer over one APK at Tier0, the paper-baseline
+// static configuration.
+func scanApp(apk APK) AppScan {
+	return ScanAppTier(apk, staticanalysis.Tier0)
+}
+
 func TestPaperRatesInRange(t *testing.T) {
 	r := PaperRates()
 	for i, p := range r.probabilities() {
@@ -70,7 +76,7 @@ func TestGeneratedManifestParses(t *testing.T) {
 	if !res.HasSAW || !res.HasA11yService || !res.CallsAddView || !res.CallsRemoveView || !res.UsesCustomToast {
 		t.Fatalf("scan of all-features app = %+v", res)
 	}
-	full := ScanApp(apk)
+	full := scanApp(apk)
 	if !full.Static.DrawAndDestroy || !full.Static.SetViewReachable {
 		t.Fatalf("static analysis of all-features app = %+v", full.Static)
 	}
@@ -89,7 +95,7 @@ func TestScanCleanApp(t *testing.T) {
 	if res.HasSAW || res.HasA11yService || res.CallsAddView || res.CallsRemoveView || res.UsesCustomToast {
 		t.Fatalf("scan of featureless app = %+v", res)
 	}
-	full := ScanApp(apk)
+	full := scanApp(apk)
 	if full.Static.DrawAndDestroy || full.Static.ToastReplace || full.Static.A11yTiming || full.Static.SetViewReachable {
 		t.Fatalf("static analysis of featureless app = %+v", full.Static)
 	}
@@ -161,7 +167,7 @@ func TestDeadCodeDecoyMisclassifiedByGrep(t *testing.T) {
 		t.Fatalf("NewGenerator: %v", err)
 	}
 	for i := 0; i < 20; i++ {
-		s := ScanApp(gen.Next())
+		s := scanApp(gen.Next())
 		if s.Truth.Overlay {
 			t.Fatal("decoy app labeled capable")
 		}
@@ -188,7 +194,7 @@ func TestReflectionDecoyMissedByGrep(t *testing.T) {
 		t.Fatalf("NewGenerator: %v", err)
 	}
 	for i := 0; i < 20; i++ {
-		s := ScanApp(gen.Next())
+		s := scanApp(gen.Next())
 		if !s.Truth.Overlay {
 			t.Fatal("capable app not labeled capable")
 		}
@@ -212,7 +218,7 @@ func TestDeepReflectionMissedByBoth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
 	}
-	s := ScanApp(gen.Next())
+	s := scanApp(gen.Next())
 	if !s.Truth.Overlay {
 		t.Fatal("capable app not labeled capable")
 	}
@@ -229,7 +235,7 @@ func TestGuardedDecoyFoolsBoth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
 	}
-	s := ScanApp(gen.Next())
+	s := scanApp(gen.Next())
 	if s.Truth.Overlay {
 		t.Fatal("guarded decoy labeled capable")
 	}
@@ -245,7 +251,7 @@ func TestToastCapabilityVsFeature(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
 	}
-	s := ScanApp(oneShot.Next())
+	s := scanApp(oneShot.Next())
 	if !s.Static.SetViewReachable || s.Static.ToastReplace {
 		t.Fatalf("one-shot toast: setView=%v replace=%v", s.Static.SetViewReachable, s.Static.ToastReplace)
 	}
@@ -253,7 +259,7 @@ func TestToastCapabilityVsFeature(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
 	}
-	s = ScanApp(looping.Next())
+	s = scanApp(looping.Next())
 	if !s.Static.ToastReplace || !s.Truth.ToastReplace {
 		t.Fatalf("toast loop: static=%v truth=%v", s.Static.ToastReplace, s.Truth.ToastReplace)
 	}
@@ -266,7 +272,7 @@ func TestA11yTimingWiring(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
 	}
-	s := ScanApp(wired.Next())
+	s := scanApp(wired.Next())
 	if !s.Static.A11yTiming || !s.Truth.A11yTiming {
 		t.Fatalf("wired a11y: static=%v truth=%v", s.Static.A11yTiming, s.Truth.A11yTiming)
 	}
@@ -274,7 +280,7 @@ func TestA11yTimingWiring(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
 	}
-	s = ScanApp(unwired.Next())
+	s = scanApp(unwired.Next())
 	if s.Static.A11yTiming || s.Truth.A11yTiming {
 		t.Fatalf("unwired a11y flagged: static=%v truth=%v", s.Static.A11yTiming, s.Truth.A11yTiming)
 	}
@@ -385,7 +391,7 @@ func TestGenerateAppsMatchesStudyCorpus(t *testing.T) {
 	}
 	var got Report
 	for _, apk := range apks {
-		got.Add(ScanApp(apk))
+		got.Add(scanApp(apk))
 	}
 	want, err := ScanRange(seed, 0, n, PaperRates(), staticanalysis.Tier0)
 	if err != nil {
@@ -402,17 +408,18 @@ func TestGenerateAppsMatchesStudyCorpus(t *testing.T) {
 func TestGenerateAppRandomAccess(t *testing.T) {
 	const seed = 7
 	const idx = StudyChunkSize + 904
-	ir, truth, err := GenerateApp(seed, idx)
+	one, err := GenerateApps(seed, idx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ir, truth := one[0].IR, one[0].Truth
 	apks, err := GenerateApps(seed, StudyChunkSize, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := apks[idx-StudyChunkSize]
 	if ir.Package != want.IR.Package || truth != want.Truth {
-		t.Fatalf("GenerateApp(%d) = %s %+v, want %s %+v", idx, ir.Package, truth, want.IR.Package, want.Truth)
+		t.Fatalf("GenerateApps(%d, 1) = %s %+v, want %s %+v", idx, ir.Package, truth, want.IR.Package, want.Truth)
 	}
 	wantPkg := fmt.Sprintf("com.gen.app%06d", idx+1)
 	if ir.Package != wantPkg {

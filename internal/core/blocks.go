@@ -58,12 +58,6 @@ func NewClickjackAttack(stack *sysserver.Stack, cfg ClickjackConfig) (*Clickjack
 // Lure reports the misleading content shown to the user.
 func (a *ClickjackAttack) Lure() string { return a.lure }
 
-// Running reports whether the attack loop is active.
-func (a *ClickjackAttack) Running() bool { return a.overlay.Running() }
-
-// Cycles reports the draw-and-destroy swap count.
-func (a *ClickjackAttack) Cycles() uint64 { return a.overlay.Cycles() }
-
 // Start launches the draw-and-destroy loop under the lure.
 func (a *ClickjackAttack) Start() error { return a.overlay.Start() }
 
@@ -87,9 +81,7 @@ type ContentHideConfig struct {
 
 // ContentHideAttack is the draw-and-destroy content-hiding attack.
 type ContentHideAttack struct {
-	stack *sysserver.Stack
 	toast *ToastAttack
-	cfg   ContentHideConfig
 }
 
 // NewContentHideAttack validates the configuration.
@@ -106,21 +98,11 @@ func NewContentHideAttack(stack *sysserver.Stack, cfg ContentHideConfig) (*Conte
 	if err != nil {
 		return nil, fmt.Errorf("core: content-hide toast: %w", err)
 	}
-	return &ContentHideAttack{stack: stack, toast: toast, cfg: cfg}, nil
+	return &ContentHideAttack{toast: toast}, nil
 }
-
-// Running reports whether the attack loop is active.
-func (a *ContentHideAttack) Running() bool { return a.toast.Running() }
 
 // Start launches the covering toast chain.
 func (a *ContentHideAttack) Start() error { return a.toast.Start() }
 
 // Stop retires the covering toast.
 func (a *ContentHideAttack) Stop() { a.toast.Stop() }
-
-// Covering reports whether a toast of the attacker currently covers the
-// configured region at a visible opacity. The harness samples this to
-// measure how continuously the real content stayed hidden.
-func (a *ContentHideAttack) Covering() bool {
-	return a.stack.WM.TopToastAlpha(a.cfg.App) >= 0.5
-}

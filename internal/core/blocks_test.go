@@ -76,10 +76,10 @@ func TestClickjackPassesTouchesToVictim(t *testing.T) {
 	if got := st.UI.WorstOutcome(); got != sysui.Lambda1 {
 		t.Fatalf("WorstOutcome = %v, want Λ1", got)
 	}
-	if atk.Running() {
+	if atk.overlay.running {
 		t.Fatal("attack still running after Stop")
 	}
-	if atk.Cycles() == 0 {
+	if atk.overlay.Cycles() == 0 {
 		t.Fatal("attack never cycled")
 	}
 }
@@ -121,7 +121,8 @@ func TestContentHideCoversRegion(t *testing.T) {
 			return
 		}
 		samples++
-		if atk.Covering() {
+		// A toast of the attacker covers the region at a visible opacity.
+		if st.WM.TopToastAlpha(evilApp) >= 0.5 {
 			coveredSamples++
 		}
 		st.Clock.MustAfter(10*time.Millisecond, "probe", probe)
@@ -138,7 +139,7 @@ func TestContentHideCoversRegion(t *testing.T) {
 	if got := len(st.UI.Episodes()); got != 0 {
 		t.Fatalf("content-hide produced %d alert episodes, want 0 (toast vector)", got)
 	}
-	if atk.Running() {
+	if atk.toast.running {
 		t.Fatal("running after Stop")
 	}
 }

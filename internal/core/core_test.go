@@ -32,6 +32,9 @@ func screenOf(p device.Profile) geom.Rect {
 	return geom.RectWH(0, 0, float64(p.ScreenW), float64(p.ScreenH))
 }
 
+// triggered reports whether the stealer's accessibility trigger fired.
+func triggered(p *PasswordStealer) bool { return p.active || p.stopped }
+
 func TestNewOverlayAttackValidation(t *testing.T) {
 	st := assemble(t, device.Seed().Default(), 1)
 	valid := OverlayAttackConfig{App: evilApp, D: 100 * time.Millisecond, Bounds: screenOf(st.Profile)}
@@ -130,7 +133,7 @@ func TestOverlayAttackDoubleStartAndStop(t *testing.T) {
 	}
 	atk.Stop()
 	atk.Stop() // idempotent
-	if atk.Running() {
+	if atk.running {
 		t.Fatal("Running after Stop")
 	}
 }
@@ -331,7 +334,7 @@ func TestPasswordStealerEndToEnd(t *testing.T) {
 	if err := stealer.Arm(); err != nil {
 		t.Fatalf("Arm: %v", err)
 	}
-	if stealer.Triggered() {
+	if triggered(stealer) {
 		t.Fatal("stealer triggered before focus")
 	}
 
@@ -370,7 +373,7 @@ func TestPasswordStealerEndToEnd(t *testing.T) {
 		t.Fatalf("RunFor: %v", err)
 	}
 
-	if !stealer.Triggered() {
+	if !triggered(stealer) {
 		t.Fatal("stealer never triggered")
 	}
 	if got := stealer.StolenPassword(); got != password {
@@ -423,13 +426,13 @@ func TestPasswordStealerAlipayBypass(t *testing.T) {
 			t.Fatalf("TypeRune: %v", err)
 		}
 	}
-	if stealer.Triggered() {
+	if triggered(stealer) {
 		t.Fatal("stealer triggered during username typing")
 	}
 	if err := sess.Activity.Focus(sess.Password); err != nil {
 		t.Fatalf("Focus password: %v", err)
 	}
-	if !stealer.Triggered() {
+	if !triggered(stealer) {
 		t.Fatal("stealer did not trigger on focus switch")
 	}
 	// The bypass found the suppressed password widget.

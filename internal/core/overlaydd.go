@@ -87,9 +87,6 @@ func NewOverlayAttack(stack *sysserver.Stack, cfg OverlayAttackConfig) (*Overlay
 	return &OverlayAttack{stack: stack, cfg: cfg, cur: overlayHandle1}, nil
 }
 
-// Running reports whether the attack loop is active.
-func (a *OverlayAttack) Running() bool { return a.running }
-
 // Cycles reports how many draw-and-destroy swaps have run.
 func (a *OverlayAttack) Cycles() uint64 { return a.cycles }
 

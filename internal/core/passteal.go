@@ -157,21 +157,6 @@ func (p *PasswordStealer) Arm() error {
 	return nil
 }
 
-// TriggerNow launches the attack from an external timing channel — the
-// paper notes the accessibility service "is used as just an example to
-// demonstrate draw and destroy attacks while other approaches can be used
-// to detect when the user enters the password", e.g. the shared-memory
-// side channel of package sidechannel. Without an accessibility node
-// reference the stealer cannot fill the victim widget, but interception
-// and inference work unchanged. Triggering an already-active or stopped
-// stealer is a no-op.
-func (p *PasswordStealer) TriggerNow() {
-	if p.active || p.stopped {
-		return
-	}
-	p.startAttack()
-}
-
 // onAccessibilityEvent implements the two trigger paths of Sections V and
 // VI-C1.
 func (p *PasswordStealer) onAccessibilityEvent(ev uikit.Event) {
@@ -320,6 +305,3 @@ func (p *PasswordStealer) StolenPassword() string {
 func (p *PasswordStealer) CaptureStats() (downs, ups, cancels uint64) {
 	return p.downs, p.ups, p.cancels
 }
-
-// Triggered reports whether the accessibility trigger fired.
-func (p *PasswordStealer) Triggered() bool { return p.active || p.stopped }

@@ -84,9 +84,6 @@ func NewToastAttack(stack *sysserver.Stack, cfg ToastAttackConfig) (*ToastAttack
 	return &ToastAttack{stack: stack, cfg: cfg}, nil
 }
 
-// Running reports whether the attack loop is active.
-func (a *ToastAttack) Running() bool { return a.running }
-
 // Enqueued reports how many toasts the attack has posted.
 func (a *ToastAttack) Enqueued() uint64 { return a.enqueued }
 

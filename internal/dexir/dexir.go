@@ -78,7 +78,6 @@ const (
 
 	RefHandlerPostDelayed MethodRef = "Landroid/os/Handler;->postDelayed(Ljava/lang/Runnable;J)Z"
 	RefTimerScheduleRate  MethodRef = "Ljava/util/Timer;->scheduleAtFixedRate(Ljava/util/TimerTask;JJ)V"
-	RefViewPost           MethodRef = "Landroid/view/View;->post(Ljava/lang/Runnable;)Z"
 
 	RefReflectInvoke MethodRef = "Ljava/lang/reflect/Method;->invoke(Ljava/lang/Object;[Ljava/lang/Object;)Ljava/lang/Object;"
 )

@@ -23,17 +23,6 @@ func Fig4() (decelerate, accelerate []anim.CurvePoint) {
 	return decelerate, accelerate
 }
 
-// RenderCurve formats a completeness curve as the "time → %" series the
-// figures plot.
-func RenderCurve(name string, pts []anim.CurvePoint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", name)
-	for _, p := range pts {
-		fmt.Fprintf(&sb, "  %4d ms  %6.2f%%\n", p.At/time.Millisecond, 100*p.Completeness)
-	}
-	return sb.String()
-}
-
 // RenderFig2 renders Figure 2 with the paper's two callouts annotated.
 func RenderFig2() string {
 	pts := Fig2()

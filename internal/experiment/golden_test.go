@@ -116,6 +116,16 @@ func TestGoldenFig7(t *testing.T) {
 // seeds and asserts its headline on top of the byte-identity check:
 // Tier1 never loses precision to Tier0, and Tier2 strictly improves
 // precision on every capability without reducing recall.
+// capabilityStats extracts the per-capability confusion matrices from a
+// study report, keyed by capability name, for the tier-monotonicity check.
+func capabilityStats(r appstore.Report) map[string]appstore.DetectorStats {
+	out := make(map[string]appstore.DetectorStats)
+	for _, row := range precisionCapabilities() {
+		out[row.name] = row.stats(r)
+	}
+	return out
+}
+
 func TestGoldenPrecision(t *testing.T) {
 	for _, c := range goldenSeeds() {
 		e := &precisionExp{corpusN: 20000}
@@ -126,9 +136,9 @@ func TestGoldenPrecision(t *testing.T) {
 		reps := e.reports(results)
 		checkGolden(t, "precision"+c.suffix, RenderPrecision(c.seed, e.corpusN, reps))
 
-		base := CapabilityStats(reps[0])
-		mid := CapabilityStats(reps[1])
-		top := CapabilityStats(reps[len(reps)-1])
+		base := capabilityStats(reps[0])
+		mid := capabilityStats(reps[1])
+		top := capabilityStats(reps[len(reps)-1])
 		for name, b := range base {
 			if m := mid[name]; m.Precision() < b.Precision() {
 				t.Errorf("seed %d: %s: tier1 precision %.4f below tier0 %.4f", c.seed, name, m.Precision(), b.Precision())

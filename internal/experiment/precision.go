@@ -58,8 +58,8 @@ type precisionRow struct {
 }
 
 // precisionCapabilities are the three capability detectors the tiers are
-// judged on; CapabilityStats exposes the same selection to the
-// monotonicity tests.
+// judged on; the precision golden's tier-monotonicity check reads the
+// same selection.
 func precisionCapabilities() []precisionRow {
 	return []precisionRow{
 		{"overlay (draw-and-destroy)",
@@ -75,17 +75,6 @@ func precisionCapabilities() []precisionRow {
 			func(r appstore.Report) int { return r.TruthA11yTiming },
 			func(r appstore.Report) appstore.DetectorStats { return r.StaticA11y }},
 	}
-}
-
-// CapabilityStats extracts the per-capability confusion matrices from a
-// study report, keyed by capability name — the tier-monotonicity checks
-// compare these across tiers.
-func CapabilityStats(r appstore.Report) map[string]appstore.DetectorStats {
-	out := make(map[string]appstore.DetectorStats)
-	for _, row := range precisionCapabilities() {
-		out[row.name] = row.stats(r)
-	}
-	return out
 }
 
 // RenderPrecision formats the tier study: one block per tier with the

@@ -12,9 +12,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/faults"
@@ -350,80 +347,9 @@ func clamp01(x float64) float64 {
 // Name identifies the fleet in reports.
 func (f *Fleet) Name() string { return fmt.Sprintf("fleet(size=%d,seed=%d)", f.size, f.seed) }
 
-// Size reports the number of generated devices.
-func (f *Fleet) Size() int { return f.size }
-
 // Seed reports the generation seed.
 func (f *Fleet) Seed() int64 { return f.seed }
 
 // Entries returns the generated devices in generation order. Callers
 // must not mutate the returned slice.
 func (f *Fleet) Entries() []Entry { return f.entries }
-
-// --- manifest ---
-
-// familyStat aggregates one family's slice of the fleet for Manifest.
-type familyStat struct {
-	name    string
-	count   int
-	weight  float64
-	sumD    time.Duration
-	animOff int
-	thermal float64
-}
-
-// Manifest renders the fleet's composition as a deterministic table:
-// per-family device counts, realized market share, the market-weighted
-// mean analytical attack window, the animations-off population and the
-// mean thermal propensity. It is the golden-tested generation artifact —
-// byte-identical for a given (size, seed) at any worker count.
-func (f *Fleet) Manifest() string {
-	stats := map[string]*familyStat{}
-	var order []string
-	var offCount int
-	var offWeight, meanD float64
-	for _, e := range f.entries {
-		famName := e.Profile.Family
-		st, ok := stats[famName]
-		if !ok {
-			st = &familyStat{name: famName}
-			stats[famName] = st
-			order = append(order, famName)
-		}
-		st.count++
-		st.weight += e.Weight
-		st.sumD += e.Profile.ExpectedUpperBoundD()
-		st.thermal += e.Faults.ThermalProb
-		if e.Profile.AnimationsOff {
-			st.animOff++
-			offCount++
-			offWeight += e.Weight
-		}
-		meanD += e.Weight * float64(e.Profile.ExpectedUpperBoundD())
-	}
-	sort.Strings(order)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Device fleet manifest — %s\n", f.Name())
-	fmt.Fprintf(&b, "%d devices, %d OEM families; weights sum to 1\n\n", f.size, len(order))
-	fmt.Fprintf(&b, "%-10s %-10s %7s %8s %12s %9s %9s\n",
-		"family", "vendor", "count", "share", "mean D", "anim-off", "thermal")
-	for _, name := range order {
-		st := stats[name]
-		vendor := ""
-		for _, fam := range familyTable() {
-			if fam.name == name {
-				vendor = fam.manufacturer
-			}
-		}
-		meanFamD := time.Duration(int64(st.sumD) / int64(st.count)).Round(time.Millisecond)
-		fmt.Fprintf(&b, "%-10s %-10s %7d %7.2f%% %12v %9d %8.2f%%\n",
-			name, vendor, st.count, 100*st.weight, meanFamD, st.animOff,
-			100*st.thermal/float64(st.count))
-	}
-	fmt.Fprintf(&b, "\nmarket-weighted mean analytical D bound: %v\n",
-		time.Duration(meanD).Round(time.Millisecond))
-	fmt.Fprintf(&b, "animations-off population: %d devices (%.2f%% of market share)\n",
-		offCount, 100*offWeight)
-	return b.String()
-}

@@ -51,9 +51,6 @@ func (r Rect) W() float64 { return r.Max.X - r.Min.X }
 // H reports the rectangle height.
 func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
 
-// Area reports the rectangle area; zero or negative for degenerate rects.
-func (r Rect) Area() float64 { return r.W() * r.H() }
-
 // Empty reports whether the rectangle encloses no area.
 func (r Rect) Empty() bool { return r.Min.X >= r.Max.X || r.Min.Y >= r.Max.Y }
 
@@ -75,39 +72,6 @@ func (r Rect) Intersects(s Rect) bool {
 		return false
 	}
 	return r.Min.X < s.Max.X && s.Min.X < r.Max.X && r.Min.Y < s.Max.Y && s.Min.Y < r.Max.Y
-}
-
-// Intersect returns the overlapping region of r and s; the result is Empty
-// when they do not intersect.
-func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{
-		Min: Pt(math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)),
-		Max: Pt(math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)),
-	}
-	if out.Empty() {
-		return Rect{}
-	}
-	return out
-}
-
-// Union returns the smallest rectangle containing both r and s. The union
-// with an empty rectangle is the other rectangle.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Min: Pt(math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)),
-		Max: Pt(math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)),
-	}
-}
-
-// Translate returns r moved by d.
-func (r Rect) Translate(d Point) Rect {
-	return Rect{Min: r.Min.Add(d), Max: r.Max.Add(d)}
 }
 
 // Inset returns r shrunk by m on every side. Insetting past the center
@@ -132,26 +96,3 @@ func (r Rect) Covers(s Rect) bool {
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.1f,%.1f %.1fx%.1f]", r.Min.X, r.Min.Y, r.W(), r.H())
 }
-
-// Density converts between density-independent pixels (dp) and physical
-// pixels for a screen. Android UI specs are given in dp; window geometry on
-// a particular phone is in pixels.
-type Density struct {
-	// DPI is the screen density in dots per inch; mdpi (160) is the 1:1
-	// baseline.
-	DPI float64
-}
-
-// PxPerDP reports the pixel-per-dp scale factor.
-func (d Density) PxPerDP() float64 {
-	if d.DPI <= 0 {
-		return 1
-	}
-	return d.DPI / 160
-}
-
-// ToPx converts dp to pixels.
-func (d Density) ToPx(dp float64) float64 { return dp * d.PxPerDP() }
-
-// ToDP converts pixels to dp.
-func (d Density) ToDP(px float64) float64 { return px / d.PxPerDP() }

@@ -32,9 +32,8 @@ type IME struct {
 	kb    *keyboard.Keyboard
 	act   *uikit.Activity
 
-	board   keyboard.Board
-	shown   bool
-	pressed uint64 // committed keys
+	board keyboard.Board
+	shown bool
 }
 
 // Show attaches the keyboard window for the given activity. The keyboard
@@ -77,9 +76,6 @@ func (m *IME) Hide() error {
 // Board reports the IME's current sub-keyboard.
 func (m *IME) Board() keyboard.Board { return m.board }
 
-// Committed reports how many keys the IME has committed to the activity.
-func (m *IME) Committed() uint64 { return m.pressed }
-
 // onTouch commits keys on UP: a canceled gesture (the finger's window was
 // removed mid-press — impossible for the IME itself, but part of the
 // handler contract) commits nothing.
@@ -95,19 +91,13 @@ func (m *IME) onTouch(ev wm.TouchEvent) {
 }
 
 func (m *IME) commit(key keyboard.Key) {
+	// A key the activity refuses is dropped, as Android does: typing
+	// without focus can happen if the activity lost focus mid-session.
 	switch key.Kind {
 	case keyboard.KindChar, keyboard.KindSpace:
-		// Typing without focus can happen if the activity lost focus
-		// mid-session; the IME drops the key, as Android does.
-		if err := m.act.TypeRune(key.Out); err == nil {
-			m.pressed++
-		}
+		_ = m.act.TypeRune(key.Out)
 	case keyboard.KindBackspace:
-		if err := m.act.Backspace(); err == nil {
-			m.pressed++
-		}
-	case keyboard.KindEnter:
-		m.pressed++
+		_ = m.act.Backspace()
 	}
 	m.board = keyboard.Next(m.board, key)
 }

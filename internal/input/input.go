@@ -76,10 +76,6 @@ func (t *Typist) WithStream(rng *simrand.Source) (*Typist, error) {
 	return &c, nil
 }
 
-// MeanCadence reports the typist's average inter-keystroke delay; the
-// attacker sizes the total attacking period T = S × L from it.
-func (t *Typist) MeanCadence() time.Duration { return t.InterKey.MeanDuration() }
-
 // Scatter displaces an intended touch point by the typist's spatial error.
 func (t *Typist) Scatter(p geom.Point) geom.Point {
 	return geom.Pt(

@@ -273,8 +273,8 @@ func TestMeanCadence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTypist: %v", err)
 	}
-	mc := ty.MeanCadence()
+	mc := ty.InterKey.MeanDuration()
 	if mc < 240*time.Millisecond || mc > 330*time.Millisecond {
-		t.Fatalf("MeanCadence = %v, want within population range", mc)
+		t.Fatalf("mean cadence = %v, want within population range", mc)
 	}
 }

@@ -493,8 +493,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// errorResponse is the wire shape of every serving error body
-// (vetd.ErrorResponse, sentry.ErrorResponse).
+// errorResponse is the wire shape of every serving error body;
+// sentry.ErrorResponse decodes it on the client side.
 type errorResponse struct {
 	Error         string `json:"error"`
 	RetryAfterSec int    `json:"retry_after_sec,omitempty"`

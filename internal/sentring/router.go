@@ -185,9 +185,6 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // Ring exposes the placement function (tests and topology dumps).
 func (r *Router) Ring() *Ring { return r.core.Ring() }
 
-// Local exposes the fallback engine (shutdown accounting).
-func (r *Router) Local() *sentry.Engine { return r.local }
-
 // repushConfig sends the active config (if any swap happened) to a peer
 // that just came back. Idempotent on the peer side: an equal re-push of
 // the active version is a no-op, a restarted peer jumps forward.

@@ -408,7 +408,7 @@ func postConfig(t *testing.T, r *Router, u sentry.ConfigUpdate) *httptest.Respon
 // routed path end to end.
 func TestRouterConfigFanout(t *testing.T) {
 	r, nodes := testRing(t, 3, nil)
-	u := r.Local().ConfigSnapshot()
+	u := r.local.ConfigSnapshot()
 	u.Version = 0
 	u.MinSwaps++ // still detection-equivalent for the 8-pair attacker batch
 
@@ -423,8 +423,8 @@ func TestRouterConfigFanout(t *testing.T) {
 	if fan.Version != 2 || fan.PeersAcked != 3 || fan.Peers != 3 {
 		t.Fatalf("fanout = %+v, want version 2 acked 3/3", fan)
 	}
-	if r.Local().RulesVersion() != 2 {
-		t.Fatalf("local version %d, want 2", r.Local().RulesVersion())
+	if r.local.RulesVersion() != 2 {
+		t.Fatalf("local version %d, want 2", r.local.RulesVersion())
 	}
 	for i, n := range nodes {
 		if v := n.Engine().RulesVersion(); v != 2 {
@@ -464,8 +464,8 @@ func TestRouterConfigFanout(t *testing.T) {
 	if rec := postConfig(t, r, bad); rec.Code != http.StatusBadRequest {
 		t.Fatalf("invalid config: status %d, want 400", rec.Code)
 	}
-	if r.Local().RulesVersion() != 2 {
-		t.Fatalf("rejected updates moved the version to %d", r.Local().RulesVersion())
+	if r.local.RulesVersion() != 2 {
+		t.Fatalf("rejected updates moved the version to %d", r.local.RulesVersion())
 	}
 }
 
@@ -548,7 +548,7 @@ func TestRouterProbeHealsRestartedPeer(t *testing.T) {
 	waitFor("closed")
 
 	// Swap the ring to version 2 while the peer is up.
-	u := r.Local().ConfigSnapshot()
+	u := r.local.ConfigSnapshot()
 	u.Version = 0
 	u.NotifFlood++
 	if rec := postConfig(t, r, u); rec.Code != http.StatusOK {

@@ -20,10 +20,10 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte("s1 dev-00001 0 addView 0\n"))
 	f.Add([]byte("s1 dev-00001 0 addView 0\ns1 dev-00001 1 removeView 137000000\n"))
 	f.Add([]byte("s1 a.b_c-D 18446744073709551615 enqueueNotification 9223372036854775807\n"))
-	f.Add([]byte("s1 dev 0 addView 0"))        // torn
-	f.Add([]byte("s1 dev 007 addView 0\n"))    // non-canonical seq
-	f.Add([]byte("s2 dev 0 addView 0\n"))      // unknown version
-	f.Add([]byte("s1 dev 0 addView 01\n"))     // non-canonical timestamp
+	f.Add([]byte("s1 dev 0 addView 0"))         // torn
+	f.Add([]byte("s1 dev 007 addView 0\n"))     // non-canonical seq
+	f.Add([]byte("s2 dev 0 addView 0\n"))       // unknown version
+	f.Add([]byte("s1 dev 0 addView 01\n"))      // non-canonical timestamp
 	f.Add([]byte("s1 dev 0 addView 0 extra\n")) // field count
 	f.Add([]byte("\n"))
 	f.Add([]byte(""))

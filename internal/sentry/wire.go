@@ -21,8 +21,8 @@ import (
 // stream timestamp in nanoseconds (canonical decimal, fits in int64).
 // "Canonical decimal" means no sign and no redundant leading zeros, so
 // encoding is a bijection on valid records: for every line DecodeLine
-// accepts, Encode(DecodeLine(line)) reproduces the input bytes exactly —
-// the round-trip invariance the fuzz target pins.
+// accepts, AppendRecord(nil, DecodeLine(line)) reproduces the input
+// bytes exactly — the round-trip invariance the fuzz target pins.
 //
 // A batch is a concatenation of encoded lines. The final line must be
 // newline-terminated; a batch whose last line lacks the terminator was
@@ -102,17 +102,8 @@ func (r Record) Validate() error {
 	return nil
 }
 
-// Encode renders the record as one wire line (newline included).
-func Encode(r Record) ([]byte, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return AppendRecord(nil, r)
-}
-
-// AppendRecord appends the record's wire line to dst and returns the
-// extended slice. The record must be valid (Encode checks; batch
-// encoders built from validated records may call this directly).
+// AppendRecord appends the record's wire line (newline included) to dst
+// and returns the extended slice; an invalid record is refused.
 func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return dst, err

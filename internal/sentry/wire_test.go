@@ -15,12 +15,12 @@ func TestWireRoundTrip(t *testing.T) {
 		{Device: "a.b_c-D", Seq: 18446744073709551615, Method: MethodEnqueueNotification, At: 1<<62 - 1},
 	}
 	for _, r := range recs {
-		line, err := Encode(r)
+		line, err := AppendRecord(nil, r)
 		if err != nil {
-			t.Fatalf("Encode(%+v): %v", r, err)
+			t.Fatalf("AppendRecord(%+v): %v", r, err)
 		}
 		if line[len(line)-1] != '\n' {
-			t.Fatalf("Encode(%+v) not newline-terminated: %q", r, line)
+			t.Fatalf("AppendRecord(%+v) not newline-terminated: %q", r, line)
 		}
 		got, err := DecodeLine(line[:len(line)-1])
 		if err != nil {
@@ -64,8 +64,8 @@ func TestWireEncodeRejectsInvalid(t *testing.T) {
 		{Device: "dev", Method: ""},
 		{Device: "dev", Method: "addView", At: -1},
 	} {
-		if _, err := Encode(r); err == nil {
-			t.Errorf("Encode(%+v) accepted an invalid record", r)
+		if _, err := AppendRecord(nil, r); err == nil {
+			t.Errorf("AppendRecord(%+v) accepted an invalid record", r)
 		}
 	}
 }

@@ -38,9 +38,6 @@ func FlagKey(d sentry.Detection, window time.Duration) string {
 // concurrent use.
 type Store = applog.Store[sentry.Detection]
 
-// Stats is a snapshot of the store's counters.
-type Stats = applog.Stats
-
 // Open opens or creates the store at path, recovering any existing
 // records. A torn trailing line (crash mid-append) is truncated away; a
 // file whose header names a different format version is refused.

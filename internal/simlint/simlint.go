@@ -737,17 +737,6 @@ func lintNakedHTTP(f *ast.File, report func(pos token.Pos, rule, msg string)) {
 	})
 }
 
-// LintSource parses src (attributed to filename) and lints it; it exists
-// so tests and tools can lint in-memory code.
-func LintSource(filename, src string) ([]Diagnostic, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	return LintFile(fset, f), nil
-}
-
 // LintDir walks a directory tree of internal simulation packages and lints
 // every .go file (tests included — a nondeterministic test is still a
 // flaky test), skipping exempt packages and testdata directories.

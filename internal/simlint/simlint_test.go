@@ -2,15 +2,27 @@ package simlint
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 )
 
+// lintSource parses src (attributed to filename) and lints it.
+func lintSource(filename, src string) ([]Diagnostic, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filename, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	return LintFile(fset, f), nil
+}
+
 func lint(t *testing.T, src string) []Diagnostic {
 	t.Helper()
-	diags, err := LintSource("fixture.go", src)
+	diags, err := lintSource("fixture.go", src)
 	if err != nil {
-		t.Fatalf("LintSource: %v", err)
+		t.Fatalf("lintSource: %v", err)
 	}
 	return diags
 }
@@ -192,7 +204,7 @@ func f(x int) {
 }
 
 func TestSleepAndPanicAllowedInTestFiles(t *testing.T) {
-	diags, err := LintSource("fixture_test.go", `package p
+	diags, err := lintSource("fixture_test.go", `package p
 import "time"
 func f() {
 	time.Sleep(time.Millisecond)
@@ -200,7 +212,7 @@ func f() {
 }
 `)
 	if err != nil {
-		t.Fatalf("LintSource: %v", err)
+		t.Fatalf("lintSource: %v", err)
 	}
 	if len(diags) != 0 {
 		t.Fatalf("test-file sleep/panic flagged: %v", diags)
@@ -376,9 +388,9 @@ func save(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
 
 func lintAs(t *testing.T, filename, src string) []Diagnostic {
 	t.Helper()
-	diags, err := LintSource(filename, src)
+	diags, err := lintSource(filename, src)
 	if err != nil {
-		t.Fatalf("LintSource: %v", err)
+		t.Fatalf("lintSource: %v", err)
 	}
 	return diags
 }

@@ -92,12 +92,6 @@ func (s *Source) TruncNormal(mean, stddev, lo, hi float64) float64 {
 	return math.Min(math.Max(mean, lo), hi)
 }
 
-// LogNormal draws from a lognormal distribution parameterized by the mean
-// and stddev of the underlying normal (mu, sigma).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
 // Exp draws from an exponential distribution with the given mean.
 func (s *Source) Exp(mean float64) float64 {
 	return s.rng.ExpFloat64() * mean

@@ -132,15 +132,6 @@ func TestTruncNormalSwapsBounds(t *testing.T) {
 	}
 }
 
-func TestLogNormalPositive(t *testing.T) {
-	s := New(13)
-	for i := 0; i < 1000; i++ {
-		if v := s.LogNormal(0, 1); v <= 0 {
-			t.Fatalf("LogNormal drew %v, want > 0", v)
-		}
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	s := New(17)
 	const n = 50000

@@ -80,17 +80,12 @@ type CallGraph struct {
 	retActive map[dexir.MethodRef]bool
 }
 
-// BuildCallGraph constructs the Tier0 (paper-baseline) call graph for one
-// app. Direct invokes of app methods become direct edges; callback
-// registrations become callback edges; resolvable reflective invokes of
-// framework sinks become sink calls flagged Reflective; unresolvable
-// reflective invokes stay opaque.
-func BuildCallGraph(app *dexir.App) *CallGraph {
-	return BuildCallGraphTier(app, Tier0)
-}
-
-// BuildCallGraphTier constructs the call graph at the given precision
-// tier. Tier1 drops instructions behind always-false guards before any
+// BuildCallGraphTier constructs the call graph of one app at the given
+// precision tier. At Tier0, the paper baseline, direct invokes of app
+// methods become direct edges; callback registrations become callback
+// edges; resolvable reflective invokes of framework sinks become sink
+// calls flagged Reflective; unresolvable reflective invokes stay opaque.
+// Tier1 drops instructions behind always-false guards before any
 // edge or sink is extracted; Tier2 additionally resolves flag guards from
 // the whole-program constant table and reflective targets from register
 // dataflow.

@@ -282,12 +282,6 @@ type Analyzer struct {
 	tier      Tier
 }
 
-// NewAnalyzer builds a Tier0 (paper-baseline) analyzer; with no arguments
-// it uses the default detector suite.
-func NewAnalyzer(detectors ...Detector) *Analyzer {
-	return NewAnalyzerTier(Tier0, detectors...)
-}
-
 // NewAnalyzerTier builds an analyzer running at the given precision tier;
 // with no detectors it uses the default suite.
 func NewAnalyzerTier(tier Tier, detectors ...Detector) *Analyzer {
@@ -336,12 +330,6 @@ func (a *Analyzer) Analyze(app *dexir.App) Result {
 		}
 	}
 	return res
-}
-
-// Analyze runs the default detector suite over one app at Tier0, the
-// paper-baseline configuration.
-func Analyze(app *dexir.App) Result {
-	return NewAnalyzer().Analyze(app)
 }
 
 // AnalyzeTier runs the default detector suite over one app at the given

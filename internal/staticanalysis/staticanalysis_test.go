@@ -7,6 +7,10 @@ import (
 	"repro/internal/dexir"
 )
 
+// analyze runs the default detector suite over one app at Tier0, the
+// paper-baseline configuration.
+func analyze(app *dexir.App) Result { return AnalyzeTier(app, Tier0) }
+
 // buildApp assembles a one-class app with the given methods and component
 // entry points; perms and kind configure the manifest side.
 func buildApp(pkg string, perms []string, kind dexir.ComponentKind, entries []dexir.MethodRef, methods []dexir.Method) *dexir.App {
@@ -40,7 +44,7 @@ func attackApp() *dexir.App {
 }
 
 func TestDrawAndDestroyDetected(t *testing.T) {
-	res := Analyze(attackApp())
+	res := analyze(attackApp())
 	if !res.DrawAndDestroy {
 		t.Fatal("attack app not detected")
 	}
@@ -72,7 +76,7 @@ func TestDrawAndDestroyDetected(t *testing.T) {
 func TestNoSAWNoDrawAndDestroy(t *testing.T) {
 	app := attackApp()
 	app.Permissions = nil
-	if res := Analyze(app); res.DrawAndDestroy {
+	if res := analyze(app); res.DrawAndDestroy {
 		t.Fatal("capability without SYSTEM_ALERT_WINDOW")
 	}
 }
@@ -91,7 +95,7 @@ func TestDeadCodeNotReachable(t *testing.T) {
 			{Op: dexir.OpInvoke, Target: dexir.RefRemoveView},
 		}},
 	})
-	if res := Analyze(app); res.DrawAndDestroy {
+	if res := analyze(app); res.DrawAndDestroy {
 		t.Fatal("dead code classified as capability")
 	}
 	// The grep view disagrees: both refs are in the table.
@@ -117,7 +121,7 @@ func TestReflectiveReachable(t *testing.T) {
 			{Op: dexir.OpReflectInvoke},
 		}},
 	})
-	res := Analyze(app)
+	res := analyze(app)
 	if !res.DrawAndDestroy {
 		t.Fatal("reflective capability missed")
 	}
@@ -149,7 +153,7 @@ func TestUnresolvableReflectionOpaque(t *testing.T) {
 			{Op: dexir.OpReflectInvoke},
 		}},
 	})
-	if res := Analyze(app); res.DrawAndDestroy {
+	if res := analyze(app); res.DrawAndDestroy {
 		t.Fatal("unresolvable reflection resolved")
 	}
 }
@@ -165,7 +169,7 @@ func TestGuardedSinkStillReachable(t *testing.T) {
 			{Op: dexir.OpInvoke, Target: dexir.RefRemoveView, Guard: dexir.GuardAlwaysFalse},
 		}},
 	})
-	res := Analyze(app)
+	res := analyze(app)
 	if !res.DrawAndDestroy {
 		t.Fatal("guarded sinks not reached (analysis should be path-insensitive)")
 	}
@@ -198,7 +202,7 @@ func toastLoopApp(reEnqueue bool) *dexir.App {
 }
 
 func TestToastReplaceDetection(t *testing.T) {
-	res := Analyze(toastLoopApp(true))
+	res := analyze(toastLoopApp(true))
 	if !res.ToastReplace {
 		t.Fatal("re-enqueueing toast loop not detected")
 	}
@@ -206,7 +210,7 @@ func TestToastReplaceDetection(t *testing.T) {
 		t.Fatal("setView feature not reported")
 	}
 	// A one-shot customized toast is the feature but not the capability.
-	res = Analyze(toastLoopApp(false))
+	res = analyze(toastLoopApp(false))
 	if res.ToastReplace {
 		t.Fatal("one-shot toast misclassified as replacement capability")
 	}
@@ -230,7 +234,7 @@ func TestToastReplaceViaRepeatingTimer(t *testing.T) {
 			{Op: dexir.OpInvoke, Target: dexir.RefToastShow},
 		}},
 	})
-	if res := Analyze(app); !res.ToastReplace {
+	if res := analyze(app); !res.ToastReplace {
 		t.Fatal("fixed-rate timer toast loop not detected")
 	}
 }
@@ -253,7 +257,7 @@ func TestA11yTimingDetection(t *testing.T) {
 			}},
 		}}},
 	}
-	res := Analyze(app)
+	res := analyze(app)
 	if !res.A11yTiming {
 		t.Fatal("a11y-wired overlay not detected")
 	}
@@ -268,14 +272,14 @@ func TestA11yTimingDetection(t *testing.T) {
 			{Ref: onEvent, Body: []dexir.Instruction{{Op: dexir.OpNop}}},
 		}}},
 	}
-	if res := Analyze(clean); res.A11yTiming {
+	if res := analyze(clean); res.A11yTiming {
 		t.Fatal("benign a11y service flagged")
 	}
 }
 
 func TestReachSetPathAndFlags(t *testing.T) {
 	app := attackApp()
-	g := BuildCallGraph(app)
+	g := BuildCallGraphTier(app, Tier0)
 	cls := dexir.ClassName("com.evil", "Main")
 	onCreate := dexir.Ref(cls, "onCreate", "(Landroid/os/Bundle;)V")
 	swap := dexir.Ref(cls, "swap", "()V")
@@ -311,8 +315,8 @@ func TestCapabilityStrings(t *testing.T) {
 }
 
 func TestAnalyzeDeterministic(t *testing.T) {
-	a := Analyze(attackApp())
-	b := Analyze(attackApp())
+	a := analyze(attackApp())
+	b := analyze(attackApp())
 	if len(a.Findings) != len(b.Findings) {
 		t.Fatalf("finding counts differ: %d vs %d", len(a.Findings), len(b.Findings))
 	}

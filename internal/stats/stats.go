@@ -1,7 +1,7 @@
 // Package stats provides the small summary-statistics toolkit the
 // experiment harness uses to report results the way the paper does:
-// means, standard deviations, percentiles and box-plot five-number
-// summaries (Fig. 7 is a box plot over 30 participants).
+// means, percentiles and box-plot five-number summaries (Fig. 7 is a box
+// plot over 30 participants).
 package stats
 
 import (
@@ -24,23 +24,6 @@ func Mean(xs []float64) (float64, error) {
 		sum += x
 	}
 	return sum / float64(len(xs)), nil
-}
-
-// Stddev computes the sample standard deviation (n−1 denominator).
-func Stddev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1)), nil
 }
 
 // Percentile computes the p-th percentile (0 ≤ p ≤ 100) with linear
@@ -110,30 +93,6 @@ func Box(xs []float64) (BoxPlot, error) {
 func (b BoxPlot) String() string {
 	return fmt.Sprintf("min %.1f  q1 %.1f  med %.1f  q3 %.1f  max %.1f  mean %.1f (n=%d)",
 		b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean, b.N)
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi); values
-// outside the range clamp to the edge bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
-	if nbins <= 0 {
-		return nil, fmt.Errorf("stats: non-positive bin count %d", nbins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: empty range [%v,%v)", lo, hi)
-	}
-	bins := make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		bins[i]++
-	}
-	return bins, nil
 }
 
 // Ratio formats a count as a percentage of a total.

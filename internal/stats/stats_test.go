@@ -18,19 +18,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	got, err := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatalf("Stddev: %v", err)
-	}
-	if math.Abs(got-2.138) > 0.01 {
-		t.Fatalf("Stddev = %v, want ≈2.138", got)
-	}
-	if _, err := Stddev([]float64{1}); err == nil {
-		t.Fatal("Stddev of single sample accepted")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	tests := []struct {
@@ -96,25 +83,6 @@ func TestBox(t *testing.T) {
 	}
 	if s := bp.String(); s == "" {
 		t.Fatal("empty String")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins, err := Histogram([]float64{0.5, 1.5, 1.6, 2.5, -1, 99}, 0, 3, 3)
-	if err != nil {
-		t.Fatalf("Histogram: %v", err)
-	}
-	want := []int{2, 2, 2} // -1 clamps to bin 0, 99 clamps to bin 2
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("bins = %v, want %v", bins, want)
-		}
-	}
-	if _, err := Histogram(nil, 0, 1, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	if _, err := Histogram(nil, 2, 1, 3); err == nil {
-		t.Fatal("inverted range accepted")
 	}
 }
 

@@ -143,9 +143,8 @@ type Server struct {
 	// (supplied by the fault plane via WithFaults).
 	frameFault anim.FaultFunc
 	// monitor, when non-nil, receives invariant probes and internal
-	// breaches; otherwise breaches land in violations.
-	monitor    *invariant.Monitor
-	violations []string
+	// breaches; otherwise breaches go unreported.
+	monitor *invariant.Monitor
 	// toastCapOverride, when positive, replaces MaxToastTokensPerApp
 	// (fault ablation hook; raising it past the platform cap lets tests
 	// drive the queue into invariant-violating territory).
@@ -220,22 +219,12 @@ func (s *Server) toastCap() int {
 	return MaxToastTokensPerApp
 }
 
-// Violations returns internal breaches recorded while no monitor was
-// attached.
-func (s *Server) Violations() []string {
-	out := make([]string, len(s.violations))
-	copy(out, s.violations)
-	return out
-}
-
-// violation reports an internal-consistency breach without crashing the
-// run: to the monitor when attached, else to the local record.
+// violation reports an internal-consistency breach to the monitor, when
+// one is attached, without crashing the run.
 func (s *Server) violation(rule, detail string) {
 	if s.monitor != nil {
 		s.monitor.Report(rule, detail)
-		return
 	}
-	s.violations = append(s.violations, rule+": "+detail)
 }
 
 // EnableEnhancedNotificationDefense turns on the Section VII-B defense with
@@ -247,9 +236,6 @@ func (s *Server) EnableEnhancedNotificationDefense(t time.Duration) {
 	}
 	s.defenseDelay = t
 }
-
-// DefenseDelay reports the enhanced-notification defense delay (0 = off).
-func (s *Server) DefenseDelay() time.Duration { return s.defenseDelay }
 
 // SetANADelay overrides the delay before the overlay alert is sent
 // (ablation hook; the profile's Android version sets the default).
@@ -273,9 +259,6 @@ func (s *Server) SetToastFade(d time.Duration) {
 	s.toastFade = d
 }
 
-// ToastFade reports the configured toast fade duration.
-func (s *Server) ToastFade() time.Duration { return s.toastFade }
-
 // EnableToastGapDefense turns on the scheduling defense the paper sketches
 // against the draw-and-destroy toast attack: successive toasts of the same
 // app are separated by a mandatory gap after the previous fade-out
@@ -286,9 +269,6 @@ func (s *Server) EnableToastGapDefense(gap time.Duration) {
 	}
 	s.toastGapDefense = gap
 }
-
-// ToastGapDefense reports the configured inter-toast gap (0 = off).
-func (s *Server) ToastGapDefense() time.Duration { return s.toastGapDefense }
 
 func (s *Server) handle(tx binder.Transaction) {
 	switch tx.Method {

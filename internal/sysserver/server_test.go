@@ -212,8 +212,8 @@ func TestEnhancedDefenseKeepsAlert(t *testing.T) {
 	}
 	st := assemble(t, p)
 	st.Server.EnableEnhancedNotificationDefense(690 * time.Millisecond)
-	if got := st.Server.DefenseDelay(); got != 690*time.Millisecond {
-		t.Fatalf("DefenseDelay = %v", got)
+	if got := st.Server.defenseDelay; got != 690*time.Millisecond {
+		t.Fatalf("defense delay = %v", got)
 	}
 	st.WM.GrantOverlayPermission(evilApp)
 
@@ -238,8 +238,8 @@ func TestEnhancedDefenseKeepsAlert(t *testing.T) {
 func TestEnhancedDefenseNegativeDelayClamped(t *testing.T) {
 	st := assemble(t, device.Seed().Default())
 	st.Server.EnableEnhancedNotificationDefense(-time.Second)
-	if got := st.Server.DefenseDelay(); got != 0 {
-		t.Fatalf("DefenseDelay = %v, want 0", got)
+	if got := st.Server.defenseDelay; got != 0 {
+		t.Fatalf("defense delay = %v, want 0", got)
 	}
 }
 

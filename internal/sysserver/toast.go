@@ -295,7 +295,3 @@ func (s *Server) Toasts() []ToastRecord {
 
 // QueuedToasts reports how many tokens the app currently has in the queue.
 func (s *Server) QueuedToasts(app binder.ProcessID) int { return s.toasts.perApp[app] }
-
-// ToastSlotBusy reports whether a toast is currently in its on-screen
-// (pre-fade-out) phase.
-func (s *Server) ToastSlotBusy() bool { return s.toasts.current != nil }

@@ -298,8 +298,8 @@ func TestCancelToastDropsQueuedTokens(t *testing.T) {
 func TestToastGapDefenseForcesFlicker(t *testing.T) {
 	st := assemble(t, device.Seed().Default())
 	st.Server.EnableToastGapDefense(400 * time.Millisecond)
-	if got := st.Server.ToastGapDefense(); got != 400*time.Millisecond {
-		t.Fatalf("ToastGapDefense = %v", got)
+	if got := st.Server.toastGapDefense; got != 400*time.Millisecond {
+		t.Fatalf("toast gap = %v", got)
 	}
 	// Attack-style chain: keep the queue fed.
 	for i := 0; i < 4; i++ {
@@ -356,7 +356,7 @@ func TestToastGapDefenseDoesNotDelayOtherApps(t *testing.T) {
 	if recs[1].ShownAt > recs[0].ShownAt+ToastShort+200*time.Millisecond {
 		t.Fatalf("other app's toast delayed to %v", recs[1].ShownAt)
 	}
-	if st.Server.ToastGapDefense() != 2*time.Second {
+	if st.Server.toastGapDefense != 2*time.Second {
 		t.Fatal("defense setting lost")
 	}
 }
@@ -365,27 +365,30 @@ func TestToastGapDefenseDoesNotDelayOtherApps(t *testing.T) {
 func TestToastGapDefenseNegativeClamped(t *testing.T) {
 	st := assemble(t, device.Seed().Default())
 	st.Server.EnableToastGapDefense(-time.Second)
-	if got := st.Server.ToastGapDefense(); got != 0 {
-		t.Fatalf("ToastGapDefense = %v, want 0", got)
+	if got := st.Server.toastGapDefense; got != 0 {
+		t.Fatalf("toast gap = %v, want 0", got)
 	}
 }
 
+// TestToastSlotBusy: a toast holds the queue's on-screen slot from show
+// until it expires.
 func TestToastSlotBusy(t *testing.T) {
 	st := assemble(t, device.Seed().Default())
-	if st.Server.ToastSlotBusy() {
+	busy := func() bool { return st.Server.toasts.current != nil }
+	if busy() {
 		t.Fatal("slot busy before any toast")
 	}
 	showToast(t, st, ToastShort, "x")
 	if err := st.Clock.RunUntil(time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	if !st.Server.ToastSlotBusy() {
+	if !busy() {
 		t.Fatal("slot not busy while toast on screen")
 	}
 	if err := st.Clock.RunFor(5 * time.Second); err != nil {
 		t.Fatalf("RunFor: %v", err)
 	}
-	if st.Server.ToastSlotBusy() {
+	if busy() {
 		t.Fatal("slot busy after toast expired")
 	}
 }

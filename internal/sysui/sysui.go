@@ -19,7 +19,6 @@ package sysui
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/anim"
@@ -141,9 +140,6 @@ type Config struct {
 	// selects the stock 360 ms. The ablation experiments shorten it to
 	// show that the slow-in animation *is* the vulnerability.
 	SlideDuration time.Duration
-	// StatusBarIconSlots is how many notification icons fit in the
-	// status bar (4 on the paper's Pixel 2).
-	StatusBarIconSlots int
 	// EpisodeHistory caps how many finished episodes are retained for
 	// inspection; aggregates (counts, worst outcome) are exact
 	// regardless. Zero selects 4096; long attack soaks would otherwise
@@ -161,7 +157,6 @@ type alertState struct {
 	slide    *anim.Animation
 	msgStart time.Duration // when message rendering began; -1 if not yet
 	msgEv    *simclock.Event
-	iconEv   *simclock.Event
 }
 
 // SystemUI is the System UI process model.
@@ -173,37 +168,26 @@ type SystemUI struct {
 
 	alerts   map[binder.ProcessID]*alertState
 	episodes []*Episode
-	icons    []binder.ProcessID // status-bar icons in display order
 
 	// Exact aggregates over all episodes ever, independent of trimming.
 	episodesTotal uint64
 	worstEver     Outcome
 
 	// onViolation receives internal-consistency breaches; with none
-	// installed they are recorded in violations. Either way the process
-	// degrades instead of crashing.
+	// installed they go unreported. Either way the process degrades
+	// instead of crashing.
 	onViolation func(rule, detail string)
-	violations  []string
 }
 
 // SetViolationHandler installs fn to receive internal-consistency
-// breaches (the invariant monitor wires itself in here). A nil fn reverts
-// to internal recording (Violations).
+// breaches (the invariant monitor wires itself in here). A nil fn stops
+// reporting.
 func (ui *SystemUI) SetViolationHandler(fn func(rule, detail string)) { ui.onViolation = fn }
-
-// Violations returns breaches recorded while no handler was installed.
-func (ui *SystemUI) Violations() []string {
-	out := make([]string, len(ui.violations))
-	copy(out, ui.violations)
-	return out
-}
 
 func (ui *SystemUI) violation(rule, detail string) {
 	if ui.onViolation != nil {
 		ui.onViolation(rule, detail)
-		return
 	}
-	ui.violations = append(ui.violations, rule+": "+detail)
 }
 
 // New builds and registers the System UI endpoint on the bus.
@@ -228,9 +212,6 @@ func New(cfg Config) (*SystemUI, error) {
 	}
 	if cfg.SlideDuration < 0 {
 		return nil, fmt.Errorf("sysui: negative slide duration %v", cfg.SlideDuration)
-	}
-	if cfg.StatusBarIconSlots == 0 {
-		cfg.StatusBarIconSlots = 4
 	}
 	if cfg.EpisodeHistory == 0 {
 		cfg.EpisodeHistory = 4096
@@ -323,27 +304,8 @@ func (ui *SystemUI) startMessageRender(app binder.ProcessID, st *alertState) {
 			st.msgEv = nil
 			st.episode.MessageProgress = 1
 			st.episode.IconShown = true
-			ui.addStatusIcon(app)
 		})
 	})
-}
-
-func (ui *SystemUI) addStatusIcon(app binder.ProcessID) {
-	for _, ic := range ui.icons {
-		if ic == app {
-			return
-		}
-	}
-	ui.icons = append(ui.icons, app)
-}
-
-func (ui *SystemUI) removeStatusIcon(app binder.ProcessID) {
-	for i, ic := range ui.icons {
-		if ic == app {
-			ui.icons = append(ui.icons[:i], ui.icons[i+1:]...)
-			return
-		}
-	}
 }
 
 func (ui *SystemUI) removeAlert(app binder.ProcessID) {
@@ -376,7 +338,6 @@ func (ui *SystemUI) removeAlert(app binder.ProcessID) {
 		if o := ep.Classify(); o > ui.worstEver {
 			ui.worstEver = o
 		}
-		ui.removeStatusIcon(app)
 		delete(ui.alerts, app)
 	}
 	if st.slide != nil && (st.slide.State() == anim.StateRunning || st.slide.Value() > 0) {
@@ -424,22 +385,6 @@ func (ui *SystemUI) ActiveAlert(app binder.ProcessID) bool {
 	return ok
 }
 
-// DrawerEntries returns the apps with an alert entry currently listed in
-// the notification drawer, in sorted order (ui.alerts is a map, and a
-// caller comparing drawers across runs needs a stable listing). An
-// entry's *view* renders only as far as its slide-down animation has
-// progressed (the paper's Fig. 6 photographs the drawer), so a present
-// entry can still be invisible — query AlertVisiblePx for what a user
-// would actually see.
-func (ui *SystemUI) DrawerEntries() []binder.ProcessID {
-	out := make([]binder.ProcessID, 0, len(ui.alerts))
-	for app := range ui.alerts {
-		out = append(out, app)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // AlertVisiblePx reports how many pixels of the app's alert view are
 // rendered right now — zero while the entry exists but its animation has
 // not yet drawn anything, which is the state the draw-and-destroy attack
@@ -450,18 +395,6 @@ func (ui *SystemUI) AlertVisiblePx(app binder.ProcessID) int {
 		return 0
 	}
 	return anim.VisiblePixels(ui.cfg.NotifViewHeightPx, st.slide.Value())
-}
-
-// StatusBarIcons returns the apps whose notification icons are visible in
-// the status bar, truncated to the device's icon slots.
-func (ui *SystemUI) StatusBarIcons() []binder.ProcessID {
-	n := len(ui.icons)
-	if n > ui.cfg.StatusBarIconSlots {
-		n = ui.cfg.StatusBarIconSlots
-	}
-	out := make([]binder.ProcessID, n)
-	copy(out, ui.icons[:n])
-	return out
 }
 
 // trimEpisodes drops the oldest *finished* episodes beyond the retention

@@ -179,9 +179,6 @@ func (a *Activity) emit(t EventType, source *View) {
 	}
 }
 
-// Focused reports the currently focused view (nil if none).
-func (a *Activity) Focused() *View { return a.focused }
-
 // Focus moves input focus to v. Per the paper's observation, the widget
 // losing focus sends a lone TYPE_WINDOW_CONTENT_CHANGED; the widget
 // gaining focus sends TYPE_VIEW_FOCUSED.

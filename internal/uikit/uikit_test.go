@@ -153,7 +153,7 @@ func TestFocusSwitchEmitsLoneContentChanged(t *testing.T) {
 	if len(fromUser) != 1 || fromUser[0] != EventWindowContentChanged {
 		t.Fatalf("events from username on focus switch = %v, want lone CONTENT_CHANGED", fromUser)
 	}
-	if act.Focused() != pass {
+	if act.focused != pass {
 		t.Fatal("focus not moved")
 	}
 }

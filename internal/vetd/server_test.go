@@ -228,7 +228,9 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 				if rec.Header().Get("Retry-After") != "3" {
 					t.Errorf("Retry-After = %q, want 3", rec.Header().Get("Retry-After"))
 				}
-				var er ErrorResponse
+				var er struct {
+					RetryAfterSec int `json:"retry_after_sec"`
+				}
 				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.RetryAfterSec != 3 {
 					t.Errorf("shed body %q", rec.Body.String())
 				}

@@ -105,13 +105,6 @@ type BatchResponse struct {
 	Verdicts []BatchItem `json:"verdicts"`
 }
 
-// ErrorResponse is the JSON body of every non-200 reply.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	// RetryAfterSec mirrors the Retry-After header on 429 sheds.
-	RetryAfterSec int `json:"retry_after_sec,omitempty"`
-}
-
 // HashIR computes the content address of an app's IR: SHA-256 over the
 // canonical JSON encoding (struct fields in declaration order; the IR
 // holds no maps, so the encoding is deterministic). Two requests carrying

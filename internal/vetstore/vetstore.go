@@ -23,9 +23,6 @@ import (
 // concurrent use.
 type Store = applog.Store[defense.VetVerdict]
 
-// Stats is a snapshot of the store's counters.
-type Stats = applog.Stats
-
 // Open opens or creates the store at path, recovering any existing
 // records. A torn trailing line (crash mid-append) is truncated away; a
 // file whose header names a different format version is refused.

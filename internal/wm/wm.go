@@ -157,7 +157,6 @@ type Window struct {
 	Flags   Flags
 	Alpha   float64
 	AddedAt time.Duration
-	Hidden  bool // forced-hidden by Settings protection
 
 	onTouch TouchHandler
 }
@@ -166,9 +165,6 @@ type Window struct {
 // Toast windows never receive touches (Android guarantees the underlying
 // activity stays interactive under a toast).
 func (w *Window) Touchable() bool {
-	if w.Hidden {
-		return false
-	}
 	if w.Type == TypeToast || w.Type == TypeLegacyToast {
 		return false
 	}
@@ -182,9 +178,6 @@ var (
 	// ErrTypeToastRemoved indicates an app tried to add a TYPE_TOAST
 	// window directly, which Android 8 removed.
 	ErrTypeToastRemoved = errors.New("wm: TYPE_TOAST windows were removed in Android 8.0")
-	// ErrProtectedForeground indicates the Settings app is granting
-	// permissions and overlays are disallowed.
-	ErrProtectedForeground = errors.New("wm: overlays disallowed while Settings grants permissions")
 	// ErrUnknownWindow indicates the window id is not attached.
 	ErrUnknownWindow = errors.New("wm: unknown window")
 )
@@ -237,16 +230,14 @@ type Manager struct {
 	perms    map[binder.ProcessID]bool
 	overlays map[binder.ProcessID]int
 
-	protected       bool
 	countListeners  []OverlayCountListener
 	windowListeners []WindowEventListener
 
 	// onViolation receives internal-consistency breaches (overlay count
-	// underflow, failed forced removals). With no handler installed the
-	// breach is recorded in violations; the state is clamped either way so
-	// a faulted run degrades instead of crashing.
+	// underflow, failed forced removals); with no handler installed they
+	// go unreported. The state is clamped either way so a faulted run
+	// degrades instead of crashing.
 	onViolation func(rule, detail string)
-	violations  []string
 
 	nextGesture uint64
 	gestures    map[uint64]*gesture
@@ -299,23 +290,13 @@ func (m *Manager) Screen() geom.Rect { return m.screen }
 
 // SetViolationHandler installs fn to receive internal-consistency
 // breaches; the invariant monitor uses this to collect them with an
-// event-time trace. A nil fn reverts to internal recording (Violations).
+// event-time trace. A nil fn stops reporting.
 func (m *Manager) SetViolationHandler(fn func(rule, detail string)) { m.onViolation = fn }
-
-// Violations returns breaches recorded while no violation handler was
-// installed.
-func (m *Manager) Violations() []string {
-	out := make([]string, len(m.violations))
-	copy(out, m.violations)
-	return out
-}
 
 func (m *Manager) violation(rule, detail string) {
 	if m.onViolation != nil {
 		m.onViolation(rule, detail)
-		return
 	}
-	m.violations = append(m.violations, rule+": "+detail)
 }
 
 // Stats reports dispatch counters.
@@ -340,22 +321,6 @@ func (m *Manager) RevokeOverlayPermission(app binder.ProcessID) {
 
 // HasOverlayPermission reports whether the app holds SYSTEM_ALERT_WINDOW.
 func (m *Manager) HasOverlayPermission(app binder.ProcessID) bool { return m.perms[app] }
-
-// SetProtectedForeground toggles the Android ≥ 8 defense that forbids any
-// overlay from covering the Settings app while it grants permissions (and
-// the package installer). Entering protection hides attached overlays;
-// leaving restores them.
-func (m *Manager) SetProtectedForeground(on bool) {
-	m.protected = on
-	for _, w := range m.order {
-		if w.Type == TypeApplicationOverlay {
-			w.Hidden = on
-		}
-	}
-}
-
-// ProtectedForeground reports whether the protected mode is active.
-func (m *Manager) ProtectedForeground() bool { return m.protected }
 
 // OnOverlayCountChange registers a listener for per-app overlay-count
 // transitions.
@@ -393,9 +358,6 @@ func (m *Manager) AddWindow(spec Spec) (WindowID, error) {
 	case TypeApplicationOverlay:
 		if !m.perms[spec.Owner] {
 			return 0, ErrNoPermission
-		}
-		if m.protected {
-			return 0, ErrProtectedForeground
 		}
 	case TypeActivity, TypeInputMethod:
 		// always allowed
@@ -566,22 +528,12 @@ func (m *Manager) windowsOf(app binder.ProcessID, t WindowType) []*Window {
 	return out
 }
 
-// WindowsOf returns snapshots of the app's windows of type t in z-order.
-func (m *Manager) WindowsOf(app binder.ProcessID, t WindowType) []Window {
-	ws := m.windowsOf(app, t)
-	out := make([]Window, len(ws))
-	for i, w := range ws {
-		out[i] = *w
-	}
-	return out
-}
-
 // TopWindowAt returns the topmost window containing p, optionally
 // restricted to touchable windows. ok is false when nothing matches.
 func (m *Manager) TopWindowAt(p geom.Point, touchableOnly bool) (Window, bool) {
 	for i := len(m.order) - 1; i >= 0; i-- {
 		w := m.order[i]
-		if w.Hidden || !w.Bounds.Contains(p) {
+		if !w.Bounds.Contains(p) {
 			continue
 		}
 		if touchableOnly && !w.Touchable() {
@@ -598,7 +550,7 @@ func (m *Manager) TopWindowAt(p geom.Point, touchableOnly bool) (Window, bool) {
 func (m *Manager) TopToastAlpha(app binder.ProcessID) float64 {
 	maxAlpha := 0.0
 	for _, w := range m.order {
-		if w.Owner == app && w.Type == TypeToast && !w.Hidden && w.Alpha > maxAlpha {
+		if w.Owner == app && w.Type == TypeToast && w.Alpha > maxAlpha {
 			maxAlpha = w.Alpha
 		}
 	}

@@ -83,31 +83,6 @@ func TestDirectToastAddRejected(t *testing.T) {
 	}
 }
 
-func TestProtectedForegroundBlocksOverlays(t *testing.T) {
-	m, _ := newMgr(t)
-	m.GrantOverlayPermission(evilApp)
-	id, err := m.AddWindow(Spec{Owner: evilApp, Type: TypeApplicationOverlay, Bounds: screen()})
-	if err != nil {
-		t.Fatalf("AddWindow: %v", err)
-	}
-	m.SetProtectedForeground(true)
-	if !m.ProtectedForeground() {
-		t.Fatal("ProtectedForeground not set")
-	}
-	// New overlays rejected.
-	if _, err := m.AddWindow(Spec{Owner: evilApp, Type: TypeApplicationOverlay, Bounds: screen()}); !errors.Is(err, ErrProtectedForeground) {
-		t.Fatalf("err = %v, want ErrProtectedForeground", err)
-	}
-	// Existing overlay hidden: touches fall through.
-	if _, top, ok := m.BeginGesture(geom.Pt(100, 100)); ok {
-		t.Fatalf("touch hit hidden overlay %v", top.ID)
-	}
-	m.SetProtectedForeground(false)
-	if _, top, ok := m.BeginGesture(geom.Pt(100, 100)); !ok || top.ID != id {
-		t.Fatal("overlay not restored after protection lifted")
-	}
-}
-
 func TestOverlayCountTransitions(t *testing.T) {
 	m, _ := newMgr(t)
 	m.GrantOverlayPermission(evilApp)
@@ -351,8 +326,8 @@ func TestWindowsOfAndCounts(t *testing.T) {
 			t.Fatalf("AddWindow: %v", err)
 		}
 	}
-	if got := len(m.WindowsOf(evilApp, TypeApplicationOverlay)); got != 3 {
-		t.Fatalf("WindowsOf = %d, want 3", got)
+	if got := m.OverlayCount(evilApp); got != 3 {
+		t.Fatalf("OverlayCount = %d, want 3", got)
 	}
 	if got := m.WindowCount(); got != 3 {
 		t.Fatalf("WindowCount = %d, want 3", got)

@@ -4,11 +4,13 @@
 #
 #     sh scripts/verify.sh
 #
-# Steps: build, unit tests, go vet, the simlint determinism/robustness
+# Steps: build, unit tests, go vet, a gofmt check, a build and vet of the
+# separate perfbench module, the simlint determinism/robustness
 # pass, a race-detector pass over the short tests, a coverage floor on
 # the experiment-harness core packages, the attacks they drive, the
 # streaming detector, the simulator's detector adapter, the fleet
-# generator, the event clock and System UI, a 10 s fuzz of the random source against math/rand, the
+# generator, the event clock, System UI, the window manager, the system
+# server and the lint pass, a 10 s fuzz of the random source against math/rand, the
 # scheduler
 # parity diff plus a 200-device fleet-sweep parity smoke, a vetd
 # serving smoke (checked vetload replay +
@@ -35,6 +37,17 @@ go test ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l ."
+UNFORMATTED=$(gofmt -l .)
+[ -z "$UNFORMATTED" ] || { echo "gofmt: these files need formatting:"; echo "$UNFORMATTED"; exit 1; }
+
+# perfbench is its own module, so the steps above never compile it; build
+# and vet it here so an API change that breaks the benchmark fails the
+# gate. -o /dev/null: a plain build of its main package would leave a
+# binary in the tree.
+echo "==> perfbench: go build + go vet"
+(cd perfbench && go build -o /dev/null ./... && go vet ./...)
+
 echo "==> simlint internal/"
 go run ./cmd/simlint
 
@@ -60,11 +73,14 @@ go test -race -short ./...
 # carries the transaction ordering and fault delivery every trial runs
 # on, and internal/sysui and internal/simclock carry what lets a fleet
 # verdict run stop at its deciding event: a worst alert outcome that
-# never falls, and the event stepping the run stops between — a drop
-# below the floor means those paths lost their tests. All packages
-# currently sit well above it.
+# never falls, and the event stepping the run stops between;
+# internal/wm and internal/sysserver carry the window and toast state
+# every trial runs on and report their internal breaches only to the
+# invariant monitor, and internal/simlint carries the determinism rules
+# and the test-only-export guard — a drop below the floor means those
+# paths lost their tests. All packages currently sit well above it.
 COVER_FLOOR=65
-COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog ./internal/simrand ./internal/binder ./internal/sysui ./internal/simclock"
+COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog ./internal/simrand ./internal/binder ./internal/sysui ./internal/simclock ./internal/wm ./internal/sysserver ./internal/simlint"
 echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
 go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
