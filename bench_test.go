@@ -762,13 +762,14 @@ func BenchmarkInterpolatorFastOutSlowIn(b *testing.B) {
 // BenchmarkBinderCall measures one simulated Binder round trip.
 func BenchmarkBinderCall(b *testing.B) {
 	clock := simclock.New()
-	bus, err := binder.NewBus(binder.Config{Clock: clock, RNG: simrand.New(1), LogLimit: -1})
+	bus, err := binder.NewBus(binder.Config{Clock: clock, RNG: simrand.New(1)})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := bus.Register(binder.SystemServer, func(binder.Transaction) {}); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bus.Call("app", binder.SystemServer, "m", nil); err != nil {
@@ -782,6 +783,7 @@ func BenchmarkBinderCall(b *testing.B) {
 func BenchmarkSimClock(b *testing.B) {
 	clock := simclock.New()
 	fn := func() {}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clock.MustAfter(time.Microsecond, "bench", fn)

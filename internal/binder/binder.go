@@ -1,8 +1,9 @@
 // Package binder simulates the slice of Android's Binder IPC that the
 // paper's attacks and defenses depend on: asynchronous transactions between
-// named processes, per-call latency sampled from a device profile, and a
-// transaction log with caller identity and timestamps (the raw material of
-// the Section VII-A IPC-based defense).
+// named processes, per-call latency sampled from a device profile, and
+// delivery observers that see each transaction with its caller identity and
+// timestamps (the Section VII-A IPC-based detector reads deliveries through
+// one). The bus keeps no transaction log; it counts its traffic in Stats.
 //
 // Delivery semantics follow the paper's empirical observations rather than
 // a strict global FIFO: calls on the same (from, to, method) stream are
@@ -31,7 +32,8 @@ const (
 	SystemUI     ProcessID = "com.android.systemui"
 )
 
-// Transaction is one Binder call in flight or in the log.
+// Transaction is one Binder call, in flight or as handed to a handler and
+// the observers on delivery.
 type Transaction struct {
 	// ID is a unique, monotonically increasing transaction id.
 	ID uint64
@@ -87,15 +89,35 @@ type Bus struct {
 	// entry also carries the stream's event label.
 	lastDelivery map[streamKey]stream
 
-	log       []Transaction
-	logLimit  int
 	observers []Observer
 
 	faults FaultInjector
 
-	dropped       uint64
-	droppedLog    uint64
-	injectedDrops uint64
+	stats Stats
+}
+
+// Stats is the bus's transaction accounting. Each field is counted where
+// it happens, so Calls + Duplicated == Delivered + InFlight +
+// InjectedDrops + Unroutable holds at every instant.
+type Stats struct {
+	// Calls counts every Call, routable or not.
+	Calls uint64
+	// Duplicated counts the extra deliveries the fault injector scheduled.
+	Duplicated uint64
+	// Delivered counts deliveries that reached their handler.
+	Delivered uint64
+	// InFlight counts deliveries scheduled but not yet fired.
+	InFlight uint64
+	// InjectedDrops counts transactions the fault injector discarded in
+	// flight.
+	InjectedDrops uint64
+	// Unroutable counts calls to unregistered processes.
+	Unroutable uint64
+}
+
+// Balanced reports whether the accounting identity holds.
+func (s Stats) Balanced() bool {
+	return s.Calls+s.Duplicated == s.Delivered+s.InFlight+s.InjectedDrops+s.Unroutable
 }
 
 type streamKey struct {
@@ -119,14 +141,7 @@ type Config struct {
 	// Latency supplies per-call latency distributions; nil means all
 	// calls deliver instantly (useful in unit tests).
 	Latency LatencyFunc
-	// LogLimit caps the in-memory transaction log; zero selects a
-	// generous default, negative disables logging.
-	LogLimit int
 }
-
-// defaultLogLimit bounds the transaction log so week-long simulated attacks
-// do not hold every transaction in memory.
-const defaultLogLimit = 1 << 20
 
 // NewBus builds a Bus.
 func NewBus(cfg Config) (*Bus, error) {
@@ -136,17 +151,12 @@ func NewBus(cfg Config) (*Bus, error) {
 	if cfg.RNG == nil {
 		return nil, errors.New("binder: nil rng")
 	}
-	limit := cfg.LogLimit
-	if limit == 0 {
-		limit = defaultLogLimit
-	}
 	return &Bus{
 		clock:        cfg.Clock,
 		rng:          cfg.RNG,
 		latency:      cfg.Latency,
 		handlers:     make(map[ProcessID]Handler),
 		lastDelivery: make(map[streamKey]stream),
-		logLimit:     limit,
 	}, nil
 }
 
@@ -179,11 +189,12 @@ func (b *Bus) SetFaultInjector(fi FaultInjector) { b.faults = fi }
 
 // Call sends an asynchronous (oneway) transaction from one process to
 // another. It returns the assigned transaction id. Calls to unregistered
-// processes are counted as dropped and return an error.
+// processes are counted as unroutable and return an error.
 func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, error) {
+	b.stats.Calls++
 	handler, ok := b.handlers[to]
 	if !ok {
-		b.dropped++
+		b.stats.Unroutable++
 		return 0, fmt.Errorf("binder: no process %q registered (call %s from %q)", to, method, from)
 	}
 	b.nextID++
@@ -203,7 +214,7 @@ func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, erro
 		// The transaction vanishes in flight. Oneway callers see success
 		// (there is no reply to miss), so the id is still returned; only
 		// the injected-drop counter records the loss.
-		b.injectedDrops++
+		b.stats.InjectedDrops++
 		return tx.ID, nil
 	}
 	delay := time.Duration(0)
@@ -222,59 +233,36 @@ func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, erro
 	st.last = deliverAt
 	b.lastDelivery[key] = st
 	deliver := func() {
+		// Stamp a copy: the closure then captures tx by value instead of
+		// moving it to the heap beside the closure.
+		tx := tx
 		tx.DeliveredAt = b.clock.Now()
-		b.record(tx)
+		b.stats.InFlight--
+		b.stats.Delivered++
+		for _, obs := range b.observers {
+			obs(tx)
+		}
 		handler(tx)
 	}
 	if _, err := b.clock.At(deliverAt, st.label, deliver); err != nil {
 		return 0, fmt.Errorf("binder: schedule delivery: %w", err)
 	}
+	b.stats.InFlight++
 	if fault.Duplicate {
 		if _, err := b.clock.At(deliverAt, st.label+"/dup", deliver); err != nil {
 			return 0, fmt.Errorf("binder: schedule duplicate delivery: %w", err)
 		}
+		b.stats.InFlight++
+		b.stats.Duplicated++
 	}
 	return tx.ID, nil
 }
 
-// record logs a delivered transaction, unless logging is disabled, and
-// notifies the observers either way.
-func (b *Bus) record(tx Transaction) {
-	if b.logLimit >= 0 {
-		if len(b.log) >= b.logLimit {
-			// Drop the oldest half rather than one-at-a-time to keep
-			// append amortized O(1). The evictions are counted: a
-			// truncated log must not masquerade as a quiet caller to
-			// log-based analyses.
-			keep := b.logLimit / 2
-			b.droppedLog += uint64(len(b.log) - keep)
-			b.log = append(b.log[:0], b.log[len(b.log)-keep:]...)
-		}
-		b.log = append(b.log, tx)
-	}
-	for _, obs := range b.observers {
-		obs(tx)
-	}
-}
+// Stats reports the bus's transaction accounting.
+func (b *Bus) Stats() Stats { return b.stats }
 
-// Log returns a copy of the delivered-transaction log in delivery order.
-func (b *Bus) Log() []Transaction {
-	out := make([]Transaction, len(b.log))
-	copy(out, b.log)
-	return out
-}
-
-// Dropped reports how many calls targeted unregistered processes.
-func (b *Bus) Dropped() uint64 { return b.dropped }
-
-// InjectedDrops reports how many transactions the fault injector
-// discarded in flight. Accounting stays exact under faults:
-// delivered + InjectedDrops + Dropped == calls attempted (duplicates add
-// extra deliveries on top).
-func (b *Bus) InjectedDrops() uint64 { return b.injectedDrops }
-
-// DroppedLogEntries reports how many delivered transactions have been
-// evicted from the in-memory log because LogLimit was hit. Consumers of
-// Log must treat a non-zero value as an incomplete view: an app
-// absent from a truncated log is not necessarily a quiet caller.
-func (b *Bus) DroppedLogEntries() uint64 { return b.droppedLog }
+// DroppedLogEntries always reports 0: the bus keeps no transaction log, so
+// nothing is evicted. It stays only because the perfbench module reads it
+// for its binder.log_evictions metric; the next change to that benchmark
+// drops the method together with the metric.
+func (b *Bus) DroppedLogEntries() uint64 { return 0 }

@@ -23,7 +23,7 @@ func (s *scriptedInjector) TransactionFault(_, _ ProcessID, method string) TxFau
 
 // TestInjectedDropAccountingExact: every injected drop is counted, the
 // caller still sees oneway success (non-zero id, nil error), and
-// delivered + InjectedDrops accounts for every attempted call.
+// delivered + injected drops + unroutable accounts for every attempted call.
 func TestInjectedDropAccountingExact(t *testing.T) {
 	bus, clock := newTestBus(t, nil)
 	delivered := 0
@@ -47,26 +47,29 @@ func TestInjectedDropAccountingExact(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	const wantDrops = 4 // indices 0, 3, 6, 9
-	if got := bus.InjectedDrops(); got != wantDrops {
-		t.Fatalf("InjectedDrops = %d, want %d", got, wantDrops)
+	st := bus.Stats()
+	if st.InjectedDrops != wantDrops {
+		t.Fatalf("InjectedDrops = %d, want %d", st.InjectedDrops, wantDrops)
 	}
 	if delivered != attempts-wantDrops {
 		t.Fatalf("delivered = %d, want %d", delivered, attempts-wantDrops)
 	}
-	if uint64(delivered)+bus.InjectedDrops()+bus.Dropped() != attempts {
-		t.Fatalf("accounting broken: delivered %d + injected %d + dropped %d != %d attempts",
-			delivered, bus.InjectedDrops(), bus.Dropped(), attempts)
+	if uint64(delivered)+st.InjectedDrops+st.Unroutable != attempts {
+		t.Fatalf("accounting broken: delivered %d + injected %d + unroutable %d != %d attempts",
+			delivered, st.InjectedDrops, st.Unroutable, attempts)
 	}
 }
 
-// TestDuplicateFaultDeliversTwice: a duplicated transaction is delivered and
-// logged twice with the same id, and is not counted as any kind of drop.
+// TestDuplicateFaultDeliversTwice: a duplicated transaction reaches its
+// handler and the observers twice with the same id, and is not counted as
+// any kind of drop.
 func TestDuplicateFaultDeliversTwice(t *testing.T) {
 	bus, clock := newTestBus(t, nil)
 	var ids []uint64
 	if err := bus.Register(SystemServer, func(tx Transaction) { ids = append(ids, tx.ID) }); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
+	txs := recordTxs(bus)
 	bus.SetFaultInjector(&scriptedInjector{decide: func(i int, _ string) TxFault {
 		return TxFault{Duplicate: i == 1}
 	}})
@@ -90,11 +93,11 @@ func TestDuplicateFaultDeliversTwice(t *testing.T) {
 	if dupSeen != 2 {
 		t.Fatalf("duplicated id 2 delivered %d times, want 2", dupSeen)
 	}
-	if got := len(bus.Log()); got != 4 {
-		t.Fatalf("log has %d entries, want 4", got)
+	if got := len(*txs); got != 4 {
+		t.Fatalf("observer saw %d transactions, want 4", got)
 	}
-	if bus.InjectedDrops() != 0 || bus.Dropped() != 0 {
-		t.Fatalf("duplicate counted as drop: injected %d, dropped %d", bus.InjectedDrops(), bus.Dropped())
+	if got := bus.Stats(); got != (Stats{Calls: 3, Duplicated: 1, Delivered: 4}) {
+		t.Fatalf("Stats = %+v, want 3 calls, 1 duplicate, 4 deliveries, no drops", got)
 	}
 }
 
@@ -138,21 +141,24 @@ func TestDelayFaultKeepsStreamFIFO(t *testing.T) {
 	}
 }
 
-// TestDroppedLogEvictionExactUnderFaults: with faults thinning and
-// duplicating the stream through a tiny log, kept + evicted still equals the
-// exact number of deliveries (counted independently by an observer), and
-// injected drops never reach the log at all.
-func TestDroppedLogEvictionExactUnderFaults(t *testing.T) {
-	clock := simclock.New()
-	bus, err := NewBus(Config{Clock: clock, RNG: simrand.New(1), LogLimit: 8})
-	if err != nil {
-		t.Fatalf("NewBus: %v", err)
-	}
+// TestStatsIdentityUnderFaults: with faults thinning and duplicating the
+// stream and some calls unroutable, every Stats field matches an
+// independent count, and Calls + Duplicated == Delivered + InFlight +
+// InjectedDrops + Unroutable holds at every delivery and when the clock
+// stops with deliveries still in flight.
+func TestStatsIdentityUnderFaults(t *testing.T) {
+	latency := func(_, _ ProcessID, _ string) simrand.Dist { return simrand.Constant(5) }
+	bus, clock := newTestBus(t, latency)
 	if err := bus.Register(SystemServer, func(Transaction) {}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	deliveries := uint64(0)
-	bus.Observe(func(Transaction) { deliveries++ })
+	bus.Observe(func(Transaction) {
+		deliveries++
+		if st := bus.Stats(); !st.Balanced() || st.Delivered != deliveries {
+			t.Errorf("at delivery %d: Stats = %+v", deliveries, st)
+		}
+	})
 	bus.SetFaultInjector(&scriptedInjector{decide: func(i int, _ string) TxFault {
 		switch i % 5 {
 		case 0:
@@ -163,28 +169,40 @@ func TestDroppedLogEvictionExactUnderFaults(t *testing.T) {
 			return TxFault{}
 		}
 	}})
+	// One routable call per millisecond and one unroutable call every
+	// tenth; the clock stops just after the 50 ms send, with the calls of
+	// the last 5 ms still in flight.
 	const attempts = 100
 	for i := 0; i < attempts; i++ {
-		if _, err := bus.Call("a", SystemServer, "m", i); err != nil {
-			t.Fatalf("Call: %v", err)
-		}
+		i := i
+		clock.MustAfter(time.Duration(i)*time.Millisecond, "send", func() {
+			if _, err := bus.Call("a", SystemServer, "m", i); err != nil {
+				t.Errorf("Call: %v", err)
+			}
+			if i%10 == 0 {
+				if _, err := bus.Call("a", "nobody", "m", i); err == nil {
+					t.Error("call to unregistered process succeeded")
+				}
+			}
+		})
 	}
-	if err := clock.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	clock.MustAfter(50*time.Millisecond+500*time.Microsecond, "stop", clock.Stop)
+	if err := clock.Run(); err != simclock.ErrStopped {
+		t.Fatalf("Run = %v, want ErrStopped", err)
 	}
-	// 100 attempts: 20 dropped, 80 delivered once, 20 of those again = 100.
-	if got := bus.InjectedDrops(); got != 20 {
-		t.Fatalf("InjectedDrops = %d, want 20", got)
+	// Calls 0..50 were sent: 11 dropped (i%5 == 0), 10 duplicated
+	// (i%5 == 1). Calls 0..45 have been delivered: 46 - 10 dropped + 9
+	// duplicates. Calls 46 (twice), 47, 48 and 49 are in flight.
+	st := bus.Stats()
+	want := Stats{Calls: 51 + 6, Duplicated: 10, Delivered: 45, InFlight: 5, InjectedDrops: 11, Unroutable: 6}
+	if st != want {
+		t.Fatalf("Stats = %+v, want %+v", st, want)
 	}
-	if deliveries != 100 {
-		t.Fatalf("observer counted %d deliveries, want 100", deliveries)
+	if !st.Balanced() || st.InFlight == 0 {
+		t.Fatalf("Stats = %+v: want a balanced identity with deliveries in flight", st)
 	}
-	kept := uint64(len(bus.Log()))
-	if kept == 0 || kept > 8 {
-		t.Fatalf("log has %d entries, want 1..8", kept)
-	}
-	if kept+bus.DroppedLogEntries() != deliveries {
-		t.Fatalf("kept %d + evicted %d != %d deliveries", kept, bus.DroppedLogEntries(), deliveries)
+	if deliveries != st.Delivered {
+		t.Fatalf("observer counted %d deliveries, Stats %d", deliveries, st.Delivered)
 	}
 }
 
@@ -205,7 +223,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if err := clock.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if delivered != 5 || bus.InjectedDrops() != 0 {
-		t.Fatalf("delivered %d (want 5), InjectedDrops %d (want 0)", delivered, bus.InjectedDrops())
+	if st := bus.Stats(); delivered != 5 || st.InjectedDrops != 0 {
+		t.Fatalf("delivered %d (want 5), InjectedDrops %d (want 0)", delivered, st.InjectedDrops)
 	}
 }

@@ -20,10 +20,10 @@ import (
 )
 
 // TestBridgeMatchesSentryServer runs the overlay attack next to a benign
-// floating widget on one stack, then replays the bus's overlay log as
-// per-app s1 batches through a sentry.Server over HTTP. The service's
-// report must carry exactly the detections the in-simulator detector
-// made, field for field.
+// floating widget on one stack, then replays the overlay deliveries a bus
+// observer recorded as per-app s1 batches through a sentry.Server over
+// HTTP. The service's report must carry exactly the detections the
+// in-simulator detector made, field for field.
 func TestBridgeMatchesSentryServer(t *testing.T) {
 	st := assemble(t)
 	const musicApp binder.ProcessID = "com.music.player"
@@ -35,6 +35,17 @@ func TestBridgeMatchesSentryServer(t *testing.T) {
 	if err := det.Install(st, false); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
+	// Per-app record streams, numbered in delivery order.
+	streams := make(map[string][]sentry.Record)
+	st.Bus.Observe(func(tx binder.Transaction) {
+		if tx.Method != sysserver.MethodAddView && tx.Method != sysserver.MethodRemoveView {
+			return
+		}
+		dev := string(tx.From)
+		streams[dev] = append(streams[dev], sentry.Record{
+			Device: dev, Seq: uint64(len(streams[dev]) + 1), Method: tx.Method, At: tx.DeliveredAt,
+		})
+	})
 	atk, err := core.NewOverlayAttack(st, core.OverlayAttackConfig{
 		App: evilApp, D: 280 * time.Millisecond, Bounds: screenOf(st),
 	})
@@ -66,23 +77,8 @@ func TestBridgeMatchesSentryServer(t *testing.T) {
 	if err := det.Err(); err != nil {
 		t.Fatalf("detector: %v", err)
 	}
-	if n := st.Bus.DroppedLogEntries(); n != 0 {
-		t.Fatalf("bus log evicted %d entries; the replay would be partial", n)
-	}
-
-	// Per-app record streams, numbered in delivery order.
-	streams := make(map[string][]sentry.Record)
-	for _, tx := range st.Bus.Log() {
-		if tx.Method != sysserver.MethodAddView && tx.Method != sysserver.MethodRemoveView {
-			continue
-		}
-		dev := string(tx.From)
-		streams[dev] = append(streams[dev], sentry.Record{
-			Device: dev, Seq: uint64(len(streams[dev]) + 1), Method: tx.Method, At: tx.DeliveredAt,
-		})
-	}
 	if len(streams[string(evilApp)]) == 0 || len(streams[string(musicApp)]) == 0 {
-		t.Fatalf("log lacks overlay traffic from both apps: %d streams", len(streams))
+		t.Fatalf("observer lacks overlay traffic from both apps: %d streams", len(streams))
 	}
 
 	srv, err := sentry.NewServer(sentry.ServerConfig{})

@@ -31,17 +31,12 @@ type DefenseIPCReport struct {
 	BenignFlagged int
 	// TransactionsObserved is the defense's analysis volume.
 	TransactionsObserved uint64
-	// LogEntriesDropped counts transactions evicted from the Binder log
-	// during the attack run. Non-zero means log-based conclusions ("app X
-	// never called removeView") are drawn from an incomplete window.
-	LogEntriesDropped uint64
 	// FaultProfile names the fault profile active during the attack run
 	// (empty when the run was unfaulted).
 	FaultProfile string
-	// InjectedDrops counts transactions the fault plane silently discarded
-	// during the attack run. Non-zero means the detector's transaction
-	// stream itself was lossy.
-	InjectedDrops uint64
+	// Binder is the attack run's bus accounting. Non-zero InjectedDrops
+	// means the detector's transaction stream was lossy.
+	Binder binder.Stats
 }
 
 // ipcAttackDur is how long the attack runs against the armed detector.
@@ -113,8 +108,8 @@ func DefenseIPC(seed int64, prof faults.Profile) (DefenseIPCReport, error) {
 
 // ipcAttack runs the overlay attack at window d against the §VII-A
 // detector armed to terminate, and fills the report's attack-scenario
-// fields: the verdict, its latency, the alert outcome and how complete
-// the detector's transaction stream was.
+// fields: the verdict, its latency, the alert outcome and the bus
+// accounting behind the detector's transaction stream.
 func ipcAttack(p device.Profile, d time.Duration, seed int64, opts ...sysserver.Option) (DefenseIPCReport, error) {
 	var rep DefenseIPCReport
 	st, err := assembleAttackStack(p, seed, opts...)
@@ -140,8 +135,7 @@ func ipcAttack(p device.Profile, d time.Duration, seed int64, opts ...sysserver.
 	}
 	rep.AttackTerminated = !st.WM.HasOverlayPermission(AttackerApp) && st.WM.OverlayCount(AttackerApp) == 0
 	rep.TransactionsObserved = det.Observed()
-	rep.LogEntriesDropped = st.Bus.DroppedLogEntries()
-	rep.InjectedDrops = st.Bus.InjectedDrops()
+	rep.Binder = st.Bus.Stats()
 	return rep, nil
 }
 
@@ -157,13 +151,14 @@ func RenderDefenseIPC(r DefenseIPCReport) string {
 	if r.FaultProfile != "" {
 		fmt.Fprintf(&sb, "  fault profile active:  %s\n", r.FaultProfile)
 	}
-	if r.InjectedDrops > 0 {
-		fmt.Fprintf(&sb, "  WARNING: %d transactions silently dropped by fault injection — the detector analyzed a lossy stream\n", r.InjectedDrops)
+	b := r.Binder
+	if b.InjectedDrops > 0 {
+		fmt.Fprintf(&sb, "  WARNING: %d transactions silently dropped by fault injection — the detector analyzed a lossy stream\n", b.InjectedDrops)
 	}
-	if r.LogEntriesDropped > 0 {
-		fmt.Fprintf(&sb, "  WARNING: %d transactions evicted from the Binder log — log-based analyses saw a truncated window\n", r.LogEntriesDropped)
-	} else {
-		sb.WriteString("  binder log complete (0 entries evicted)\n")
+	fmt.Fprintf(&sb, "  binder accounting:    calls %d + duplicated %d == delivered %d + in flight %d + injected drops %d + unroutable %d\n",
+		b.Calls, b.Duplicated, b.Delivered, b.InFlight, b.InjectedDrops, b.Unroutable)
+	if !b.Balanced() {
+		sb.WriteString("  WARNING: binder accounting identity fails — the bus lost or invented a transaction\n")
 	}
 	return sb.String()
 }

@@ -78,7 +78,7 @@ func TestDefenseIPCFaultSurface(t *testing.T) {
 	if rep.FaultProfile != prof.Name {
 		t.Fatalf("FaultProfile = %q, want %q", rep.FaultProfile, prof.Name)
 	}
-	if rep.InjectedDrops == 0 {
+	if rep.Binder.InjectedDrops == 0 {
 		t.Fatal("binder-stress run recorded zero injected drops")
 	}
 	out := RenderDefenseIPC(rep)

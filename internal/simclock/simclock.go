@@ -7,7 +7,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -39,42 +38,70 @@ func (e *Event) Label() string { return e.label }
 // Canceled reports whether the event was canceled before firing.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// eventQueue is a min-heap ordered by (when, seq) so that events scheduled
-// for the same instant fire in scheduling order.
+// eventQueue is a binary min-heap ordered by (when, seq) so that events
+// scheduled for the same instant fire in scheduling order. The order is
+// total, so the pop sequence does not depend on the heap's shape. Every
+// queued event's index is its slot; a popped event's index is -1.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+// before reports whether e fires ahead of o.
+func (e *Event) before(o *Event) bool {
+	if e.when != o.when {
+		return e.when < o.when
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		panic(fmt.Sprintf("simclock: eventQueue.Push got %T, want *Event", x))
+// push queues ev, sifting it up from the last slot.
+func (q *eventQueue) push(ev *Event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].index = i
+		i = parent
 	}
-	ev.index = len(*q)
-	*q = append(*q, ev)
+	h[i] = ev
+	ev.index = i
+	*q = h
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest event; the queue must not be
+// empty. The last event takes the root's place and sifts down.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && h[r].before(h[child]) {
+				child = r
+			}
+			if !h[child].before(last) {
+				break
+			}
+			h[i] = h[child]
+			h[i].index = i
+			i = child
+		}
+		h[i] = last
+		last.index = i
+	}
+	top.index = -1
+	*q = h
+	return top
 }
 
 // TraceFunc receives every fired event for diagnostic logging.
@@ -130,7 +157,7 @@ func (c *Clock) At(when Duration, label string, fn func()) (*Event, error) {
 	}
 	c.seq++
 	ev := &Event{when: when, seq: c.seq, label: label, fn: fn, index: -1}
-	heap.Push(&c.queue, ev)
+	c.queue.push(ev)
 	return ev, nil
 }
 
@@ -173,10 +200,7 @@ func (c *Clock) Step() bool {
 		return false
 	}
 	for len(c.queue) > 0 {
-		next, ok := heap.Pop(&c.queue).(*Event)
-		if !ok {
-			panic("simclock: queue contained non-event")
-		}
+		next := c.queue.pop()
 		if next.canceled {
 			continue
 		}
@@ -248,9 +272,7 @@ func (c *Clock) peek() *Event {
 		if !head.canceled {
 			return head
 		}
-		if popped, ok := heap.Pop(&c.queue).(*Event); !ok || popped != head {
-			panic("simclock: heap pop mismatch while discarding canceled event")
-		}
+		c.queue.pop()
 	}
 	return nil
 }

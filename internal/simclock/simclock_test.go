@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -328,6 +329,107 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertyHeapOrder drives the event heap with random schedules: many
+// events at equal times, events scheduled from inside callbacks, and
+// cancels both before and after firing. Events must fire in exactly the
+// order of a reference sort on (when, seq); every queued event's index
+// must be its slot in the queue and every fired event's index -1.
+func TestPropertyHeapOrder(t *testing.T) {
+	prop := func(ops []uint16) bool {
+		c := New()
+		var all, fired []*Event
+		indexesExact := func() bool {
+			for i, ev := range c.queue {
+				if ev.index != i {
+					return false
+				}
+			}
+			for _, ev := range fired {
+				if ev.index != -1 {
+					return false
+				}
+			}
+			return true
+		}
+		ok := true
+		// Bits of op: 0-1 the delay in µs (so times collide often), 2
+		// schedule a child carrying op>>5 from the callback, 3 cancel an
+		// already-fired event from the callback, 4 cancel a queued event
+		// from the callback.
+		var schedule func(op uint16)
+		schedule = func(op uint16) {
+			var ev *Event
+			ev = c.MustAfter(time.Duration(op&3)*time.Microsecond, "p", func() {
+				fired = append(fired, ev)
+				ok = ok && indexesExact()
+				if op&4 != 0 {
+					schedule(op >> 5)
+				}
+				if op&8 != 0 {
+					c.Cancel(fired[len(fired)/2])
+				}
+				if op&16 != 0 && len(c.queue) > 0 {
+					c.Cancel(c.queue[len(c.queue)-1])
+				}
+			})
+			all = append(all, ev)
+		}
+		for i, op := range ops {
+			schedule(op)
+			if op&32 != 0 {
+				c.Cancel(all[i/2]) // before any event fires
+			}
+		}
+		ok = ok && indexesExact()
+		if err := c.Run(); err != nil || !ok || len(c.queue) != 0 {
+			return false
+		}
+		var want []*Event
+		for _, ev := range all {
+			if !ev.Canceled() {
+				want = append(want, ev)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].when != want[j].when {
+				return want[i].when < want[j].when
+			}
+			return want[i].seq < want[j].seq
+		})
+		if len(fired) != len(want) {
+			return false
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				return false
+			}
+		}
+		return indexesExact()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAtStepAllocBudget: scheduling one event and firing it allocates the
+// event and nothing else. Allocation counts do not drift with host speed.
+func TestAtStepAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	c := New()
+	fn := func() {}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := c.At(c.Now()+time.Microsecond, "budget", fn); err != nil {
+			t.Fatalf("At: %v", err)
+		}
+		c.Step()
+	})
+	if allocs > 1 {
+		t.Fatalf("At + Step allocates %.1f times, budget 1", allocs)
 	}
 }
 

@@ -28,7 +28,6 @@ var exportExemptions = map[string]string{
 	"internal/analysis.MistouchBudget":          "Eq. (2) API; ROADMAP uses it in the map of the §VII-A rule",
 	"internal/analysis.PredictTableII":          "Eq. (3) API; ROADMAP adds its bound to the Table II report",
 	"internal/analysis.ErrNoProfile":            "error of the Eq. (1)-(3) API",
-	"internal/binder.Bus.Dropped":               "ROADMAP prints it in the binder bus's accounting identity",
 }
 
 // TestNoTestOnlyExports fails when an exported name of the module is

@@ -261,7 +261,7 @@ func TestWorstOutcomeAggregates(t *testing.T) {
 // run keeps memory bounded while the aggregates stay exact.
 func TestEpisodeHistoryBounded(t *testing.T) {
 	clock := simclock.New()
-	bus, err := binder.NewBus(binder.Config{Clock: clock, RNG: simrand.New(1), LogLimit: 64})
+	bus, err := binder.NewBus(binder.Config{Clock: clock, RNG: simrand.New(1)})
 	if err != nil {
 		t.Fatalf("NewBus: %v", err)
 	}
