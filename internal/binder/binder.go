@@ -96,26 +96,17 @@ type Bus struct {
 	stats Stats
 }
 
-// Stats is the bus's transaction accounting. Each field is counted where
-// it happens, so Calls + Duplicated == Delivered + InFlight +
-// InjectedDrops + Unroutable holds at every instant.
+// Stats is the bus's transaction accounting, each count taken where it
+// happens: every Call, routable or not; the extra deliveries the fault
+// injector duplicated; deliveries fired and still in flight; transactions
+// the fault injector discarded in flight; and calls to unregistered
+// processes.
 type Stats struct {
-	// Calls counts every Call, routable or not.
-	Calls uint64
-	// Duplicated counts the extra deliveries the fault injector scheduled.
-	Duplicated uint64
-	// Delivered counts deliveries that reached their handler.
-	Delivered uint64
-	// InFlight counts deliveries scheduled but not yet fired.
-	InFlight uint64
-	// InjectedDrops counts transactions the fault injector discarded in
-	// flight.
-	InjectedDrops uint64
-	// Unroutable counts calls to unregistered processes.
-	Unroutable uint64
+	Calls, Duplicated, Delivered, InFlight, InjectedDrops, Unroutable uint64
 }
 
-// Balanced reports whether the accounting identity holds.
+// Balanced reports whether the accounting identity Calls + Duplicated ==
+// Delivered + InFlight + InjectedDrops + Unroutable holds.
 func (s Stats) Balanced() bool {
 	return s.Calls+s.Duplicated == s.Delivered+s.InFlight+s.InjectedDrops+s.Unroutable
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // The sentry wire format carries device-stream transaction records — the
-// per-device slice of the Binder transaction log that the §VII-A defense
-// consumes — as one text line per record:
+// per-device stream of Binder deliveries that the §VII-A defense reads —
+// as one text line per record:
 //
 //	s1 <device> <seq> <method> <at_ns>\n
 //

@@ -38,69 +38,52 @@ func (e *Event) Label() string { return e.label }
 // Canceled reports whether the event was canceled before firing.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// eventQueue is a binary min-heap ordered by (when, seq) so that events
-// scheduled for the same instant fire in scheduling order. The order is
-// total, so the pop sequence does not depend on the heap's shape. Every
-// queued event's index is its slot; a popped event's index is -1.
+// eventQueue is a binary min-heap ordered by (when, seq). The order is
+// total, so events scheduled for the same instant fire in scheduling order
+// whatever the heap's shape. A queued event's index is its slot; a popped
+// event's index is -1.
 type eventQueue []*Event
 
-// before reports whether e fires ahead of o.
 func (e *Event) before(o *Event) bool {
-	if e.when != o.when {
-		return e.when < o.when
-	}
-	return e.seq < o.seq
+	return e.when < o.when || e.when == o.when && e.seq < o.seq
 }
+
+func (q eventQueue) set(i int, ev *Event) { q[i], ev.index = ev, i }
 
 // push queues ev, sifting it up from the last slot.
 func (q *eventQueue) push(ev *Event) {
-	h := append(*q, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].index = i
-		i = parent
+	*q = append(*q, ev)
+	h, i := *q, len(*q)-1
+	for ; i > 0 && ev.before(h[(i-1)/2]); i = (i - 1) / 2 {
+		h.set(i, h[(i-1)/2])
 	}
-	h[i] = ev
-	ev.index = i
-	*q = h
+	h.set(i, ev)
 }
 
 // pop removes and returns the earliest event; the queue must not be
 // empty. The last event takes the root's place and sifts down.
 func (q *eventQueue) pop() *Event {
 	h := *q
-	top := h[0]
-	n := len(h) - 1
+	top, n := h[0], len(h)-1
 	last := h[n]
 	h[n] = nil
 	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			child := 2*i + 1
-			if child >= n {
-				break
-			}
-			if r := child + 1; r < n && h[r].before(h[child]) {
-				child = r
-			}
-			if !h[child].before(last) {
-				break
-			}
-			h[i] = h[child]
-			h[i].index = i
-			i = child
+	*q = h
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
 		}
-		h[i] = last
-		last.index = i
+		if !h[c].before(last) {
+			break
+		}
+		h.set(i, h[c])
+		i = c
+	}
+	if n > 0 {
+		h.set(i, last)
 	}
 	top.index = -1
-	*q = h
 	return top
 }
 
@@ -156,7 +139,7 @@ func (c *Clock) At(when Duration, label string, fn func()) (*Event, error) {
 		return nil, fmt.Errorf("simclock: schedule %q at %v before now %v", label, when, c.now)
 	}
 	c.seq++
-	ev := &Event{when: when, seq: c.seq, label: label, fn: fn, index: -1}
+	ev := &Event{when: when, seq: c.seq, label: label, fn: fn}
 	c.queue.push(ev)
 	return ev, nil
 }

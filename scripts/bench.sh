@@ -9,12 +9,13 @@
 # benchmark (a fleet replay through the sentring router, healthy vs
 # one-peer-down) to BENCH_sentring.json, and the device-fleet
 # benchmarks (population generation, the 200-device market-weighted
-# sweep at 1 and 4 workers, and its per-trial construction layer:
+# sweep at 1 and 4 workers, its per-trial construction layer:
 # seeding one random stream, one stream's life at 8, 100 and 1000
-# draws, and assembling one faulted stack) to
-# BENCH_fleet.json — all at the repo root so
-# throughput regressions show up as a diff, not an anecdote. Run from
-# anywhere:
+# draws, and assembling one faulted stack, and the two event layers
+# every trial runs on: one Binder call with its delivery and one clock
+# event, each with its allocations) to BENCH_fleet.json — all at the
+# repo root so throughput regressions show up as a diff, not an
+# anecdote. Run from anywhere:
 #
 #     sh scripts/bench.sh
 #     BENCHTIME=10x sh scripts/bench.sh       # steadier numbers
@@ -92,4 +93,4 @@ emit 'CorpusScan$|AnalyzeTier' static "$OUT"
 emit 'VetServe$|RingServe$' vetd "$OUT_VETD"
 emit 'SentryIngest$' sentry "$OUT_SENTRY"
 emit 'RouterIngest$' sentring "$OUT_SENTRING"
-emit 'FleetGenerate$|FleetSweep$|SimrandNew$|SimrandStream$|Assemble$' fleet "$OUT_FLEET"
+emit 'FleetGenerate$|FleetSweep$|SimrandNew$|SimrandStream$|Assemble$|BinderCall$|SimClock$' fleet "$OUT_FLEET"
