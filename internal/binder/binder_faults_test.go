@@ -174,7 +174,6 @@ func TestStatsIdentityUnderFaults(t *testing.T) {
 	// the last 5 ms still in flight.
 	const attempts = 100
 	for i := 0; i < attempts; i++ {
-		i := i
 		clock.MustAfter(time.Duration(i)*time.Millisecond, "send", func() {
 			if _, err := bus.Call("a", SystemServer, "m", i); err != nil {
 				t.Errorf("Call: %v", err)
