@@ -27,6 +27,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/faults"
 	"repro/internal/fleet"
+	"repro/internal/netfaults"
 	"repro/internal/sentring"
 	"repro/internal/sentry"
 	"repro/internal/simclock"
@@ -414,7 +415,7 @@ func BenchmarkRingServe(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	run := func(b *testing.B, plane *faults.NetPlane) {
+	run := func(b *testing.B, plane *netfaults.Plane) {
 		b.Helper()
 		var nodes []*vetd.Server
 		var backends []*httptest.Server
@@ -472,8 +473,8 @@ func BenchmarkRingServe(b *testing.B) {
 	}
 	b.Run("healthy", func(b *testing.B) { run(b, nil) })
 	b.Run("one-peer-down", func(b *testing.B) {
-		prof := faults.NetProfile{Name: "bench-partition", PartitionPeers: []int{0}}
-		run(b, faults.NewNetPlane(prof, benchSeed))
+		prof := netfaults.Profile{Name: "bench-partition", PartitionPeers: []int{0}}
+		run(b, netfaults.NewPlane(prof, benchSeed))
 	})
 }
 
@@ -583,7 +584,7 @@ func BenchmarkRouterIngest(b *testing.B) {
 		}
 	}
 	records := fl.Records()
-	run := func(b *testing.B, prof *faults.NetProfile) {
+	run := func(b *testing.B, prof *netfaults.Profile) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -600,9 +601,9 @@ func BenchmarkRouterIngest(b *testing.B) {
 				backends = append(backends, ts)
 				peers = append(peers, strings.TrimPrefix(ts.URL, "http://"))
 			}
-			var plane *faults.NetPlane
+			var plane *netfaults.Plane
 			if prof != nil {
-				plane = faults.NewNetPlane(*prof, benchSeed)
+				plane = netfaults.NewPlane(*prof, benchSeed)
 			}
 			router, err := sentring.New(sentring.Config{
 				Peers:           peers,
@@ -642,7 +643,7 @@ func BenchmarkRouterIngest(b *testing.B) {
 	}
 	b.Run("healthy", func(b *testing.B) { run(b, nil) })
 	b.Run("one-peer-down", func(b *testing.B) {
-		run(b, &faults.NetProfile{Name: "bench-partition", PartitionPeers: []int{0}})
+		run(b, &netfaults.Profile{Name: "bench-partition", PartitionPeers: []int{0}})
 	})
 }
 

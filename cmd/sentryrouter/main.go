@@ -14,7 +14,7 @@
 // and shuts down cleanly on SIGINT/SIGTERM.
 //
 // -net-faults injects a deterministic network fault profile (see
-// internal/faults.NetNames) beneath the peer clients — the chaos lever
+// internal/netfaults.Names) beneath the peer clients — the chaos lever
 // cmd/fleetload's ring mode pulls.
 //
 // Usage:
@@ -29,7 +29,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 	"repro/internal/ring"
 	"repro/internal/sentring"
 	"repro/internal/sentry"
@@ -55,7 +55,7 @@ func run() int {
 		maxGap     = flag.Duration("max-gap", 50*time.Millisecond, "fallback engine MaxSwapGap (match the peers)")
 		minSwaps   = flag.Int("min-swaps", 4, "fallback engine MinSwaps (match the peers)")
 		notifFlood = flag.Int("notif-flood", 30, "fallback engine NotifFlood (match the peers)")
-		netProf    = flag.String("net-faults", "none", "injected network fault profile: "+strings.Join(faults.NetNames(), ", "))
+		netProf    = flag.String("net-faults", "none", "injected network fault profile: "+strings.Join(netfaults.Names(), ", "))
 		netSeed    = flag.Int64("net-seed", 1, "seed for the network fault plane")
 	)
 	flag.Parse()
@@ -89,7 +89,7 @@ func run() int {
 	}
 	defer router.Close()
 
-	detail := fmt.Sprintf(" (peers %s, replicas %d, faults %s)", router.PeerNames(), router.Ring().ReplicaCount(), prof.Name)
+	detail := fmt.Sprintf(" (peers %s, replicas %d, faults %s)", strings.Join(peers, ","), router.Ring().ReplicaCount(), prof.Name)
 	if code := ring.Serve("sentryrouter", *addr, router, detail, nil); code != 0 {
 		return code
 	}

@@ -122,7 +122,7 @@ func run() int {
 		return code
 	}
 	srv.Close()
-	stats := srv.Metrics().Snapshot()
+	stats := srv.Snapshot()
 	fmt.Printf("vetd: shutdown complete (requests=%d hits=%d misses=%d sheds=%d analyses=%d)\n",
 		stats.Requests, stats.Hits, stats.Misses, stats.Sheds, stats.Analyses)
 	return 0

@@ -555,7 +555,7 @@ func checkServerStats(cfg config, client *http.Client) int {
 			return 0
 		}
 		fmt.Printf("vetload: router stats: requests=%d replicated=%d degraded=%d sheds=%d failed=%d retries=%d failovers=%d peer_errors=%d\n",
-			st.Requests, st.Replicated, st.Degraded, st.Sheds, st.Failed, st.Retries, st.Failovers, st.PeerErrors)
+			st.Requests, st.Replicated, st.Degraded, st.Sheds, st.Failed, st.Retries, st.Failovers, st.PeerErrs)
 		for _, p := range st.Peers {
 			fmt.Printf("vetload:   peer %s: served=%d errors=%d breaker=%s (opened %dx)\n",
 				p.Name, p.Served, p.Errors, p.Breaker, p.Opens)

@@ -10,7 +10,7 @@
 // shuts down cleanly on SIGINT/SIGTERM.
 //
 // -net-faults injects a deterministic network fault profile (see
-// internal/faults.NetNames) beneath the peer clients — the chaos lever
+// internal/netfaults.Names) beneath the peer clients — the chaos lever
 // cmd/vetload's ring mode pulls.
 //
 // Usage:
@@ -25,7 +25,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 	"repro/internal/ring"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetring"
@@ -47,7 +47,7 @@ func run() int {
 		probe     = flag.Duration("probe", 250*time.Millisecond, "health probe interval (negative disables)")
 		fallbackC = flag.Int("fallback", 4, "max concurrent local degraded analyses")
 		seed      = flag.Int64("seed", 1, "seed for retry-backoff jitter")
-		netProf   = flag.String("net-faults", "none", "injected network fault profile: "+strings.Join(faults.NetNames(), ", "))
+		netProf   = flag.String("net-faults", "none", "injected network fault profile: "+strings.Join(netfaults.Names(), ", "))
 		netSeed   = flag.Int64("net-seed", 1, "seed for the network fault plane")
 	)
 	flag.Parse()
@@ -80,7 +80,7 @@ func run() int {
 	}
 	defer router.Close()
 
-	detail := fmt.Sprintf(" (peers %s, replicas %d, faults %s)", router.PeerNames(), router.Ring().ReplicaCount(), prof.Name)
+	detail := fmt.Sprintf(" (peers %s, replicas %d, faults %s)", strings.Join(peers, ","), router.Ring().ReplicaCount(), prof.Name)
 	if code := ring.Serve("vetrouter", *addr, router, detail, nil); code != 0 {
 		return code
 	}

@@ -5,12 +5,13 @@
 // have in common — consistent-hash placement, per-peer circuit
 // breakers fed by background /readyz probes, the fault-aware per-peer
 // transport, seeded retry backoff, the one retry-pass loop, the
-// degraded-fallback semaphore and the shared /healthz, /readyz, /stats
-// and /metrics plumbing — so each router supplies only its wire format,
-// the rule that classifies a peer's answer, and its local fallback.
-// The pieces every serving binary shares live here too: the JSON and
-// error writers with their Retry-After hint and the load clients'
-// RetryDelay (used by vetd and sentry as well), and the daemon
+// degraded-fallback semaphore and the core's own counters — so each
+// router supplies only its wire format, the rule that classifies a
+// peer's answer, and its local fallback. The pieces every serving
+// binary shares live here too: the one ops surface (Mount: GET
+// /healthz, /readyz, /stats and /metrics), the Prometheus text writer
+// (Prom) and latency Histogram, the JSON and error writers with their
+// Retry-After hint, the load clients' RetryDelay, and the daemon
 // lifecycle Serve.
 //
 // ring is a wall-clock serving package (simlint's ServingPackages
@@ -23,16 +24,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 	"repro/internal/simrand"
 )
 
@@ -58,7 +57,7 @@ type Config struct {
 	FallbackConcurrency int
 	RetryAfter          time.Duration
 	MaxBodyBytes        int64
-	NetPlane            *faults.NetPlane
+	NetPlane            *netfaults.Plane
 	Transport           http.RoundTripper
 
 	// Failovers, when set, counts every move past the primary to a later
@@ -225,9 +224,6 @@ func (c *Core) Ring() *Ring { return c.ring }
 
 // PeerName returns peer i's address.
 func (c *Core) PeerName(i int) string { return c.peers[i].name }
-
-// PeerNames formats the peer list for logs.
-func (c *Core) PeerNames() string { return strings.Join(c.ring.Peers(), ",") }
 
 // probeLoop polls one peer's /readyz and feeds its breaker, so dead
 // peers are discovered between requests and recovered peers readmitted
@@ -436,53 +432,86 @@ type PeerStats struct {
 	Errors  uint64 `json:"errors"`
 }
 
-// PeerStats snapshots every peer, in ring order.
-func (c *Core) PeerStats() []PeerStats {
-	out := make([]PeerStats, len(c.peers))
-	for i, p := range c.peers {
-		st, opens := p.brk.snapshot()
-		out[i] = PeerStats{Name: p.name, Breaker: st, Opens: opens, Served: p.served.Load(), Errors: p.errors.Load()}
+// CoreStats is the core's share of a router's GET /stats snapshot,
+// embedded there so its JSON keys read as the router's own.
+type CoreStats struct {
+	Retries      uint64      `json:"retries"`
+	Peer429s     uint64      `json:"peer_429s"`
+	PeerErrs     uint64      `json:"peer_errors"`
+	BreakerSkips uint64      `json:"breaker_skips"`
+	ProbeOK      uint64      `json:"probe_ok"`
+	ProbeFail    uint64      `json:"probe_fail"`
+	Peers        []PeerStats `json:"peers"`
+}
+
+// Stats snapshots the core's attempt-level and probe counters and
+// every peer, in ring order.
+func (c *Core) Stats() CoreStats {
+	s := CoreStats{
+		Retries:      c.cnt.Retries.Load(),
+		Peer429s:     c.cnt.Peer429s.Load(),
+		PeerErrs:     c.cnt.PeerErrs.Load(),
+		BreakerSkips: c.cnt.BreakerSkips.Load(),
+		ProbeOK:      c.cnt.ProbeOK.Load(),
+		ProbeFail:    c.cnt.ProbeFail.Load(),
 	}
-	return out
-}
-
-// Mount registers the shared GET /healthz, /readyz, /stats and /metrics
-// endpoints; stats and prom render the router's own counters.
-func (c *Core) Mount(mux *http.ServeMux, stats func() any, prom func(io.Writer)) {
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"status":"ok"}`+"\n")
-	})
-	mux.HandleFunc("GET /readyz", c.handleReadyz)
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusOK, stats())
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		prom(w)
-	})
-}
-
-// handleReadyz: the router is ready while it can still answer — which,
-// thanks to the degraded fallback, is whenever the fallback semaphore is
-// not saturated, regardless of peer health — and until Close.
-func (c *Core) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	healthy := 0
 	for _, p := range c.peers {
-		if st, _ := p.brk.snapshot(); st == "closed" {
-			healthy++
+		st, opens := p.brk.snapshot()
+		s.Peers = append(s.Peers, PeerStats{Name: p.name, Breaker: st, Opens: opens, Served: p.served.Load(), Errors: p.errors.Load()})
+	}
+	return s
+}
+
+// Mount serves a router's ops endpoints (see the package-level Mount).
+// The router is ready while it can still answer — which, thanks to the
+// degraded fallback, is whenever the fallback semaphore is not
+// saturated or some peer's breaker is closed — and until Close. stats
+// and metrics render the router's own snapshot and families; the
+// core's counters and per-peer families follow the router's, under
+// prefix ("vetrouter", "sentryrouter"), with servedHelp describing
+// what a peer's served count counts.
+func (c *Core) Mount(mux *http.ServeMux, prefix, servedHelp string, stats func() any, metrics func(Prom)) {
+	Mount(mux, Ops{
+		Ready: func() (bool, bool, []any) {
+			healthy := 0
+			for _, p := range c.peers {
+				if st, _ := p.brk.snapshot(); st == "closed" {
+					healthy++
+				}
+			}
+			full := len(c.fallbackSem) >= cap(c.fallbackSem) && healthy == 0
+			return c.closed.Load(), full, []any{"healthy_peers", healthy, "peers", len(c.peers)}
+		},
+		FullState: "saturated",
+		Stats:     stats,
+		Metrics: func(p Prom) {
+			metrics(p)
+			c.writeProm(p, prefix, servedHelp)
+		},
+	})
+}
+
+// writeProm renders the core's counters and per-peer families.
+func (c *Core) writeProm(p Prom, prefix, servedHelp string) {
+	s := c.Stats()
+	p.Counter(prefix+"_retries_total", "Extra replica passes after an incomplete one.", s.Retries)
+	p.Counter(prefix+"_peer_429_total", "Peer sheds observed.", s.Peer429s)
+	p.Counter(prefix+"_peer_errors_total", "Peer transport errors and 5xx.", s.PeerErrs)
+	p.Counter(prefix+"_breaker_skips_total", "Replica attempts not sent because the peer's breaker refused.", s.BreakerSkips)
+	p.Counter(prefix+"_probe_ok_total", "Successful health probes.", s.ProbeOK)
+	p.Counter(prefix+"_probe_fail_total", "Failed health probes.", s.ProbeFail)
+	served := p.Family(prefix+"_peer_served_total", "counter", servedHelp)
+	for _, ps := range s.Peers {
+		served.Sample(ps.Served, "peer", ps.Name)
+	}
+	open := p.Family(prefix+"_peer_breaker_open", "gauge", "Peer breaker state (1 = not closed).")
+	for _, ps := range s.Peers {
+		var v uint64
+		if ps.Breaker != "closed" {
+			v = 1
 		}
+		open.Sample(v, "peer", ps.Name, "state", ps.Breaker)
 	}
-	status, state := http.StatusOK, "ready"
-	switch {
-	case c.closed.Load():
-		status, state = http.StatusServiceUnavailable, "shutting-down"
-	case len(c.fallbackSem) >= cap(c.fallbackSem) && healthy == 0:
-		status, state = http.StatusServiceUnavailable, "saturated"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"status":%q,"healthy_peers":%d,"peers":%d}`+"\n", state, healthy, len(c.peers))
 }
 
 // WriteJSON writes v as a JSON response — the response writer every
@@ -493,9 +522,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// errorResponse is the wire shape of every serving error body;
-// sentry.ErrorResponse decodes it on the client side.
-type errorResponse struct {
+// ErrorResponse is the wire shape of every serving error body.
+type ErrorResponse struct {
 	Error         string `json:"error"`
 	RetryAfterSec int    `json:"retry_after_sec,omitempty"`
 }
@@ -503,7 +531,7 @@ type errorResponse struct {
 // WriteError writes an error response; a 429 carries the retryAfter
 // hint, rounded up to whole seconds, in the header and the body.
 func WriteError(w http.ResponseWriter, status int, msg string, retryAfter time.Duration) {
-	resp := errorResponse{Error: msg}
+	resp := ErrorResponse{Error: msg}
 	if status == http.StatusTooManyRequests {
 		sec := int((retryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.Itoa(sec))
@@ -532,27 +560,4 @@ func RetryDelay(resp *http.Response, rng *simrand.Source) time.Duration {
 		hint = time.Duration(sec) * time.Second
 	}
 	return time.Duration(float64(min(hint, retryAfterCap)) * (0.5 + rng.Float64()))
-}
-
-// PromCounter renders one Prometheus counter.
-func PromCounter(w io.Writer, name, help string, v uint64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-// WritePeerProm renders the per-peer served counter and breaker gauge
-// under prefix ("vetrouter", "sentryrouter").
-func (c *Core) WritePeerProm(w io.Writer, prefix, servedHelp string) {
-	peers := c.PeerStats()
-	fmt.Fprintf(w, "# HELP %s_peer_served_total %s\n# TYPE %s_peer_served_total counter\n", prefix, servedHelp, prefix)
-	for _, p := range peers {
-		fmt.Fprintf(w, "%s_peer_served_total{peer=%q} %d\n", prefix, p.Name, p.Served)
-	}
-	fmt.Fprintf(w, "# HELP %s_peer_breaker_open Peer breaker state (1 = not closed).\n# TYPE %s_peer_breaker_open gauge\n", prefix, prefix)
-	for _, p := range peers {
-		open := 0
-		if p.Breaker != "closed" {
-			open = 1
-		}
-		fmt.Fprintf(w, "%s_peer_breaker_open{peer=%q,state=%q} %d\n", prefix, p.Name, p.Breaker, open)
-	}
 }

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 )
 
 // testCore builds a core over named peers with probes off and a 1ms
@@ -59,7 +59,7 @@ func TestReplicateFirstAnswerWins(t *testing.T) {
 	if failovers.Load() != 1 || cnt.PeerErrs.Load() != 1 || cnt.Retries.Load() != 0 {
 		t.Fatalf("failovers=%d peer_errs=%d retries=%d, want 1/1/0", failovers.Load(), cnt.PeerErrs.Load(), cnt.Retries.Load())
 	}
-	ps := c.PeerStats()
+	ps := c.Stats().Peers
 	if ps[replicas[0]].Errors != 1 || ps[replicas[1]].Served != 1 {
 		t.Fatalf("peer stats %+v", ps)
 	}
@@ -91,7 +91,7 @@ func TestReplicateAllAcksRetriesOnlyTheMissing(t *testing.T) {
 	if cnt.Retries.Load() != 2 || cnt.Peer429s.Load() != 2 {
 		t.Fatalf("retries=%d peer429s=%d, want 2/2", cnt.Retries.Load(), cnt.Peer429s.Load())
 	}
-	if st := c.PeerStats()[replicas[2]].Breaker; st != "closed" {
+	if st := c.Stats().Peers[replicas[2]].Breaker; st != "closed" {
 		t.Fatalf("busy peer's breaker %s, want closed", st)
 	}
 
@@ -123,7 +123,7 @@ func TestReplicateBreakerAndContext(t *testing.T) {
 	if acks != 0 || n != 2 {
 		t.Fatalf("acks=%d attempts=%d, want 0 acks and 2 attempts before the breaker opened", acks, n)
 	}
-	if st := c.PeerStats()[0]; st.Breaker != "open" || st.Opens != 1 {
+	if st := c.Stats().Peers[0]; st.Breaker != "open" || st.Opens != 1 {
 		t.Fatalf("breaker %+v, want open once", st)
 	}
 
@@ -156,7 +156,7 @@ func TestReplicateOpenBreakerFailsFast(t *testing.T) {
 	replicas := c.Ring().Replicas("k")
 	dead := replicas[1]
 	c.peers[dead].brk.onFailure()
-	if st := c.PeerStats()[dead]; st.Breaker != "open" {
+	if st := c.Stats().Peers[dead]; st.Breaker != "open" {
 		t.Fatalf("breaker %+v, want open after one failure at threshold 1", st)
 	}
 
@@ -245,7 +245,7 @@ func TestCallProbesAndEndpoints(t *testing.T) {
 	recovered := make(chan int, 8)
 	down.Store(true)
 	c.Start(func(i int) { recovered <- i })
-	waitFor(t, func() bool { return cnt.ProbeFail.Load() > 0 && c.PeerStats()[0].Breaker != "closed" })
+	waitFor(t, func() bool { return cnt.ProbeFail.Load() > 0 && c.Stats().Peers[0].Breaker != "closed" })
 	down.Store(false)
 	select {
 	case i := <-recovered:
@@ -255,12 +255,11 @@ func TestCallProbesAndEndpoints(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("probe never reported the recovery")
 	}
-	waitFor(t, func() bool { return c.PeerStats()[0].Breaker == "closed" && cnt.ProbeOK.Load() > 0 })
+	waitFor(t, func() bool { return c.Stats().Peers[0].Breaker == "closed" && cnt.ProbeOK.Load() > 0 })
 
 	mux := http.NewServeMux()
-	c.Mount(mux, func() any { return map[string]uint64{"sheds": cnt.Sheds.Load()} }, func(w io.Writer) {
-		PromCounter(w, "test_sheds_total", "Sheds.", cnt.Sheds.Load())
-		c.WritePeerProm(w, "test", "Served per peer.")
+	c.Mount(mux, "test", "Served per peer.", func() any { return map[string]uint64{"sheds": cnt.Sheds.Load()} }, func(p Prom) {
+		p.Counter("test_sheds_total", "Sheds.", cnt.Sheds.Load())
 	})
 	get := func(path string) (int, string) {
 		rec := httptest.NewRecorder()
@@ -277,7 +276,7 @@ func TestCallProbesAndEndpoints(t *testing.T) {
 		t.Fatalf("stats %d %q", code, body)
 	}
 	_, prom := get("/metrics")
-	for _, want := range []string{"test_sheds_total 0", `test_peer_served_total{peer=`, `test_peer_breaker_open{peer=`} {
+	for _, want := range []string{"test_sheds_total 0", "test_retries_total 0", `test_peer_served_total{peer=`, `test_peer_breaker_open{peer=`} {
 		if !strings.Contains(prom, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, prom)
 		}
@@ -285,7 +284,7 @@ func TestCallProbesAndEndpoints(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	c.WriteError(rec, http.StatusTooManyRequests, "busy")
-	var er errorResponse
+	var er ErrorResponse
 	if json.Unmarshal(rec.Body.Bytes(), &er); rec.Header().Get("Retry-After") != "1" || er.RetryAfterSec != 1 || er.Error != "busy" {
 		t.Fatalf("429 body %q header %q", rec.Body.String(), rec.Header().Get("Retry-After"))
 	}
@@ -303,13 +302,13 @@ func TestFaultTransport(t *testing.T) {
 	defer ts.Close()
 	peer := strings.TrimPrefix(ts.URL, "http://")
 	for _, tc := range []struct {
-		prof   faults.NetProfile
+		prof   netfaults.Profile
 		status int
 	}{
-		{faults.NetProfile{Name: "cut", PartitionAll: true}, 0},
-		{faults.NetProfile{Name: "storm", ErrorProb: 1}, http.StatusServiceUnavailable},
+		{netfaults.Profile{Name: "cut", PartitionAll: true}, 0},
+		{netfaults.Profile{Name: "storm", ErrorProb: 1}, http.StatusServiceUnavailable},
 	} {
-		c, _ := testCore(t, []string{peer}, func(cfg *Config) { cfg.NetPlane = faults.NewNetPlane(tc.prof, 1) })
+		c, _ := testCore(t, []string{peer}, func(cfg *Config) { cfg.NetPlane = netfaults.NewPlane(tc.prof, 1) })
 		status, err := c.Call(context.Background(), 0, "POST", "/", "text/plain", []byte("x"), nil)
 		if status != tc.status || (tc.status == 0) != (err != nil) {
 			t.Fatalf("%s: status %d err %v, want %d", tc.prof.Name, status, err, tc.status)

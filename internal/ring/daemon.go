@@ -12,7 +12,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 )
 
 // Serve is the lifecycle every serving daemon shares (vetd, sentryd and
@@ -60,7 +60,7 @@ func Serve(name, addr string, h http.Handler, detail string, drain func()) int {
 // ParsePeers reads the router binaries' -peers and -net-faults flags:
 // the comma-separated peer list, and the fault plane for the named
 // profile (nil when it injects nothing).
-func ParsePeers(list, netFaults string, netSeed int64) ([]string, *faults.NetPlane, faults.NetProfile, error) {
+func ParsePeers(list, netFaults string, netSeed int64) ([]string, *netfaults.Plane, netfaults.Profile, error) {
 	var peers []string
 	for _, p := range strings.Split(list, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -68,11 +68,11 @@ func ParsePeers(list, netFaults string, netSeed int64) ([]string, *faults.NetPla
 		}
 	}
 	if len(peers) == 0 {
-		return nil, nil, faults.NetProfile{}, errors.New("-peers is required")
+		return nil, nil, netfaults.Profile{}, errors.New("-peers is required")
 	}
-	prof, err := faults.NetByName(netFaults)
+	prof, err := netfaults.ByName(netFaults)
 	if err != nil || prof.Zero() {
 		return peers, nil, prof, err
 	}
-	return peers, faults.NewNetPlane(prof, netSeed), prof, nil
+	return peers, netfaults.NewPlane(prof, netSeed), prof, nil
 }

@@ -7,11 +7,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 )
 
 // faultTransport is the fault-injection seam of the network plane: an
-// http.RoundTripper that consults a faults.NetPlane before forwarding
+// http.RoundTripper that consults a netfaults.Plane before forwarding
 // to the real transport. The deterministic decision (drop / delay /
 // synthesize) lives in the plane; this adapter only enacts it — it is
 // the one place in the ring that sleeps or fabricates responses, and it
@@ -19,13 +19,13 @@ import (
 // zero fault-injection overhead.
 type faultTransport struct {
 	base  http.RoundTripper
-	plane *faults.NetPlane
+	plane *netfaults.Plane
 	peer  int
 }
 
 // newPeerTransport wraps base with fault injection for peer index i;
 // with a nil plane it returns base untouched.
-func newPeerTransport(base http.RoundTripper, plane *faults.NetPlane, i int) http.RoundTripper {
+func newPeerTransport(base http.RoundTripper, plane *netfaults.Plane, i int) http.RoundTripper {
 	if plane == nil {
 		return base
 	}

@@ -1,8 +1,6 @@
 package sentring
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
 
 	"repro/internal/ring"
@@ -53,9 +51,6 @@ type Metrics struct {
 	FallbackIngests atomic.Uint64
 }
 
-// PeerStats is one peer's slice of the /stats snapshot.
-type PeerStats = ring.PeerStats
-
 // Stats is the router's GET /stats JSON snapshot. Service is
 // "sentryrouter", the discriminator load generators key on to pick the
 // right accounting invariant.
@@ -70,15 +65,8 @@ type Stats struct {
 	BadBatches     uint64 `json:"bad_batches"`
 	RefusedBatches uint64 `json:"refused_batches"`
 
-	Retries      uint64 `json:"retries"`
-	Acks         uint64 `json:"acks"`
-	DupAcks      uint64 `json:"dup_acks"`
-	Peer429s     uint64 `json:"peer_429s"`
-	PeerErrs     uint64 `json:"peer_errors"`
-	BreakerSkips uint64 `json:"breaker_skips"`
-
-	ProbeOK   uint64 `json:"probe_ok"`
-	ProbeFail uint64 `json:"probe_fail"`
+	Acks    uint64 `json:"acks"`
+	DupAcks uint64 `json:"dup_acks"`
 
 	ConfigVersion  uint64 `json:"config_version"`
 	ConfigPushes   uint64 `json:"config_pushes"`
@@ -86,35 +74,26 @@ type Stats struct {
 
 	FallbackIngests uint64 `json:"fallback_ingests"`
 
-	Peers []PeerStats `json:"peers"`
+	ring.CoreStats
 }
 
-// WriteProm renders the router metrics in Prometheus text exposition
-// format.
-func (r *Router) WriteProm(w io.Writer) {
+// writeProm renders the router's own families; the core's follow.
+func (r *Router) writeProm(p ring.Prom) {
 	m := &r.metrics
-	counter := func(name, help string, v uint64) { ring.PromCounter(w, name, help, v) }
-	counter("sentryrouter_ingest_total", "Ingest requests received.", m.IngestCalls.Load())
-	counter("sentryrouter_batches_total", "Batches accepted for routing.", m.Batches.Load())
-	counter("sentryrouter_routed_total", "Batches acked by at least one ring replica.", m.Routed.Load())
-	counter("sentryrouter_degraded_total", "Batches absorbed by the local fallback engine.", m.Degraded.Load())
-	counter("sentryrouter_shed_total", "Batches rejected 429.", m.Sheds.Load())
-	counter("sentryrouter_failed_total", "Batches rejected as conflicts or failed internally.", m.Failed.Load())
-	counter("sentryrouter_bad_batches_total", "Requests rejected before routing.", m.BadBatches.Load())
-	counter("sentryrouter_refused_total", "Requests refused 503 during shutdown.", m.RefusedBatches.Load())
-	counter("sentryrouter_retries_total", "Extra replica passes after an incomplete one.", m.Retries.Load())
-	counter("sentryrouter_acks_total", "200 acks from peers.", m.Acks.Load())
-	counter("sentryrouter_dup_acks_total", "409 duplicate acks after a transport error.", m.DupAcks.Load())
-	counter("sentryrouter_peer_429_total", "Peer sheds observed.", m.Peer429s.Load())
-	counter("sentryrouter_peer_errors_total", "Peer transport errors and 5xx.", m.PeerErrs.Load())
-	counter("sentryrouter_breaker_skips_total", "Replica attempts not sent because the peer's breaker refused.", m.BreakerSkips.Load())
-	counter("sentryrouter_probe_ok_total", "Successful health probes.", m.ProbeOK.Load())
-	counter("sentryrouter_probe_fail_total", "Failed health probes.", m.ProbeFail.Load())
-	counter("sentryrouter_config_pushes_total", "Config fan-out attempts to peers.", m.ConfigPushes.Load())
-	counter("sentryrouter_config_push_errors_total", "Config fan-out attempts that failed.", m.ConfigPushErrs.Load())
-	counter("sentryrouter_fallback_ingests_total", "Local fallback engine ingests.", m.FallbackIngests.Load())
-	fmt.Fprintf(w, "# HELP sentryrouter_config_version Active detection rule-set version.\n# TYPE sentryrouter_config_version gauge\nsentryrouter_config_version %d\n", r.local.RulesVersion())
-	r.core.WritePeerProm(w, "sentryrouter", "Batches acked per peer.")
+	p.Counter("sentryrouter_ingest_total", "Ingest requests received.", m.IngestCalls.Load())
+	p.Counter("sentryrouter_batches_total", "Batches accepted for routing.", m.Batches.Load())
+	p.Counter("sentryrouter_routed_total", "Batches acked by at least one ring replica.", m.Routed.Load())
+	p.Counter("sentryrouter_degraded_total", "Batches absorbed by the local fallback engine.", m.Degraded.Load())
+	p.Counter("sentryrouter_shed_total", "Batches rejected 429.", m.Sheds.Load())
+	p.Counter("sentryrouter_failed_total", "Batches rejected as conflicts or failed internally.", m.Failed.Load())
+	p.Counter("sentryrouter_bad_batches_total", "Requests rejected before routing.", m.BadBatches.Load())
+	p.Counter("sentryrouter_refused_total", "Requests refused 503 during shutdown.", m.RefusedBatches.Load())
+	p.Counter("sentryrouter_acks_total", "200 acks from peers.", m.Acks.Load())
+	p.Counter("sentryrouter_dup_acks_total", "409 duplicate acks after a transport error.", m.DupAcks.Load())
+	p.Counter("sentryrouter_config_pushes_total", "Config fan-out attempts to peers.", m.ConfigPushes.Load())
+	p.Counter("sentryrouter_config_push_errors_total", "Config fan-out attempts that failed.", m.ConfigPushErrs.Load())
+	p.Counter("sentryrouter_fallback_ingests_total", "Local fallback engine ingests.", m.FallbackIngests.Load())
+	p.Gauge("sentryrouter_config_version", "Active detection rule-set version.", r.local.RulesVersion())
 }
 
 // Snapshot assembles the current Stats.
@@ -130,18 +109,12 @@ func (r *Router) Snapshot() Stats {
 		Failed:          m.Failed.Load(),
 		BadBatches:      m.BadBatches.Load(),
 		RefusedBatches:  m.RefusedBatches.Load(),
-		Retries:         m.Retries.Load(),
 		Acks:            m.Acks.Load(),
 		DupAcks:         m.DupAcks.Load(),
-		Peer429s:        m.Peer429s.Load(),
-		PeerErrs:        m.PeerErrs.Load(),
-		BreakerSkips:    m.BreakerSkips.Load(),
-		ProbeOK:         m.ProbeOK.Load(),
-		ProbeFail:       m.ProbeFail.Load(),
 		ConfigVersion:   r.local.RulesVersion(),
 		ConfigPushes:    m.ConfigPushes.Load(),
 		ConfigPushErrs:  m.ConfigPushErrs.Load(),
 		FallbackIngests: m.FallbackIngests.Load(),
-		Peers:           r.core.PeerStats(),
+		CoreStats:       r.core.Stats(),
 	}
 }

@@ -19,7 +19,7 @@
 // restarted peer come back, so a node that lost its in-memory rules
 // heals to the ring's version without operator action.
 //
-// The network fault plane (faults.NetPlane) plugs in beneath the HTTP
+// The network fault plane (netfaults.Plane) plugs in beneath the HTTP
 // clients as a per-peer RoundTripper, so request drops, latency spikes,
 // 5xx storms and partitions are injected between router and peer with
 // seeded determinism while the router code under test is byte-identical
@@ -43,11 +43,10 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 	"repro/internal/ring"
 	"repro/internal/sentry"
 )
@@ -103,14 +102,11 @@ type Config struct {
 	Seed int64
 	// NetPlane, when non-nil, injects deterministic network faults
 	// beneath the peer HTTP clients. Nil in production.
-	NetPlane *faults.NetPlane
+	NetPlane *netfaults.Plane
 	// Transport overrides the base HTTP transport (tests); nil uses a
 	// dedicated http.Transport per router.
 	Transport http.RoundTripper
 }
-
-// Ring is the placement function (internal/ring's consistent-hash ring).
-type Ring = ring.Ring
 
 // Router is the ring front end, an http.Handler mirroring sentryd's API
 // surface (POST /v1/ingest, GET /v1/report, GET /v1/flagged,
@@ -166,7 +162,7 @@ func New(cfg Config) (*Router, error) {
 	r.mux.HandleFunc("GET /v1/report", r.handleReport)
 	r.mux.HandleFunc("GET /v1/flagged", r.handleFlagged)
 	r.mux.HandleFunc("POST /v1/config", r.handleConfig)
-	core.Mount(r.mux, func() any { return r.Snapshot() }, r.WriteProm)
+	core.Mount(r.mux, "sentryrouter", "Batches acked per peer.", func() any { return r.Snapshot() }, r.writeProm)
 	// A SIGKILLed peer restarts at rule version 1; the probe that sees it
 	// come back heals it to the ring's version.
 	core.Start(r.repushConfig)
@@ -183,7 +179,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // Ring exposes the placement function (tests and topology dumps).
-func (r *Router) Ring() *Ring { return r.core.Ring() }
+func (r *Router) Ring() *ring.Ring { return r.core.Ring() }
 
 // repushConfig sends the active config (if any swap happened) to a peer
 // that just came back. Idempotent on the peer side: an equal re-push of
@@ -271,7 +267,7 @@ func (r *Router) routeBatch(ctx context.Context, device string, body []byte, rec
 		var errMsg string
 		status, err := r.core.Call(ctx, i, "POST", "/v1/ingest?device="+device, "text/plain", body, func(status int, rd io.Reader) error {
 			if status != http.StatusOK {
-				var er sentry.ErrorResponse
+				var er ring.ErrorResponse
 				json.NewDecoder(rd).Decode(&er)
 				errMsg = er.Error
 				return nil
@@ -395,7 +391,7 @@ func (r *Router) MergedSnapshot(ctx context.Context) sentry.Snapshot {
 	}
 	add(len(peers), r.local.Snapshot())
 
-	merged := sentry.Snapshot{Service: "sentryrouter"}
+	var merged []sentry.DeviceAccount
 	for dev := range devices {
 		// Preference order: the device's replica set, then every other
 		// peer (a ring reconfiguration could have moved it), then local.
@@ -407,65 +403,33 @@ func (r *Router) MergedSnapshot(ctx context.Context) sentry.Snapshot {
 		}
 		pref = append(pref, len(peers))
 
-		var canonical *sentry.DeviceAccount
-		var detected *sentry.DeviceAccount
-		anyShed := false
+		var row sentry.DeviceAccount
+		var detection *sentry.Detection
+		found, shed := false, false
 		for _, si := range pref {
-			row, ok := rows[si][dev]
+			r, ok := rows[si][dev]
 			if !ok {
 				continue
 			}
-			if canonical == nil {
-				c := row
-				canonical = &c
+			if !found {
+				row, found = r, true
 			}
-			if detected == nil && row.Status == "detected" && row.Detection != nil {
-				d := row
-				detected = &d
+			if detection == nil && r.Status == "detected" {
+				detection = r.Detection
 			}
-			if row.Status == "shed" {
-				anyShed = true
-			}
+			shed = shed || r.Status == "shed"
 		}
-		if canonical == nil {
-			continue // unreachable: dev came from some source
-		}
-		row := *canonical
 		switch {
-		case detected != nil:
-			row.Status = "detected"
-			row.Detection = detected.Detection
-		case anyShed:
-			row.Status = "shed"
-			row.Detection = nil
+		case detection != nil:
+			row.Status, row.Detection = "detected", detection
+		case shed:
+			row.Status, row.Detection = "shed", nil
 		default:
-			row.Status = "clean"
-			row.Detection = nil
+			row.Status, row.Detection = "clean", nil
 		}
-		merged.DevicesReported++
-		merged.RecordsIngested += row.Records
-		merged.RecordsIgnored += row.Ignored
-		merged.RingEvictions += row.Evictions
-		switch row.Status {
-		case "detected":
-			merged.Detected++
-			d := *row.Detection
-			d.Device = dev
-			merged.Detections = append(merged.Detections, d)
-		case "shed":
-			merged.Shed++
-		default:
-			merged.Clean++
-		}
-		merged.Devices = append(merged.Devices, row)
+		merged = append(merged, row)
 	}
-	sort.Slice(merged.Detections, func(i, j int) bool {
-		return merged.Detections[i].Device < merged.Detections[j].Device
-	})
-	sort.Slice(merged.Devices, func(i, j int) bool {
-		return merged.Devices[i].Device < merged.Devices[j].Device
-	})
-	return merged
+	return sentry.NewSnapshot("sentryrouter", merged)
 }
 
 func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
@@ -602,6 +566,3 @@ func (r *Router) pushConfig(ctx context.Context, i int, u sentry.ConfigUpdate) e
 
 // Metrics exposes the counter block (tests).
 func (r *Router) Metrics() *Metrics { return &r.metrics }
-
-// PeerNames formats the peer list for logs.
-func (r *Router) PeerNames() string { return r.core.PeerNames() }

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 	"repro/internal/sentry"
 )
 
@@ -174,9 +174,9 @@ func TestRouterSurvivesEachPeerPartitioned(t *testing.T) {
 	const peers = 3
 	for dead := 0; dead < peers; dead++ {
 		t.Run(fmt.Sprintf("peer%d-down", dead), func(t *testing.T) {
-			prof := faults.NetProfile{Name: "one-down", PartitionPeers: []int{dead}}
+			prof := netfaults.Profile{Name: "one-down", PartitionPeers: []int{dead}}
 			r, _ := testRing(t, peers, func(c *Config) {
-				c.NetPlane = faults.NewNetPlane(prof, 7)
+				c.NetPlane = netfaults.NewPlane(prof, 7)
 				c.BreakerCooldown = 10 * time.Second // stays open for the test's duration
 			})
 			const devices = 30
@@ -219,7 +219,7 @@ func TestRouterDeadPeerFailsFast(t *testing.T) {
 	const clients = 4
 	healthy, _ := replayAgainstRing(t, fl, 3, clients, nil)
 	down, r := replayAgainstRing(t, fl, 3, clients, func(c *Config) {
-		c.NetPlane = faults.NewNetPlane(faults.NetProfile{Name: "peer0-down", PartitionPeers: []int{0}}, 7)
+		c.NetPlane = netfaults.NewPlane(netfaults.Profile{Name: "peer0-down", PartitionPeers: []int{0}}, 7)
 		c.BreakerThreshold = 1
 		c.BreakerCooldown = time.Hour
 	})
@@ -246,7 +246,7 @@ func TestRouterDeadPeerFailsFast(t *testing.T) {
 // merged report still carries the detections.
 func TestRouterBlackoutDegrades(t *testing.T) {
 	r, _ := testRing(t, 2, func(c *Config) {
-		c.NetPlane = faults.NewNetPlane(faults.NetBlackout(), 7)
+		c.NetPlane = netfaults.NewPlane(netfaults.Profile{Name: "blackout", PartitionAll: true}, 7)
 		c.Retries = -1 // single pass: the test asserts outcomes, not retry depth
 		c.BreakerCooldown = 10 * time.Second
 	})

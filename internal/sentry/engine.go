@@ -298,7 +298,7 @@ func (e *Engine) JournalErrors() uint64 { return e.journalErrs.Load() }
 // re-journaled: the journal already holds them.
 func (e *Engine) Restore(ds []Detection) error {
 	for _, d := range ds {
-		if !validToken(d.Device) {
+		if !ValidToken(d.Device) {
 			return fmt.Errorf("sentry: restore: bad device token %q", d.Device)
 		}
 		sh := e.shardFor(d.Device)
@@ -623,41 +623,53 @@ type DeviceAccount struct {
 // only on per-device streams, so — given the same streams — a snapshot
 // after a full replay is identical at any shard count.
 func (e *Engine) Snapshot() Snapshot {
-	snap := Snapshot{
-		Service:         "sentryd",
-		RecordsIngested: e.records.Load(),
-		RecordsIgnored:  e.ignored.Load(),
-		RingEvictions:   e.ringEvictions.Load(),
-	}
+	records, ignored, evictions := e.records.Load(), e.ignored.Load(), e.ringEvictions.Load()
+	var rows []DeviceAccount
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		for dev, st := range sh.devices {
-			snap.DevicesReported++
-			acct := DeviceAccount{
-				Device:    dev,
-				Records:   st.recs,
-				Ignored:   st.ign,
-				Evictions: st.evict,
-			}
+			acct := DeviceAccount{Device: dev, Status: "clean", Records: st.recs, Ignored: st.ign, Evictions: st.evict}
 			switch {
 			case st.detection != nil:
-				snap.Detected++
 				d := *st.detection
 				d.Device = dev
-				snap.Detections = append(snap.Detections, d)
-				acct.Status = "detected"
-				det := d
-				acct.Detection = &det
+				acct.Status, acct.Detection = "detected", &d
 			case st.shed:
-				snap.Shed++
 				acct.Status = "shed"
-			default:
-				snap.Clean++
-				acct.Status = "clean"
 			}
-			snap.Devices = append(snap.Devices, acct)
+			rows = append(rows, acct)
 		}
 		sh.mu.Unlock()
+	}
+	snap := NewSnapshot("sentryd", rows)
+	snap.RecordsIngested, snap.RecordsIgnored, snap.RingEvictions = records, ignored, evictions
+	return snap
+}
+
+// NewSnapshot tallies device rows into a Snapshot: every row counts in
+// exactly one of Detected, Shed and Clean by its status, flagged rows
+// list their detection, the record totals are the rows' sums, and both
+// lists are sorted by device — so the exclusive accounting identity
+// holds by construction. A ring router builds its fleet report this way
+// from merged rows; the engine then overrides the record totals with
+// its live counters.
+func NewSnapshot(service string, rows []DeviceAccount) Snapshot {
+	snap := Snapshot{Service: service, DevicesReported: len(rows), Devices: rows}
+	for _, row := range rows {
+		snap.RecordsIngested += row.Records
+		snap.RecordsIgnored += row.Ignored
+		snap.RingEvictions += row.Evictions
+		switch row.Status {
+		case "detected":
+			snap.Detected++
+			d := *row.Detection
+			d.Device = row.Device
+			snap.Detections = append(snap.Detections, d)
+		case "shed":
+			snap.Shed++
+		default:
+			snap.Clean++
+		}
 	}
 	sort.Slice(snap.Detections, func(i, j int) bool {
 		return snap.Detections[i].Device < snap.Detections[j].Device

@@ -77,15 +77,25 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		gate:    make(chan struct{}, cfg.QueueDepth),
 		mux:     http.NewServeMux(),
 	}
-	s.metrics.InFlight = func() int { return len(s.gate) }
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("GET /v1/report", s.handleReport)
 	s.mux.HandleFunc("GET /v1/flagged", s.handleFlagged)
 	s.mux.HandleFunc("POST /v1/config", s.handleConfig)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
+	// Readiness: the node will usefully admit a batch right now. Not
+	// ready once shutdown began or while the admission gate is
+	// saturated — a node that would answer 429 is alive but should not
+	// receive routed traffic.
+	ring.Mount(s.mux, ring.Ops{
+		Health: func() []any { return []any{"in_flight", len(s.gate)} },
+		Ready: func() (bool, bool, []any) {
+			inflight := len(s.gate)
+			return s.closed.Load(), inflight >= s.cfg.QueueDepth, []any{"in_flight", inflight, "gate_cap", s.cfg.QueueDepth}
+		},
+		FullState: "shedding",
+		Stats:     func() any { return s.stats() },
+		Metrics:   s.writeProm,
+		Calls:     &s.metrics.OpsCalls,
+	})
 	return s, nil
 }
 
@@ -130,12 +140,6 @@ type ConfigResponse struct {
 	Version uint64 `json:"version"`
 }
 
-// ErrorResponse answers a refused or failed ingest.
-type ErrorResponse struct {
-	Error         string `json:"error"`
-	RetryAfterSec int    `json:"retry_after_sec,omitempty"`
-}
-
 // handleIngest classifies every request into exactly one of the four
 // batch outcomes (ok / shed / bad / refused) — see the Metrics
 // contract — and keeps the device-level accounting exact: a device
@@ -143,7 +147,7 @@ type ErrorResponse struct {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.IngestCalls.Add(1)
 	device := r.URL.Query().Get("device")
-	if !validToken(device) {
+	if !ValidToken(device) {
 		s.metrics.BadBatches.Add(1)
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("sentry: bad device %q", device))
 		return
@@ -214,7 +218,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFlagged(w http.ResponseWriter, r *http.Request) {
 	s.metrics.FlaggedCalls.Add(1)
 	device := r.URL.Query().Get("device")
-	if !validToken(device) {
+	if !ValidToken(device) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("sentry: bad device %q", device))
 		return
 	}
@@ -253,43 +257,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ring.WriteJSON(w, http.StatusOK, ConfigResponse{Version: v})
-}
-
-// handleHealthz is pure liveness: the process is up and answering.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.metrics.HealthCalls.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"status":"ok","in_flight":%d}`+"\n", len(s.gate))
-}
-
-// handleReadyz is readiness: the node will usefully admit a batch right
-// now. Not ready (503) once shutdown began or while the admission gate
-// is saturated — a node that would answer 429 is alive but should not
-// receive routed traffic.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.metrics.ReadyCalls.Add(1)
-	inflight := len(s.gate)
-	status, state := http.StatusOK, "ready"
-	switch {
-	case s.closed.Load():
-		status, state = http.StatusServiceUnavailable, "shutting-down"
-	case inflight >= s.cfg.QueueDepth:
-		status, state = http.StatusServiceUnavailable, "shedding"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"status":%q,"in_flight":%d,"gate_cap":%d}`+"\n", state, inflight, s.cfg.QueueDepth)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.MetricsCalls.Add(1)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteProm(w, s.engine)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.metrics.StatsCalls.Add(1)
-	ring.WriteJSON(w, http.StatusOK, s.metrics.Snapshot(s.engine))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {

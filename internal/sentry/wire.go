@@ -66,13 +66,10 @@ type Record struct {
 	At time.Duration
 }
 
-// ValidToken reports whether s is a legal device/method token —
-// exported for the ring router, which validates device IDs before
-// hashing them onto the ring.
-func ValidToken(s string) bool { return validToken(s) }
-
-// validToken reports whether s is a legal device/method token.
-func validToken(s string) bool {
+// ValidToken reports whether s is a legal device/method token; the
+// ring router checks device IDs with it before hashing them onto the
+// ring.
+func ValidToken(s string) bool {
 	if len(s) == 0 || len(s) > maxTokenLen {
 		return false
 	}
@@ -90,10 +87,10 @@ func validToken(s string) bool {
 
 // Validate checks the record's fields against the wire constraints.
 func (r Record) Validate() error {
-	if !validToken(r.Device) {
+	if !ValidToken(r.Device) {
 		return fmt.Errorf("sentry: bad device token %q", r.Device)
 	}
-	if !validToken(r.Method) {
+	if !ValidToken(r.Method) {
 		return fmt.Errorf("sentry: bad method token %q", r.Method)
 	}
 	if r.At < 0 {

@@ -62,12 +62,6 @@ type pool struct {
 }
 
 func newPool(workers, queueDepth int, cache *Cache, store *vetstore.Store, metrics *Metrics, analyze func(*dexir.App) (defense.VetVerdict, error)) *pool {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
 	p := &pool{
 		calls:   make(map[string]*call),
 		queue:   make(chan job, queueDepth),

@@ -18,8 +18,9 @@
 //  4. an observability layer (Metrics) exposing Prometheus text metrics,
 //     a JSON stats snapshot and structured per-request logs.
 //
-// Endpoints: POST /v1/vet, POST /v1/vet/batch, GET /healthz,
-// GET /metrics, GET /stats. cmd/vetd serves it; cmd/vetload is the
+// Endpoints: POST /v1/vet, POST /v1/vet/batch, and the ops surface
+// every serving daemon shares (ring.Mount): GET /healthz, GET /readyz,
+// GET /stats, GET /metrics. cmd/vetd serves it; cmd/vetload is the
 // deterministic load generator whose -check mode proves every served
 // verdict byte-identical to a direct defense.Vet call.
 package vetd
@@ -141,18 +142,32 @@ func newServer(cfg Config, analyze func(*dexir.App) (defense.VetVerdict, error))
 		mux:     http.NewServeMux(),
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.cache, s.store, s.metrics, analyze)
-	s.metrics.QueueDepth = s.pool.depth
-	s.metrics.CacheEntries = s.cache.Len
-	s.metrics.CacheEvictions = s.cache.Evictions
-	if s.store != nil {
-		s.metrics.StoreEntries = s.store.Len
-	}
 	s.mux.HandleFunc("POST /v1/vet", s.handleVet)
 	s.mux.HandleFunc("POST /v1/vet/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
+	// Liveness stays 200 even while the node sheds; readiness is
+	// whether the node will usefully accept a vet request right now. It
+	// is not ready once shutdown has begun or while the admission queue
+	// is at the shed threshold — a node that would answer 429 is alive
+	// but should not receive routed traffic, which is exactly the
+	// distinction the vetrouter's health probes key on. The store state
+	// is reported for operators; a configured store is always
+	// "recovered" because Open finishes recovery before the server
+	// exists.
+	store := "none"
+	if s.store != nil {
+		store = "recovered"
+	}
+	ring.Mount(s.mux, ring.Ops{
+		Health: func() []any { return []any{"queue_depth", s.pool.depth()} },
+		Ready: func() (bool, bool, []any) {
+			depth := s.pool.depth()
+			return s.pool.isClosed(), depth >= cfg.QueueDepth, []any{"queue_depth", depth, "queue_cap", cfg.QueueDepth, "store", store}
+		},
+		FullState: "shedding",
+		Stats:     func() any { return s.Snapshot() },
+		Metrics:   s.writeProm,
+		Calls:     &s.metrics.OpsCalls,
+	})
 	return s
 }
 
@@ -342,53 +357,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Status:    http.StatusOK,
 		LatencyUS: lat.Microseconds(),
 	})
-}
-
-// handleHealthz is pure liveness: the process is up and answering HTTP.
-// It stays 200 even while the node sheds — routing decisions belong to
-// /readyz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.metrics.HealthCalls.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"status":"ok","queue_depth":%d}`+"\n", s.pool.depth())
-}
-
-// handleReadyz is readiness: the node will usefully accept a vet request
-// right now. Not ready (503) when shutdown has begun or the admission
-// queue has reached the shed threshold — a node that would answer 429 is
-// alive but should not receive routed traffic, which is exactly the
-// distinction the vetrouter's health probes key on. The store state is
-// reported for operators; a configured store is always "recovered"
-// because Open finishes recovery before the server exists.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.metrics.ReadyCalls.Add(1)
-	depth := s.pool.depth()
-	store := "none"
-	if s.store != nil {
-		store = "recovered"
-	}
-	status, state := http.StatusOK, "ready"
-	switch {
-	case s.pool.isClosed():
-		status, state = http.StatusServiceUnavailable, "shutting-down"
-	case depth >= s.cfg.QueueDepth:
-		status, state = http.StatusServiceUnavailable, "shedding"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"status":%q,"queue_depth":%d,"queue_cap":%d,"store":%q}`+"\n",
-		state, depth, s.cfg.QueueDepth, store)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.MetricsCalls.Add(1)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteProm(w)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.metrics.StatsCalls.Add(1)
-	ring.WriteJSON(w, http.StatusOK, s.metrics.Snapshot())
 }
 
 // decode reads a bounded JSON body into dst.

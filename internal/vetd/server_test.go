@@ -161,7 +161,7 @@ func TestBatchPreservesOrderAndCoalesces(t *testing.T) {
 		t.Fatalf("requests %d, want %d (batch items must classify individually)", m.Requests.Load(), len(apps))
 	}
 	if m.Hits.Load()+m.Misses.Load()+m.Sheds.Load() != m.Requests.Load() {
-		t.Fatalf("accounting broken: %+v", m.Snapshot())
+		t.Fatalf("accounting broken: %+v", s.Snapshot())
 	}
 }
 
@@ -251,7 +251,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	}
 	m := s.Metrics()
 	if m.Hits.Load()+m.Misses.Load()+m.Sheds.Load() != m.Requests.Load() {
-		t.Fatalf("accounting broken under overload: %+v", m.Snapshot())
+		t.Fatalf("accounting broken under overload: %+v", s.Snapshot())
 	}
 	if m.Sheds.Load() != uint64(sheds) {
 		t.Fatalf("shed counter %d, want %d", m.Sheds.Load(), sheds)

@@ -84,7 +84,7 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("store hits %d, want %d", m.StoreHits.Load(), len(apks))
 	}
 	if m.Hits.Load()+m.Misses.Load()+m.Sheds.Load() != m.Requests.Load() {
-		t.Fatalf("store hits broke the accounting contract: %+v", m.Snapshot())
+		t.Fatalf("store hits broke the accounting contract: %+v", s2.Snapshot())
 	}
 	// A repeat request is a memory-cache hit now: the store hit promoted
 	// the verdict, so StoreHits stays flat.

@@ -16,7 +16,7 @@
 // shed / failed (the accounting identity cmd/vetload -check enforces
 // under chaos) and stamps degraded verdicts instead of erroring.
 //
-// The network fault plane (faults.NetPlane) plugs in beneath the HTTP
+// The network fault plane (netfaults.Plane) plugs in beneath the HTTP
 // clients as a per-peer RoundTripper, so request drops, latency spikes,
 // 5xx storms and partitions are injected between router and peer with
 // seeded determinism while the router code under test is byte-identical
@@ -34,7 +34,7 @@ import (
 
 	"repro/internal/defense"
 	"repro/internal/dexir"
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 	"repro/internal/ring"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetd"
@@ -92,14 +92,11 @@ type Config struct {
 	Seed int64
 	// NetPlane, when non-nil, injects deterministic network faults
 	// beneath the peer HTTP clients. Nil in production.
-	NetPlane *faults.NetPlane
+	NetPlane *netfaults.Plane
 	// Transport overrides the base HTTP transport (tests); nil uses a
 	// dedicated http.Transport per router.
 	Transport http.RoundTripper
 }
-
-// Ring is the placement function (internal/ring's consistent-hash ring).
-type Ring = ring.Ring
 
 // Router is the ring front end, an http.Handler mirroring vetd's API
 // surface (POST /v1/vet, POST /v1/vet/batch, GET /healthz, /readyz,
@@ -148,7 +145,7 @@ func New(cfg Config) (*Router, error) {
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("POST /v1/vet", r.handleVet)
 	r.mux.HandleFunc("POST /v1/vet/batch", r.handleBatch)
-	core.Mount(r.mux, func() any { return r.Snapshot() }, r.WriteProm)
+	core.Mount(r.mux, "vetrouter", "Requests served per peer.", func() any { return r.Snapshot() }, r.writeProm)
 	core.Start(nil)
 	return r, nil
 }
@@ -162,7 +159,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // Ring exposes the placement function (tests and topology dumps).
-func (r *Router) Ring() *Ring { return r.core.Ring() }
+func (r *Router) Ring() *ring.Ring { return r.core.Ring() }
 
 // routeResult is the classified outcome of one routed request.
 type routeResult struct {
@@ -289,6 +286,3 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 
 // Metrics exposes the counter block (tests).
 func (r *Router) Metrics() *Metrics { return &r.metrics }
-
-// PeerNames formats the peer list for logs.
-func (r *Router) PeerNames() string { return r.core.PeerNames() }

@@ -14,7 +14,7 @@ import (
 	"repro/internal/appstore"
 	"repro/internal/defense"
 	"repro/internal/dexir"
-	"repro/internal/faults"
+	"repro/internal/netfaults"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetd"
 )
@@ -146,9 +146,9 @@ func TestRouterSurvivesEachPeerPartitioned(t *testing.T) {
 	apks := corpus(t, 30)
 	for dead := 0; dead < peers; dead++ {
 		t.Run(fmt.Sprintf("peer%d-down", dead), func(t *testing.T) {
-			prof := faults.NetProfile{Name: "one-down", PartitionPeers: []int{dead}}
+			prof := netfaults.Profile{Name: "one-down", PartitionPeers: []int{dead}}
 			r, _ := testRing(t, peers, tier, func(c *Config) {
-				c.NetPlane = faults.NewNetPlane(prof, 7)
+				c.NetPlane = netfaults.NewPlane(prof, 7)
 				c.BreakerCooldown = 10 * time.Second // stays open for the test's duration
 			})
 			for _, apk := range apks {
@@ -181,7 +181,7 @@ func TestRouterSurvivesEachPeerPartitioned(t *testing.T) {
 func TestRouterBlackoutDegrades(t *testing.T) {
 	const tier = staticanalysis.Tier(2)
 	r, _ := testRing(t, 2, tier, func(c *Config) {
-		c.NetPlane = faults.NewNetPlane(faults.NetBlackout(), 7)
+		c.NetPlane = netfaults.NewPlane(netfaults.Profile{Name: "blackout", PartitionAll: true}, 7)
 		c.Retries = -1 // single pass: the test asserts outcomes, not retry depth
 		c.BreakerCooldown = 10 * time.Second
 	})
@@ -231,7 +231,7 @@ func TestRouterBlackoutDegrades(t *testing.T) {
 func TestRouterRetriesThroughDrops(t *testing.T) {
 	const tier = staticanalysis.Tier(0)
 	r, _ := testRing(t, 3, tier, func(c *Config) {
-		c.NetPlane = faults.NewNetPlane(faults.NetProfile{Name: "lossy", DropProb: 0.25}, 11)
+		c.NetPlane = netfaults.NewPlane(netfaults.Profile{Name: "lossy", DropProb: 0.25}, 11)
 		c.Retries = 3
 		c.BreakerThreshold = 1000 // isolate the retry path from breaker state
 	})
@@ -248,7 +248,7 @@ func TestRouterRetriesThroughDrops(t *testing.T) {
 		checkCore(t, v, apk.IR, tier)
 	}
 	st := r.Snapshot()
-	if st.PeerErrors == 0 {
+	if st.PeerErrs == 0 {
 		t.Fatal("25% drop rate injected no peer errors in 40 requests")
 	}
 	if st.Replicated+st.Degraded != uint64(len(apks)) {
@@ -307,7 +307,7 @@ func TestRouterFailsOverOn429(t *testing.T) {
 // retries, no injected faults.
 func TestRouterZeroFaultPlaneIsNoOp(t *testing.T) {
 	const tier = staticanalysis.Tier(0)
-	plane := faults.NewNetPlane(faults.NetNone(), 5)
+	plane := netfaults.NewPlane(netfaults.Profile{Name: "none"}, 5)
 	r, _ := testRing(t, 2, tier, func(c *Config) { c.NetPlane = plane })
 	for _, apk := range corpus(t, 20) {
 		if rec := routePost(t, r, "/v1/vet", vetd.VetRequest{App: apk.IR}); rec.Code != http.StatusOK {
@@ -315,7 +315,7 @@ func TestRouterZeroFaultPlaneIsNoOp(t *testing.T) {
 		}
 	}
 	st := r.Snapshot()
-	if st.Degraded != 0 || st.Retries != 0 || st.PeerErrors != 0 {
+	if st.Degraded != 0 || st.Retries != 0 || st.PeerErrs != 0 {
 		t.Fatalf("zero profile perturbed serving: %+v", st)
 	}
 	if !plane.Stats().Zero() {

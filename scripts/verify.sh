@@ -77,10 +77,13 @@ go test -race -short ./...
 # internal/wm and internal/sysserver carry the window and toast state
 # every trial runs on and report their internal breaches only to the
 # invariant monitor, and internal/simlint carries the determinism rules
-# and the test-only-export guard — a drop below the floor means those
+# and the test-only-export guard, and internal/vetd and internal/vetring
+# carry the vetting node's and router's accounting and the service
+# halves of the ops surface they hand internal/ring (readiness inputs,
+# stats snapshots, metric families) — a drop below the floor means those
 # paths lost their tests. All packages currently sit well above it.
 COVER_FLOOR=65
-COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog ./internal/simrand ./internal/binder ./internal/sysui ./internal/simclock ./internal/wm ./internal/sysserver ./internal/simlint"
+COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog ./internal/simrand ./internal/binder ./internal/sysui ./internal/simclock ./internal/wm ./internal/sysserver ./internal/simlint ./internal/vetd ./internal/vetring"
 echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
 go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
