@@ -25,30 +25,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/ringharness"
+	"repro/internal/load"
 	"repro/internal/sentring"
 	"repro/internal/sentry"
 )
 
 const probeDevice = "probe-swap"
-
-// startRing spawns cfg.ring sentryd peers (each journaling to its own
-// store directory) and the router, returning the router's base URL.
-func startRing(cfg config) (*ringharness.Harness, string, error) {
-	return ringharness.Start(ringharness.Config{
-		Tool:       "fleetload",
-		Seed:       cfg.seed,
-		Peers:      cfg.ring,
-		StoreDir:   cfg.storeDir,
-		PeerBin:    cfg.sentrydBin,
-		PeerName:   "sentryd",
-		PeerArgs:   []string{"-queue", "256"},
-		RouterBin:  cfg.routerBin,
-		RouterName: "sentryrouter",
-		RouterArgs: []string{"-replicas", strconv.Itoa(cfg.replicas), "-net-faults", cfg.netFaults,
-			"-net-seed", strconv.FormatInt(cfg.netSeed, 10), "-seed", strconv.FormatInt(cfg.seed, 10)},
-	})
-}
 
 // swapUpdate is the mid-run rule change: detection-equivalent on the
 // generated fleet (every planted attacker still clears the tightened
@@ -81,39 +63,47 @@ func probeRecords() []sentry.Record {
 	return recs
 }
 
-// runRing drives the full multi-node scenario.
-func runRing(cfg config, fl *sentry.Fleet) int {
-	h, base, err := startRing(cfg)
+// runRing drives the full multi-node scenario: it spawns cfg.ring
+// sentryd peers (each journaling to its own store directory) and the
+// router, replays the fleet under the chaos schedule, and verifies.
+func runRing(cfg config, client *http.Client, fl *sentry.Fleet) int {
+	var rc load.Counts
+	code, err := load.Run(load.Config{
+		Tool:       "fleetload",
+		Seed:       cfg.seed,
+		Peers:      cfg.ring,
+		StoreDir:   cfg.storeDir,
+		PeerBin:    cfg.sentrydBin,
+		PeerName:   "sentryd",
+		PeerArgs:   []string{"-queue", "256"},
+		RouterBin:  cfg.routerBin,
+		RouterName: "sentryrouter",
+		RouterArgs: []string{"-replicas", strconv.Itoa(cfg.replicas), "-net-faults", cfg.netFaults,
+			"-net-seed", strconv.FormatInt(cfg.netSeed, 10), "-seed", strconv.FormatInt(cfg.seed, 10)},
+	}, cfg.chaos, cfg.chaosKills, func(base string) {
+		fmt.Printf("fleetload: replaying %d devices (%d records) through %s (ring %d, replicas %d, chaos %v x%d)\n",
+			len(fl.Devices), fl.Records(), base, cfg.ring, cfg.replicas, cfg.chaos, cfg.chaosKills)
+		rc = replay(cfg, client, base, fl)
+	}, func(h *load.Harness, base string) int {
+		return verifyRing(cfg, client, h, base, fl, rc)
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleetload: ring: %v\n", err)
 		return 1
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			h.KillAll()
-		}
-	}()
-	client := &http.Client{Timeout: 15 * time.Second}
+	if code == 0 {
+		fmt.Println("fleetload: ring run complete: clean exits all around")
+	}
+	return code
+}
 
-	fmt.Printf("fleetload: replaying %d devices (%d records) through %s (ring %d, replicas %d, chaos %v x%d)\n",
-		len(fl.Devices), fl.Records(), base, cfg.ring, cfg.replicas, cfg.chaos, cfg.chaosKills)
+// verifyRing proves the ring's distributed properties after the replay
+// and returns the exit code.
+func verifyRing(cfg config, client *http.Client, h *load.Harness, base string, fl *sentry.Fleet, rc load.Counts) int {
 	if cfg.chaos > 0 {
-		h.StartChaos(cfg.chaos, cfg.chaosKills)
-	}
-	rs := sentry.ReplayFleet(client, base, fl, sentry.ReplayOptions{
-		Clients: cfg.clients, Batch: cfg.batch, Retry429: cfg.retry429, Seed: cfg.seed,
-	})
-	if cfg.chaos > 0 {
-		h.WaitChaos(60 * time.Second)
 		fmt.Printf("fleetload: chaos complete: %d kill/restart cycles\n", h.Kills())
-		if h.Kills() < cfg.chaosKills {
-			fmt.Fprintf(os.Stderr, "fleetload: chaos ran only %d of %d cycles\n", h.Kills(), cfg.chaosKills)
-			return 1
-		}
 	}
-	if rs.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "fleetload: %d replay errors (first: %s)\n", rs.Errors, rs.FirstError)
+	if rc.Errors > 0 {
 		return 1
 	}
 
@@ -132,12 +122,11 @@ func runRing(cfg config, fl *sentry.Fleet) int {
 		fl.Truth[probeDevice] = sentry.PatternDrawAndDestroy
 	}
 
-	snap, err := fetchReport(client, base)
+	snap, err := report(cfg, client, base, fl, rc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetload: fetch report: %v\n", err)
+		fmt.Fprintf(os.Stderr, "fleetload: %v\n", err)
 		return 1
 	}
-	fmt.Print(sentry.RenderFleetReport(snap, fl, rs))
 
 	// Single-node reference: the same streams through one bare engine
 	// must flag exactly the same devices with the same patterns —
@@ -196,16 +185,7 @@ func runRing(cfg config, fl *sentry.Fleet) int {
 	}
 	fmt.Printf("fleetload: %d flagged answers byte-stable across a fleet-wide SIGKILL restart\n", len(before))
 
-	if code := conform(cfg, snap, fl); code != 0 {
-		return code
-	}
-	if err := h.Shutdown(); err != nil {
-		fmt.Fprintf(os.Stderr, "fleetload: shutdown: %v\n", err)
-		return 1
-	}
-	ok = true
-	fmt.Println("fleetload: ring run complete: clean exits all around")
-	return 0
+	return conform(cfg, snap, fl)
 }
 
 // postSwap applies the rule swap at the router and requires the fan-out
@@ -237,28 +217,9 @@ func postSwap(client *http.Client, base string, peers int, u sentry.ConfigUpdate
 
 // replayProbe streams the post-swap probe device through the router.
 func replayProbe(client *http.Client, base string, batch int) error {
-	recs := probeRecords()
-	if batch < 1 {
-		batch = len(recs)
-	}
-	for start := 0; start < len(recs); start += batch {
-		end := start + batch
-		if end > len(recs) {
-			end = len(recs)
-		}
-		body, err := sentry.EncodeBatch(recs[start:end])
-		if err != nil {
-			return err
-		}
-		resp, err := client.Post(base+"/v1/ingest?device="+probeDevice, "text/plain", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("probe batch: status %d", resp.StatusCode)
-		}
+	probe := &sentry.Fleet{Devices: []sentry.FleetDevice{{ID: probeDevice, Records: probeRecords()}}}
+	if rc := load.ReplayFleet(client, base, probe, load.ReplayOptions{Batch: batch}); rc.Shed+rc.Errors > 0 {
+		return fmt.Errorf("%d batches shed, %d errors (first: %s)", rc.Shed, rc.Errors, rc.FirstError)
 	}
 	return nil
 }
@@ -319,13 +280,8 @@ func detectionMismatches(got, want sentry.Snapshot) int {
 // checkRouterAccounting fetches the router's /stats and enforces the
 // exclusive batch classification identities.
 func checkRouterAccounting(client *http.Client, base string) error {
-	resp, err := client.Get(base + "/stats")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
 	var st sentring.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if _, err := load.Get(client, base+"/stats", &st); err != nil {
 		return err
 	}
 	if st.Service != "sentryrouter" {
@@ -388,17 +344,9 @@ func fetchFlagged(client *http.Client, base string, fl *sentry.Fleet) (map[strin
 	sort.Strings(devices)
 	out := make(map[string][]byte, len(devices))
 	for _, dev := range devices {
-		resp, err := client.Get(base + "/v1/flagged?device=" + dev)
+		body, err := load.Get(client, base+"/v1/flagged?device="+dev, nil)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", dev, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", dev, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s: status %d: %s", dev, resp.StatusCode, body)
+			return nil, err
 		}
 		out[dev] = body
 	}

@@ -23,7 +23,7 @@
 // Ring mode (-ring N) turns vetload into the chaos harness for the
 // distributed serving plane: it spawns N vetd peers (each with its own
 // crash-safe store under -store-dir) plus a vetrouter on ephemeral
-// ports (internal/ringharness), replays the corpus against the router
+// ports (internal/load), replays the corpus against the router
 // while -chaos SIGKILLs and restarts seeded-chosen peers mid-run, and
 // requires a clean SIGINT shutdown from every process. -check works
 // unchanged — replicated,
@@ -43,7 +43,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"os"
@@ -55,8 +54,7 @@ import (
 
 	"repro/internal/appstore"
 	"repro/internal/defense"
-	"repro/internal/ring"
-	"repro/internal/ringharness"
+	"repro/internal/load"
 	"repro/internal/simrand"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetd"
@@ -100,22 +98,17 @@ type target struct {
 	wantCore []byte // expected Verdict.Core bytes, nil unless -check
 }
 
-// sample aggregates one client's observations.
+// sample aggregates one client's observations: the shared outcome
+// counts plus the verdict-specific ones.
 type sample struct {
+	load.Counts
 	latencies  []time.Duration
-	ok, shed   int
 	expired    int
 	other      int
 	hits       int
 	degraded   int
 	denies     int
 	mismatches int
-	errs       int
-	// retried counts logical requests that succeeded only after one or
-	// more Retry-After waits; abandoned counts those still shed when the
-	// retry budget ran out.
-	retried   int
-	abandoned int
 }
 
 func run() int {
@@ -152,61 +145,68 @@ func run() int {
 		return 2
 	}
 
-	var harness *ringharness.Harness
-	if cfg.ring > 0 {
-		if cfg.vetdBin == "" || cfg.routerBin == "" {
-			fmt.Fprintln(os.Stderr, "vetload: -ring requires -vetd-bin and -router-bin")
-			return 2
-		}
-		tier, seed := strconv.Itoa(int(cfg.tier)), strconv.FormatInt(cfg.seed, 10)
-		h, routerURL, err := ringharness.Start(ringharness.Config{
-			Tool:       "vetload",
-			Seed:       cfg.seed,
-			Peers:      cfg.ring,
-			StoreDir:   cfg.storeDir,
-			PeerBin:    cfg.vetdBin,
-			PeerName:   "vetd",
-			PeerArgs:   []string{"-tier", tier},
-			RouterBin:  cfg.routerBin,
-			RouterName: "vetrouter",
-			RouterArgs: []string{"-replicas", strconv.Itoa(cfg.replicas), "-tier", tier,
-				"-net-faults", cfg.netFaults, "-net-seed", seed, "-seed", seed},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vetload: ring: %v\n", err)
-			return 1
-		}
-		harness = h
-		cfg.addr = routerURL
-		fmt.Printf("vetload: ring of %d peers up behind %s (chaos %v, faults %s)\n",
-			cfg.ring, routerURL, cfg.chaos, cfg.netFaults)
+	if cfg.ring > 0 && (cfg.vetdBin == "" || cfg.routerBin == "") {
+		fmt.Fprintln(os.Stderr, "vetload: -ring requires -vetd-bin and -router-bin")
+		return 2
 	}
 
 	targets, corpusDenies, err := buildCorpus(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vetload: corpus: %v\n", err)
-		if harness != nil {
-			harness.KillAll()
-		}
 		return 1
-	}
-	fmt.Printf("vetload: corpus %d distinct apps, %d denied by direct policy (%.1f%%), zipf s=%.2f\n",
-		len(targets), corpusDenies, 100*float64(corpusDenies)/float64(len(targets)), cfg.zipfS)
-
-	picker := newZipf(cfg.zipfS, cfg.distinct, simrand.New(cfg.seed).Derive("vetload/perm"))
-
-	var sent atomic.Int64
-	stopAt := time.Time{}
-	if cfg.duration > 0 {
-		stopAt = time.Now().Add(cfg.duration)
 	}
 	client := &http.Client{
 		Transport: &http.Transport{MaxIdleConnsPerHost: cfg.clients},
 		Timeout:   30 * time.Second,
 	}
+	if cfg.ring == 0 {
+		samples, elapsed := replayCorpus(cfg, client, targets, corpusDenies)
+		return report(cfg, samples, elapsed, client)
+	}
 
-	if harness != nil && cfg.chaos > 0 {
-		harness.StartChaos(cfg.chaos, -1)
+	tierNum, seed := strconv.Itoa(int(cfg.tier)), strconv.FormatInt(cfg.seed, 10)
+	var samples []sample
+	var elapsed time.Duration
+	code, err := load.Run(load.Config{
+		Tool:       "vetload",
+		Seed:       cfg.seed,
+		Peers:      cfg.ring,
+		StoreDir:   cfg.storeDir,
+		PeerBin:    cfg.vetdBin,
+		PeerName:   "vetd",
+		PeerArgs:   []string{"-tier", tierNum},
+		RouterBin:  cfg.routerBin,
+		RouterName: "vetrouter",
+		RouterArgs: []string{"-replicas", strconv.Itoa(cfg.replicas), "-tier", tierNum,
+			"-net-faults", cfg.netFaults, "-net-seed", seed, "-seed", seed},
+	}, cfg.chaos, -1, func(base string) {
+		cfg.addr = base
+		fmt.Printf("vetload: ring of %d peers up behind %s (chaos %v, faults %s)\n",
+			cfg.ring, base, cfg.chaos, cfg.netFaults)
+		samples, elapsed = replayCorpus(cfg, client, targets, corpusDenies)
+	}, func(h *load.Harness, _ string) int {
+		code := report(cfg, samples, elapsed, client)
+		fmt.Printf("vetload: chaos: %d peer kill/restart cycles\n", h.Kills())
+		return code
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vetload: ring: %v\n", err)
+		return 1
+	}
+	fmt.Println("vetload: ring shut down cleanly")
+	return code
+}
+
+// replayCorpus announces the corpus, runs cfg.clients clients against
+// cfg.addr and returns their samples and the wall time they took.
+func replayCorpus(cfg config, client *http.Client, targets []target, denies int) ([]sample, time.Duration) {
+	fmt.Printf("vetload: corpus %d distinct apps, %d denied by direct policy (%.1f%%), zipf s=%.2f\n",
+		len(targets), denies, 100*float64(denies)/float64(len(targets)), cfg.zipfS)
+	picker := newZipf(cfg.zipfS, cfg.distinct, simrand.New(cfg.seed).Derive("vetload/perm"))
+	var sent atomic.Int64
+	stopAt := time.Time{}
+	if cfg.duration > 0 {
+		stopAt = time.Now().Add(cfg.duration)
 	}
 	samples := make([]sample, cfg.clients)
 	start := time.Now()
@@ -219,21 +219,7 @@ func run() int {
 		}(c)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	if harness != nil {
-		harness.StopChaos()
-	}
-
-	code := report(cfg, samples, elapsed, client)
-	if harness != nil {
-		fmt.Printf("vetload: chaos: %d peer kill/restart cycles\n", harness.Kills())
-		if err := harness.Shutdown(); err != nil {
-			fmt.Fprintf(os.Stderr, "vetload: ring shutdown: %v\n", err)
-			return 1
-		}
-		fmt.Println("vetload: ring shut down cleanly")
-	}
-	return code
+	return samples, time.Since(start)
 }
 
 // buildCorpus generates the seeded corpus slice and pre-encodes request
@@ -343,37 +329,10 @@ func urlSuffix(cfg config) string {
 	return ""
 }
 
-// post sends one logical request of n items to path, honoring up to
-// -retry429 Retry-After waits, and returns the final status and body.
-// A transport error counts all n items as errors and returns !ok.
-func post(cfg config, client *http.Client, path string, body []byte, n int, rng *simrand.Source, out *sample) (int, []byte, bool) {
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(cfg.addr+path+urlSuffix(cfg), "application/json", bytes.NewReader(body))
-		if err != nil {
-			out.errs += n
-			return 0, nil, false
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests && attempt < cfg.retry429 {
-			time.Sleep(ring.RetryDelay(resp, rng))
-			continue
-		}
-		if attempt > 0 {
-			if resp.StatusCode == http.StatusOK {
-				out.retried += n
-			} else {
-				out.abandoned += n
-			}
-		}
-		return resp.StatusCode, raw, true
-	}
-}
-
 func doVet(cfg config, client *http.Client, tg *target, rng *simrand.Source, out *sample) {
 	start := time.Now()
-	status, body, ok := post(cfg, client, "/v1/vet", tg.body, 1, rng, out)
-	if !ok {
+	status, body, err := load.Post(client, cfg.addr+"/v1/vet"+urlSuffix(cfg), "application/json", tg.body, 1, cfg.retry429, rng, &out.Counts)
+	if err != nil {
 		return
 	}
 	// One logical request, classified once; the latency includes any
@@ -394,22 +353,26 @@ func doBatch(cfg config, client *http.Client, targets []target, picker *zipf, rn
 	}
 	body, _ := json.Marshal(map[string]any{"apps": apps})
 	start := time.Now()
-	status, raw, ok := post(cfg, client, "/v1/vet/batch", body, cfg.batch, rng, out)
-	if !ok {
+	status, raw, err := load.Post(client, cfg.addr+"/v1/vet/batch"+urlSuffix(cfg), "application/json", body, cfg.batch, cfg.retry429, rng, &out.Counts)
+	if err != nil {
 		return
 	}
 	out.latencies = append(out.latencies, time.Since(start))
 	if status != http.StatusOK {
 		if status == http.StatusTooManyRequests {
-			out.shed += cfg.batch
+			out.Shed += cfg.batch
 		} else {
 			out.other += cfg.batch
 		}
 		return
 	}
 	var br vetd.BatchResponse
-	if err := json.Unmarshal(raw, &br); err != nil || len(br.Verdicts) != cfg.batch {
-		out.errs += cfg.batch
+	if err := json.Unmarshal(raw, &br); err != nil {
+		out.Fail(cfg.batch, err)
+		return
+	}
+	if len(br.Verdicts) != cfg.batch {
+		out.Fail(cfg.batch, fmt.Errorf("batch of %d answered with %d verdicts", cfg.batch, len(br.Verdicts)))
 		return
 	}
 	for i, item := range br.Verdicts {
@@ -424,9 +387,9 @@ func doBatch(cfg config, client *http.Client, targets []target, picker *zipf, rn
 func classify(status int, out *sample) {
 	switch status {
 	case http.StatusOK:
-		out.ok++
+		out.OK++
 	case http.StatusTooManyRequests:
-		out.shed++
+		out.Shed++
 	case http.StatusGatewayTimeout:
 		out.expired++
 	default:
@@ -437,7 +400,7 @@ func classify(status int, out *sample) {
 func checkVerdict(cfg config, tg *target, body []byte, out *sample) {
 	var v vetd.Verdict
 	if err := json.Unmarshal(body, &v); err != nil {
-		out.errs++
+		out.Fail(1, err)
 		return
 	}
 	if v.Cached {
@@ -463,20 +426,16 @@ func checkVerdict(cfg config, tg *target, body []byte, out *sample) {
 func report(cfg config, samples []sample, elapsed time.Duration, client *http.Client) int {
 	var all sample
 	for _, s := range samples {
+		all.Merge(s.Counts)
 		all.latencies = append(all.latencies, s.latencies...)
-		all.ok += s.ok
-		all.shed += s.shed
 		all.expired += s.expired
 		all.other += s.other
 		all.hits += s.hits
 		all.degraded += s.degraded
 		all.denies += s.denies
 		all.mismatches += s.mismatches
-		all.errs += s.errs
-		all.retried += s.retried
-		all.abandoned += s.abandoned
 	}
-	total := all.ok + all.shed + all.expired + all.other
+	total := all.OK + all.Shed + all.expired + all.other
 	sort.Slice(all.latencies, func(i, j int) bool { return all.latencies[i] < all.latencies[j] })
 	pct := func(p float64) time.Duration {
 		if len(all.latencies) == 0 {
@@ -490,23 +449,22 @@ func report(cfg config, samples []sample, elapsed time.Duration, client *http.Cl
 	}
 
 	fmt.Printf("vetload: %d requests in %v (%.0f req/s), %d transport errors\n",
-		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(), all.errs)
+		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(), all.Errors)
 	fmt.Printf("vetload: 200 ok %d, 429 shed %d, 504 expired %d, other %d\n",
-		all.ok, all.shed, all.expired, all.other)
-	if all.ok > 0 {
+		all.OK, all.Shed, all.expired, all.other)
+	if all.OK > 0 {
 		fmt.Printf("vetload: cache hit rate %.1f%% (client-observed), deny rate %.1f%%\n",
-			100*float64(all.hits)/float64(all.ok), 100*float64(all.denies)/float64(all.ok))
+			100*float64(all.hits)/float64(all.OK), 100*float64(all.denies)/float64(all.OK))
 	}
 	if all.degraded > 0 {
 		fmt.Printf("vetload: degraded verdicts %d (%.1f%% of 200s) — ring fell back to local analysis\n",
-			all.degraded, 100*float64(all.degraded)/float64(all.ok))
+			all.degraded, 100*float64(all.degraded)/float64(all.OK))
 	}
 	if total > 0 {
-		fmt.Printf("vetload: shed rate %.1f%%\n", 100*float64(all.shed)/float64(total))
+		fmt.Printf("vetload: shed rate %.1f%%\n", 100*float64(all.Shed)/float64(total))
 	}
-	if all.retried+all.abandoned > 0 {
-		fmt.Printf("vetload: 429 backoff: %d recovered by Retry-After waits, %d abandoned after %d retries\n",
-			all.retried, all.abandoned, cfg.retry429)
+	if all.Retried+all.Abandoned > 0 {
+		fmt.Printf("vetload: %s\n", all.Backoff(cfg.retry429))
 	}
 	fmt.Printf("vetload: latency p50 %v  p90 %v  p99 %v  max %v\n",
 		pct(0.50), pct(0.90), pct(0.99), pct(1))
@@ -516,12 +474,12 @@ func report(cfg config, samples []sample, elapsed time.Duration, client *http.Cl
 	}
 
 	if cfg.check {
-		fmt.Printf("vetload: check mode: %d mismatches across %d served verdicts\n", all.mismatches, all.ok)
+		fmt.Printf("vetload: check mode: %d mismatches across %d served verdicts\n", all.mismatches, all.OK)
 		if all.mismatches > 0 {
 			return 1
 		}
 	}
-	if all.errs > 0 {
+	if all.Errors > 0 {
 		return 1
 	}
 	return 0
@@ -534,20 +492,14 @@ func report(cfg config, samples []sample, elapsed time.Duration, client *http.Cl
 // undecodable /stats is reported but not fatal (the server may already
 // be shutting down).
 func checkServerStats(cfg config, client *http.Client) int {
-	resp, err := client.Get(cfg.addr + "/stats")
+	var probe struct {
+		Service string `json:"service"`
+	}
+	raw, err := load.Get(client, cfg.addr+"/stats", &probe)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vetload: stats unavailable: %v\n", err)
 		return 0
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0
-	}
-	var probe struct {
-		Service string `json:"service"`
-	}
-	json.Unmarshal(raw, &probe)
 	switch probe.Service {
 	case "vetrouter":
 		var st vetring.Stats

@@ -11,8 +11,8 @@
 // binary shares live here too: the one ops surface (Mount: GET
 // /healthz, /readyz, /stats and /metrics), the Prometheus text writer
 // (Prom) and latency Histogram, the JSON and error writers with their
-// Retry-After hint, the load clients' RetryDelay, and the daemon
-// lifecycle Serve.
+// Retry-After hint (whose client half is internal/load.RetryDelay), and
+// the daemon lifecycle Serve.
 //
 // ring is a wall-clock serving package (simlint's ServingPackages
 // allowlist): probes, backoff and breaker cooldowns run on real time,
@@ -543,21 +543,4 @@ func WriteError(w http.ResponseWriter, status int, msg string, retryAfter time.D
 // WriteError writes an error response with the core's RetryAfter hint.
 func (c *Core) WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteError(w, status, msg, c.cfg.RetryAfter)
-}
-
-// retryAfterCap bounds how long a load client honors a Retry-After
-// hint: servers hint in whole seconds, which would stall a
-// compressed-time replay far past the shed window it describes.
-const retryAfterCap = 300 * time.Millisecond
-
-// RetryDelay is the client half of WriteError's hint: the wait before
-// re-sending a shed request — the 429's Retry-After, capped, then
-// jittered uniformly in [0.5x, 1.5x] from the client's seeded stream so
-// retries from many clients decorrelate.
-func RetryDelay(resp *http.Response, rng *simrand.Source) time.Duration {
-	hint := time.Second
-	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && sec >= 0 {
-		hint = time.Duration(sec) * time.Second
-	}
-	return time.Duration(float64(min(hint, retryAfterCap)) * (0.5 + rng.Float64()))
 }

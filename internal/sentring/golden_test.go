@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/load"
 	"repro/internal/sentry"
 )
 
@@ -48,7 +49,7 @@ func replayAgainstRing(t *testing.T, fl *sentry.Fleet, nodes, clients int, mutat
 	t.Cleanup(front.Close)
 
 	client := &http.Client{Timeout: 15 * time.Second}
-	rs := sentry.ReplayFleet(client, front.URL, fl, sentry.ReplayOptions{Clients: clients, Batch: 48})
+	rs := load.ReplayFleet(client, front.URL, fl, load.ReplayOptions{Clients: clients, Batch: 48})
 	if rs.Errors > 0 {
 		t.Fatalf("replay errors: %d (first: %s)", rs.Errors, rs.FirstError)
 	}
@@ -56,7 +57,7 @@ func replayAgainstRing(t *testing.T, fl *sentry.Fleet, nodes, clients int, mutat
 	if st.Routed != st.Batches || st.Degraded != 0 || st.Sheds != 0 || st.Failed != 0 {
 		t.Fatalf("routed replay classified batches off the routed path: %+v", st)
 	}
-	return sentry.RenderFleetReport(r.MergedSnapshot(context.Background()), fl, rs), r
+	return load.RenderFleetReport(r.MergedSnapshot(context.Background()), fl, rs), r
 }
 
 // TestGoldenRoutedFleetReplay is the topology-independence bar for the

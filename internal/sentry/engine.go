@@ -20,10 +20,10 @@
 //     device accounting (detected+clean+shed == devices_reported),
 //     Prometheus /metrics and the /healthz–/readyz liveness/readiness
 //     split,
-//  4. a seeded fleet generator and conformance reporter (fleet.go,
+//  4. a seeded fleet generator and conformance scorer (fleet.go,
 //     report.go): because attacker devices are planted by the
-//     generator, every replay doubles as a labeled corpus and reports
-//     precision/recall against ground truth.
+//     generator, every replay (internal/load.ReplayFleet) doubles as a
+//     labeled corpus and scores precision/recall against ground truth.
 //
 // sentry is a wall-clock serving package (simlint's ServingPackages
 // allowlist), but every *detection decision* is a pure function of the

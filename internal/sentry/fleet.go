@@ -1,15 +1,10 @@
 package sentry
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/ring"
 	"repro/internal/simrand"
 )
 
@@ -240,187 +235,4 @@ func quietStream(rng *simrand.Source, id string, span time.Duration) []Record {
 		}
 	}
 	return recs
-}
-
-// segments splits a stream into batches of at most batch records.
-func segments(recs []Record, batch int) [][]Record {
-	if batch < 1 {
-		batch = 1
-	}
-	var out [][]Record
-	for len(recs) > batch {
-		out = append(out, recs[:batch])
-		recs = recs[batch:]
-	}
-	if len(recs) > 0 {
-		out = append(out, recs)
-	}
-	return out
-}
-
-// ReplayStats aggregates one fleet replay.
-type ReplayStats struct {
-	Batches int // batches sent
-	OK      int // 200 responses
-	Shed    int // 429 responses (after any retries)
-	Errors  int // transport errors and unexpected statuses
-	// Retried counts re-sends after a 429 (Retry-After honored);
-	// Abandoned counts batches still shed when the retry budget ran out.
-	Retried   int
-	Abandoned int
-	// FirstError samples the first failure for diagnostics.
-	FirstError string
-}
-
-func (rs *ReplayStats) addError(err string) {
-	rs.Errors++
-	if rs.FirstError == "" {
-		rs.FirstError = err
-	}
-}
-
-// merge folds one client's stats into the total.
-func (rs *ReplayStats) merge(o ReplayStats) {
-	rs.Batches += o.Batches
-	rs.OK += o.OK
-	rs.Shed += o.Shed
-	rs.Errors += o.Errors
-	rs.Retried += o.Retried
-	rs.Abandoned += o.Abandoned
-	if rs.FirstError == "" {
-		rs.FirstError = o.FirstError
-	}
-}
-
-// ReplayOptions tunes ReplayFleet; the zero value is one client sending
-// one record per batch, open-loop.
-type ReplayOptions struct {
-	// Clients is the replay goroutine count (default 1, clamped to the
-	// device count).
-	Clients int
-	// Batch bounds records per ingest batch (default 1).
-	Batch int
-	// Retry429 is the number of re-sends of a shed batch, honoring the
-	// server's Retry-After hint (capped at 300ms, jittered ±50% from the
-	// seeded stream) before abandoning it. 0 keeps the pure open-loop
-	// behavior: a shed batch is dropped and the stream continues.
-	Retry429 int
-	// Seed drives the per-client retry jitter streams (default 1).
-	Seed int64
-}
-
-// ReplayFleet replays the fleet's streams against a sentry server at
-// base (e.g. "http://127.0.0.1:8475") from opts.Clients client
-// goroutines, open-loop: clients send as the schedule dictates and
-// never slow down for the server — an overloaded node sheds, it is not
-// protected by client backoff.
-//
-// Device i is owned by client i%clients; each client interleaves its
-// devices round-robin, one batch per device per pass, so per-device
-// batches arrive strictly in stream order (the engine's sequence
-// contract) while the fleet's streams interleave freely. 429 responses
-// are counted shed and, once opts.Retry429 re-sends are spent, the
-// stream continues with the next batch — the skipped sequence range is
-// exactly the gap the engine tolerates. Transport errors are counted,
-// not fatal, so a replay can ride through a server restart.
-func ReplayFleet(client *http.Client, base string, fl *Fleet, opts ReplayOptions) ReplayStats {
-	clients := opts.Clients
-	if clients < 1 {
-		clients = 1
-	}
-	if clients > len(fl.Devices) {
-		clients = len(fl.Devices)
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	master := simrand.New(seed)
-	// Per-client streams are derived up front: Derive advances the
-	// parent source, so deriving inside the goroutines would race.
-	rngs := make([]*simrand.Source, clients)
-	for c := range rngs {
-		rngs[c] = master.DeriveIndexed("sentry/replay", c)
-	}
-	stats := make([]ReplayStats, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rngs[c]
-			type devReplay struct {
-				id   string
-				segs [][]Record
-			}
-			var devs []devReplay
-			for i := c; i < len(fl.Devices); i += clients {
-				d := fl.Devices[i]
-				if len(d.Records) == 0 {
-					continue
-				}
-				devs = append(devs, devReplay{id: d.ID, segs: segments(d.Records, opts.Batch)})
-			}
-			for pass := 0; ; pass++ {
-				sent := false
-				for _, d := range devs {
-					if pass >= len(d.segs) {
-						continue
-					}
-					sent = true
-					postBatch(client, base, d.id, d.segs[pass], &stats[c], opts.Retry429, rng)
-				}
-				if !sent {
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	var total ReplayStats
-	for _, st := range stats {
-		total.merge(st)
-	}
-	return total
-}
-
-// postBatch sends one device batch and classifies the outcome,
-// re-sending shed batches up to retry429 times with the server's
-// (capped, jittered) Retry-After hint between attempts.
-func postBatch(client *http.Client, base, device string, recs []Record, rs *ReplayStats, retry429 int, rng *simrand.Source) {
-	rs.Batches++
-	body, err := EncodeBatch(recs)
-	if err != nil {
-		rs.addError(fmt.Sprintf("encode %s: %v", device, err))
-		return
-	}
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(base+"/v1/ingest?device="+device, "text/plain", bytes.NewReader(body))
-		if err != nil {
-			rs.addError(fmt.Sprintf("post %s: %v", device, err))
-			return
-		}
-		delay := ring.RetryDelay(resp, rng)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			rs.OK++
-			return
-		case http.StatusTooManyRequests:
-			if attempt < retry429 {
-				rs.Retried++
-				time.Sleep(delay)
-				continue
-			}
-			rs.Shed++
-			if retry429 > 0 {
-				rs.Abandoned++
-			}
-			return
-		default:
-			rs.addError(fmt.Sprintf("post %s: status %d", device, resp.StatusCode))
-			return
-		}
-	}
 }

@@ -1,4 +1,4 @@
-package sentry
+package sentry_test
 
 import (
 	"flag"
@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/load"
+	"repro/internal/sentry"
 )
 
 // update regenerates the golden fleet reports instead of comparing
@@ -56,10 +59,10 @@ func goldenFleets() []struct {
 
 // replayAgainstFreshServer boots a server at the given shard count,
 // replays the fleet over real HTTP and renders the conformance report.
-func replayAgainstFreshServer(t *testing.T, fl *Fleet, shards, clients int) string {
+func replayAgainstFreshServer(t *testing.T, fl *sentry.Fleet, shards, clients int) string {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{
-		Engine:     Config{Shards: shards},
+	srv, err := sentry.NewServer(sentry.ServerConfig{
+		Engine:     sentry.Config{Shards: shards},
 		QueueDepth: 256, // deeper than the client count: no shedding
 	})
 	if err != nil {
@@ -68,11 +71,11 @@ func replayAgainstFreshServer(t *testing.T, fl *Fleet, shards, clients int) stri
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := &http.Client{Timeout: 15 * time.Second}
-	rs := ReplayFleet(client, ts.URL, fl, ReplayOptions{Clients: clients, Batch: 48})
+	rs := load.ReplayFleet(client, ts.URL, fl, load.ReplayOptions{Clients: clients, Batch: 48})
 	if rs.Errors > 0 {
 		t.Fatalf("replay errors: %d (first: %s)", rs.Errors, rs.FirstError)
 	}
-	return RenderFleetReport(srv.Engine().Snapshot(), fl, rs)
+	return load.RenderFleetReport(srv.Engine().Snapshot(), fl, rs)
 }
 
 // TestGoldenFleetReplay is the tentpole conformance check: a seeded
@@ -83,7 +86,7 @@ func TestGoldenFleetReplay(t *testing.T) {
 	for _, g := range goldenFleets() {
 		g := g
 		t.Run(filepath.Base("fleet"+g.suffix), func(t *testing.T) {
-			fl, err := GenerateFleet(FleetConfig{
+			fl, err := sentry.GenerateFleet(sentry.FleetConfig{
 				Devices: 600, Attackers: 12, NotifAbusers: 6,
 				Span: 12 * time.Second, Seed: g.seed,
 			})
@@ -105,7 +108,7 @@ func TestGoldenFleetReplay(t *testing.T) {
 			// The golden is also a conformance bar: perfect precision and
 			// recall against the planted truth, exact accounting.
 			snap := snapFromReplay(t, fl)
-			if c := Evaluate(snap, fl); !c.Perfect() {
+			if c := sentry.Evaluate(snap, fl); !c.Perfect() {
 				t.Fatalf("imperfect conformance: %+v", c)
 			}
 		})
@@ -114,9 +117,9 @@ func TestGoldenFleetReplay(t *testing.T) {
 
 // snapFromReplay re-runs a fleet through a bare engine (no HTTP) — the
 // conformance score must not depend on the transport.
-func snapFromReplay(t *testing.T, fl *Fleet) Snapshot {
+func snapFromReplay(t *testing.T, fl *sentry.Fleet) sentry.Snapshot {
 	t.Helper()
-	e, err := NewEngine(Config{})
+	e, err := sentry.NewEngine(sentry.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,5 @@
 package sentry
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Conformance scores a detection snapshot against a fleet's planted
 // ground truth.
 type Conformance struct {
@@ -69,42 +64,4 @@ func Evaluate(snap Snapshot, fl *Fleet) Conformance {
 		}
 	}
 	return c
-}
-
-// RenderFleetReport formats a replayed fleet's conformance report. The
-// output is a pure function of the snapshot, the fleet and the replay
-// stats — no wall-clock content — so a seeded replay renders
-// byte-identically at any shard count and client concurrency, which is
-// exactly what the golden tests pin.
-func RenderFleetReport(snap Snapshot, fl *Fleet, rs ReplayStats) string {
-	c := Evaluate(snap, fl)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "sentry fleet conformance — seed %d\n", fl.Cfg.Seed)
-	fmt.Fprintf(&sb, "  fleet: %d devices (%d draw-and-destroy, %d notify-flood planted), span %v\n",
-		fl.Cfg.Devices, fl.Cfg.Attackers, fl.Cfg.NotifAbusers, fl.Cfg.Span)
-	accounting := "BROKEN"
-	if c.AccountingOK {
-		accounting = "exact"
-	}
-	fmt.Fprintf(&sb, "  reported %d = detected %d + clean %d + shed %d (accounting %s)\n",
-		snap.DevicesReported, snap.Detected, snap.Clean, snap.Shed, accounting)
-	fmt.Fprintf(&sb, "  records ingested: %d (ignored %d, ring evictions %d)\n",
-		snap.RecordsIngested, snap.RecordsIgnored, snap.RingEvictions)
-	fmt.Fprintf(&sb, "  replay: %d batches ok, %d shed, %d errors\n", rs.OK, rs.Shed, rs.Errors)
-	fmt.Fprintf(&sb, "  truth: TP %d  FP %d  FN %d  pattern mismatches %d\n",
-		c.TP, c.FP, c.FN, c.PatternMismatches)
-	fmt.Fprintf(&sb, "  precision %.4f  recall %.4f\n", c.Precision(), c.Recall())
-	if len(snap.Detections) > 0 {
-		sb.WriteString("  detections:\n")
-		for _, d := range snap.Detections {
-			switch d.Pattern {
-			case PatternDrawAndDestroy:
-				fmt.Fprintf(&sb, "    %s  %s  at=%v calls=%d swaps=%d mean_gap=%v\n",
-					d.Device, d.Pattern, d.At, d.Calls, d.Swaps, d.MeanSwapGap)
-			default:
-				fmt.Fprintf(&sb, "    %s  %s  at=%v calls=%d\n", d.Device, d.Pattern, d.At, d.Calls)
-			}
-		}
-	}
-	return sb.String()
 }

@@ -1,4 +1,4 @@
-package sentry
+package sentry_test
 
 import (
 	"bufio"
@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/load"
+	"repro/internal/sentry"
 )
 
 // helperEnv makes a re-exec'ed copy of the test binary behave as a
@@ -21,10 +24,9 @@ func TestMain(m *testing.M) {
 	if _, ok := os.LookupEnv(helperEnv); !ok {
 		os.Exit(m.Run())
 	}
-	srv, err := NewServer(ServerConfig{
+	srv, err := sentry.NewServer(sentry.WithProcDelay(sentry.ServerConfig{
 		QueueDepth: 64, // deeper than the replay's client count: no shedding
-		procDelay:  3 * time.Millisecond,
-	})
+	}, 3*time.Millisecond))
 	if err != nil {
 		os.Stderr.WriteString("helper: " + err.Error() + "\n")
 		os.Exit(1)
@@ -78,7 +80,7 @@ func spawnHelper(t *testing.T) (*exec.Cmd, string) {
 	return cmd, "http://" + addr
 }
 
-func detectionSet(snap Snapshot) map[string]string {
+func detectionSet(snap sentry.Snapshot) map[string]string {
 	set := make(map[string]string, len(snap.Detections))
 	for _, d := range snap.Detections {
 		set[d.Device] = d.Pattern
@@ -97,7 +99,7 @@ func TestDetectionSurvivesSIGKILLRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test skipped in -short mode")
 	}
-	fl, err := GenerateFleet(FleetConfig{Devices: 200, Attackers: 5, NotifAbusers: 3, Span: 8 * time.Second, Seed: 42})
+	fl, err := sentry.GenerateFleet(sentry.FleetConfig{Devices: 200, Attackers: 5, NotifAbusers: 3, Span: 8 * time.Second, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +113,8 @@ func TestDetectionSurvivesSIGKILLRestart(t *testing.T) {
 	// Victim node: replay into it, kill it mid-replay.
 	victim, base := spawnHelper(t)
 	client := &http.Client{Timeout: 15 * time.Second}
-	done := make(chan ReplayStats, 1)
-	go func() { done <- ReplayFleet(client, base, fl, ReplayOptions{Clients: 16, Batch: 48}) }()
+	done := make(chan load.Counts, 1)
+	go func() { done <- load.ReplayFleet(client, base, fl, load.ReplayOptions{Clients: 16, Batch: 48}) }()
 	time.Sleep(15 * time.Millisecond)
 	_ = victim.Process.Kill()
 	_ = victim.Wait() // reap; kill signal expected
@@ -125,7 +127,7 @@ func TestDetectionSurvivesSIGKILLRestart(t *testing.T) {
 		_ = restarted.Process.Kill()
 		_ = restarted.Wait()
 	}()
-	rs := ReplayFleet(client, base, fl, ReplayOptions{Clients: 16, Batch: 48})
+	rs := load.ReplayFleet(client, base, fl, load.ReplayOptions{Clients: 16, Batch: 48})
 	if rs.Errors > 0 {
 		t.Fatalf("post-restart replay errors: %d (first: %s)", rs.Errors, rs.FirstError)
 	}
@@ -134,7 +136,7 @@ func TestDetectionSurvivesSIGKILLRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var snap Snapshot
+	var snap sentry.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}

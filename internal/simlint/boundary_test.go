@@ -45,7 +45,7 @@ func moduleImports(t *testing.T, root, pkg string, stop map[string]bool) map[str
 // TestServingImportsNoSimulator holds the serving/simulator boundary:
 // the sentry serving stack — the ring core and its network fault plane,
 // sentryd, the ingest router, the detection store, both daemons, the
-// load tool and its harness — links no simulator package. The vetting
+// load tool and its package — links no simulator package. The vetting
 // stack is the one named exception: vetd, vetring, vetstore and their
 // mains reach the simulator through internal/defense, which holds both
 // the §VII static VetTier they serve and the §VII-A IPCDetector that
@@ -59,7 +59,7 @@ func TestServingImportsNoSimulator(t *testing.T) {
 	}{
 		{pkgs: []string{
 			"internal/ring", "internal/netfaults", "internal/applog", "internal/sentry", "internal/sentring",
-			"internal/sentrystore", "internal/ringharness", "cmd/sentryd", "cmd/sentryrouter", "cmd/fleetload",
+			"internal/sentrystore", "internal/load", "cmd/sentryd", "cmd/sentryrouter", "cmd/fleetload",
 		}},
 		{pkgs: []string{
 			"internal/vetd", "internal/vetring", "internal/vetstore", "cmd/vetd", "cmd/vetrouter", "cmd/vetload",
@@ -72,5 +72,36 @@ func TestServingImportsNoSimulator(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSimulationImportsNoHTTP holds the boundary the other way: nothing
+// the simulator runs — internal/experiment, internal/defense, the
+// simulator's own layers and every module package they reach — imports
+// net/http. The walk stops at internal/sentry, the one named exception:
+// the simulator runs its detection engine, which still shares the
+// package with the sentryd server.
+func TestSimulationImportsNoHTTP(t *testing.T) {
+	root := filepath.Join("..", "..")
+	stop := map[string]bool{"internal/sentry": true}
+	check := func(pkg string) {
+		reached := moduleImports(t, root, pkg, stop)
+		reached[pkg] = true
+		for dep := range reached {
+			bp, err := build.ImportDir(filepath.Join(root, dep), 0)
+			if err != nil {
+				t.Fatalf("%s: %v", dep, err)
+			}
+			for _, imp := range bp.Imports {
+				if imp == "net/http" || strings.HasPrefix(imp, "net/http/") {
+					t.Errorf("%s reaches %s, which imports %s", pkg, dep, imp)
+				}
+			}
+		}
+	}
+	check("internal/experiment")
+	check("internal/defense")
+	for pkg := range simulatorPackages {
+		check(pkg)
 	}
 }

@@ -38,11 +38,11 @@
 // scan-before-install vetting service, internal/vetring, the verdict
 // ring router, internal/sentry, the streaming detection service,
 // internal/sentring, the detection ingest router, internal/ring, the
-// serving core both routers share, and internal/ringharness, the load
-// tools' process harness) are exempt from the determinism rules only:
-// they
-// run on the wall clock by design, measuring real latencies, enforcing
-// real deadlines and owning their own goroutines. The robustness rules
+// serving core both routers share, and internal/load, the load tools'
+// retry loop, fleet replay and process harness) are exempt from the
+// determinism rules only: they run on the wall clock by design,
+// measuring real latencies, enforcing real deadlines and owning their
+// own goroutines. The robustness rules
 // and the math-rand ban still bind them, and the exemption is matched
 // on the package clause, never the directory.
 //
@@ -153,8 +153,9 @@ var ServingPackages = map[string]bool{
 	// ring is the serving core both routers share: it runs probes,
 	// retry backoff and breaker cooldowns on the wall clock.
 	"ring": true,
-	// ringharness drives real router and peer processes on real time.
-	"ringharness": true,
+	// load drives real HTTP clients and real router and peer processes
+	// on real time.
+	"load": true,
 }
 
 // panicExemptPackages may keep bare panics: the invariant monitor is the

@@ -504,11 +504,12 @@ func TestServingExemptionCoversRing(t *testing.T) {
 	}
 }
 
-func TestServingExemptionCoversRingharness(t *testing.T) {
-	// The load tools' process harness drives real processes on real time.
-	diags := lintAs(t, "ringharness.go", fmt.Sprintf(servingSrc, "ringharness"))
+func TestServingExemptionCoversLoad(t *testing.T) {
+	// The load tools' package drives real clients and processes on real
+	// time.
+	diags := lintAs(t, "harness.go", fmt.Sprintf(servingSrc, "load"))
 	if len(diags) != 0 {
-		t.Fatalf("serving package ringharness flagged: %v", diags)
+		t.Fatalf("serving package load flagged: %v", diags)
 	}
 }
 

@@ -80,10 +80,12 @@ go test -race -short ./...
 # and the test-only-export guard, and internal/vetd and internal/vetring
 # carry the vetting node's and router's accounting and the service
 # halves of the ops surface they hand internal/ring (readiness inputs,
-# stats snapshots, metric families) — a drop below the floor means those
+# stats snapshots, metric families), and internal/load carries both load
+# tools' 429 retry loop, the fleet replay's per-device order and the ring
+# harness's process lifecycle — a drop below the floor means those
 # paths lost their tests. All packages currently sit well above it.
 COVER_FLOOR=65
-COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog ./internal/simrand ./internal/binder ./internal/sysui ./internal/simclock ./internal/wm ./internal/sysserver ./internal/simlint ./internal/vetd ./internal/vetring"
+COVER_PKGS="./internal/experiment ./internal/core ./internal/appstore ./internal/invariant ./internal/sentry ./internal/sentring ./internal/defense ./internal/fleet ./internal/ring ./internal/applog ./internal/simrand ./internal/binder ./internal/sysui ./internal/simclock ./internal/wm ./internal/sysserver ./internal/simlint ./internal/vetd ./internal/vetring ./internal/load"
 echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
 go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
