@@ -797,12 +797,37 @@ func BenchmarkSimClock(b *testing.B) {
 func BenchmarkFullAttackSecond(b *testing.B) {
 	p := device.Seed().Default()
 	for i := 0; i < b.N; i++ {
-		o, err := experiment.OutcomeForD(p, 297*time.Millisecond, time.Second, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if o != sysui.Lambda1 {
-			b.Fatalf("outcome %v", o)
-		}
+		fullAttackSecond(b, p, int64(i))
+	}
+}
+
+// fullAttackSecond is BenchmarkFullAttackSecond's body: one second of the
+// overlay attack at D = 297 ms on p, which must stay at Λ1.
+func fullAttackSecond(tb testing.TB, p device.Profile, seed int64) {
+	o, err := experiment.OutcomeForD(p, 297*time.Millisecond, time.Second, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if o != sysui.Lambda1 {
+		tb.Fatalf("outcome %v", o)
+	}
+}
+
+// TestFullAttackSecondAllocBudget holds BenchmarkFullAttackSecond's body
+// to its allocation count, which, unlike its time, does not drift with
+// the host: assembling the stack plus the attack's alert episodes.
+func TestFullAttackSecondAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	const budget = 99
+	p := device.Seed().Default()
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		fullAttackSecond(t, p, seed)
+		seed++
+	})
+	if allocs > budget {
+		t.Fatalf("one attack second allocates %.0f times, budget %d", allocs, budget)
 	}
 }

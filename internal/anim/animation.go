@@ -80,7 +80,12 @@ type Animation struct {
 	state   State
 	started simclock.Duration
 	value   float64 // last rendered eased value
-	frameEv *simclock.Event
+	frameEv simclock.Handle
+
+	// frameLabel and frameFn are the frame event's label and callback,
+	// built once so scheduling a frame allocates nothing.
+	frameLabel string
+	frameFn    func()
 
 	// reverse bookkeeping
 	revFrom     float64
@@ -108,7 +113,9 @@ func New(clock *simclock.Clock, cfg Config) (*Animation, error) {
 	if cfg.Name == "" {
 		cfg.Name = "anim"
 	}
-	return &Animation{clock: clock, cfg: cfg, state: StateIdle}, nil
+	a := &Animation{clock: clock, cfg: cfg, state: StateIdle, frameLabel: cfg.Name + "/frame"}
+	a.frameFn = a.frame
+	return a, nil
 }
 
 // State reports the current lifecycle state.
@@ -140,7 +147,7 @@ func (a *Animation) scheduleFrame() {
 			interval += jitter
 		}
 	}
-	a.frameEv = a.clock.MustAfter(interval, a.cfg.Name+"/frame", a.frame)
+	a.frameEv = a.clock.MustAfter(interval, a.frameLabel, a.frameFn)
 }
 
 func (a *Animation) frame() {
@@ -180,10 +187,7 @@ func (a *Animation) render(v float64) {
 
 func (a *Animation) finish(completed bool) {
 	a.state = StateFinished
-	if a.frameEv != nil {
-		a.clock.Cancel(a.frameEv)
-		a.frameEv = nil
-	}
+	a.clock.Cancel(a.frameEv)
 	if a.cfg.OnEnd != nil {
 		a.cfg.OnEnd(completed)
 	}
@@ -197,10 +201,7 @@ func (a *Animation) Cancel() {
 		return
 	}
 	a.state = StateCanceled
-	if a.frameEv != nil {
-		a.clock.Cancel(a.frameEv)
-		a.frameEv = nil
-	}
+	a.clock.Cancel(a.frameEv)
 	if a.cfg.OnEnd != nil {
 		a.cfg.OnEnd(false)
 	}
@@ -225,10 +226,7 @@ func (a *Animation) ReverseNow() error {
 	default:
 		return fmt.Errorf("anim: ReverseNow in state %v", a.state)
 	}
-	if a.frameEv != nil {
-		a.clock.Cancel(a.frameEv)
-		a.frameEv = nil
-	}
+	a.clock.Cancel(a.frameEv)
 	a.state = StateReversing
 	a.revFrom = a.value
 	a.revStarted = a.clock.Now()

@@ -11,6 +11,14 @@
 // other — the paper observes that an addView issued *after* a removeView
 // still reaches System Server first because the two travel different Binder
 // paths with different latencies (Tam < Trm).
+//
+// Each stream keeps its in-flight transactions in a FIFO and schedules
+// one clock event per delivery, all with the same callback, built once
+// per stream. A stream's delivery times are clamped to be nondecreasing
+// and the clock breaks ties by scheduling order, so the stream's events
+// fire in the order they were pushed, duplicates included, and each one
+// pops the FIFO's head. A call therefore allocates no closure: once the
+// stream exists, Call and its delivery allocate nothing of their own.
 package binder
 
 import (
@@ -84,10 +92,9 @@ type Bus struct {
 	handlers map[ProcessID]Handler
 	nextID   uint64
 
-	// lastDelivery enforces per-stream FIFO: a call may not be delivered
-	// before an earlier call on the same (from,to,method) stream. Each
-	// entry also carries the stream's event label.
-	lastDelivery map[streamKey]stream
+	// streams holds each (from,to,method) stream's delivery state,
+	// created on the stream's first routable call.
+	streams map[streamKey]*stream
 
 	observers []Observer
 
@@ -116,11 +123,44 @@ type streamKey struct {
 	method   string
 }
 
-// stream is one (from,to,method) stream's state: the latest delivery time
-// scheduled on it and its event label, built on the stream's first call.
+// stream is one (from,to,method) stream's state, built on the stream's
+// first routable call: the latest delivery time scheduled on it, which
+// keeps a later call from being delivered before an earlier one; the
+// callee's handler; the event labels of a delivery and of an injected
+// duplicate; the FIFO of transactions awaiting delivery, pending[head:];
+// and the delivery callback every event on the stream runs. pending
+// starts out on first, which holds the one transaction a stream has in
+// flight at a time in the common case.
 type stream struct {
-	last  time.Duration
-	label string
+	last            time.Duration
+	handler         Handler
+	label, dupLabel string
+	pending         []Transaction
+	head            int
+	first           [1]Transaction
+	deliver         func()
+}
+
+// push appends tx to the FIFO, first sliding the pending transactions to
+// the front of the buffer when it is full and has room there.
+func (st *stream) push(tx Transaction) {
+	if st.head > 0 && len(st.pending) == cap(st.pending) {
+		n := copy(st.pending, st.pending[st.head:])
+		clear(st.pending[n:])
+		st.pending, st.head = st.pending[:n], 0
+	}
+	st.pending = append(st.pending, tx)
+}
+
+// pop removes and returns the FIFO's head; the FIFO must not be empty.
+func (st *stream) pop() Transaction {
+	tx := st.pending[st.head]
+	st.pending[st.head] = Transaction{} // drop the payload reference
+	st.head++
+	if st.head == len(st.pending) {
+		st.pending, st.head = st.pending[:0], 0
+	}
+	return tx
 }
 
 // Config configures a Bus.
@@ -143,11 +183,11 @@ func NewBus(cfg Config) (*Bus, error) {
 		return nil, errors.New("binder: nil rng")
 	}
 	return &Bus{
-		clock:        cfg.Clock,
-		rng:          cfg.RNG,
-		latency:      cfg.Latency,
-		handlers:     make(map[ProcessID]Handler),
-		lastDelivery: make(map[streamKey]stream),
+		clock:    cfg.Clock,
+		rng:      cfg.RNG,
+		latency:  cfg.Latency,
+		handlers: make(map[ProcessID]Handler),
+		streams:  make(map[streamKey]*stream),
 	}, nil
 }
 
@@ -183,10 +223,16 @@ func (b *Bus) SetFaultInjector(fi FaultInjector) { b.faults = fi }
 // processes are counted as unroutable and return an error.
 func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, error) {
 	b.stats.Calls++
-	handler, ok := b.handlers[to]
-	if !ok {
-		b.stats.Unroutable++
-		return 0, fmt.Errorf("binder: no process %q registered (call %s from %q)", to, method, from)
+	key := streamKey{from: from, to: to, method: method}
+	st := b.streams[key]
+	if st == nil {
+		handler, ok := b.handlers[to]
+		if !ok {
+			b.stats.Unroutable++
+			return 0, fmt.Errorf("binder: no process %q registered (call %s from %q)", to, method, from)
+		}
+		st = b.newStream(key, handler)
+		b.streams[key] = st
 	}
 	b.nextID++
 	tx := Transaction{
@@ -214,39 +260,47 @@ func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, erro
 	}
 	delay += fault.Delay
 	deliverAt := b.clock.Now() + delay
-	key := streamKey{from: from, to: to, method: method}
-	st, ok := b.lastDelivery[key]
-	if !ok {
-		st.label = "binder:" + string(from) + "→" + string(to) + "." + method
-	} else if deliverAt < st.last {
+	if deliverAt < st.last {
 		deliverAt = st.last // per-stream FIFO
 	}
 	st.last = deliverAt
-	b.lastDelivery[key] = st
-	deliver := func() {
-		// Stamp a copy: the closure then captures tx by value instead of
-		// moving it to the heap beside the closure.
-		tx := tx
-		tx.DeliveredAt = b.clock.Now()
-		b.stats.InFlight--
-		b.stats.Delivered++
-		for _, obs := range b.observers {
-			obs(tx)
-		}
-		handler(tx)
-	}
-	if _, err := b.clock.At(deliverAt, st.label, deliver); err != nil {
+	if _, err := b.clock.At(deliverAt, st.label, st.deliver); err != nil {
 		return 0, fmt.Errorf("binder: schedule delivery: %w", err)
 	}
+	st.push(tx)
 	b.stats.InFlight++
 	if fault.Duplicate {
-		if _, err := b.clock.At(deliverAt, st.label+"/dup", deliver); err != nil {
+		if _, err := b.clock.At(deliverAt, st.dupLabel, st.deliver); err != nil {
 			return 0, fmt.Errorf("binder: schedule duplicate delivery: %w", err)
 		}
+		st.push(tx)
 		b.stats.InFlight++
 		b.stats.Duplicated++
 	}
 	return tx.ID, nil
+}
+
+// newStream builds the state of the stream key, delivering to handler.
+func (b *Bus) newStream(key streamKey, handler Handler) *stream {
+	// One string backs both labels.
+	dup := "binder:" + string(key.from) + "→" + string(key.to) + "." + key.method + "/dup"
+	st := &stream{handler: handler, label: dup[:len(dup)-len("/dup")], dupLabel: dup}
+	st.pending = st.first[:0]
+	st.deliver = func() { b.deliver(st) }
+	return st
+}
+
+// deliver hands the stream's oldest in-flight transaction, stamped with
+// the delivery time, to the observers and then to the handler.
+func (b *Bus) deliver(st *stream) {
+	tx := st.pop()
+	tx.DeliveredAt = b.clock.Now()
+	b.stats.InFlight--
+	b.stats.Delivered++
+	for _, obs := range b.observers {
+		obs(tx)
+	}
+	st.handler(tx)
 }
 
 // Stats reports the bus's transaction accounting.

@@ -2,6 +2,7 @@ package binder
 
 import (
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/simclock"
@@ -224,5 +225,104 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	}
 	if st := bus.Stats(); delivered != 5 || st.InjectedDrops != 0 {
 		t.Fatalf("delivered %d (want 5), InjectedDrops %d (want 0)", delivered, st.InjectedDrops)
+	}
+}
+
+// TestPropertyFaultedStreamsDeliverWhatWasSent interleaves calls on eight
+// streams (two callers, two callees, two methods) with clock steps, under
+// random latencies, injected delays, duplicates and drops. Every
+// delivered transaction must equal the one sent (ID, payload, SentAt),
+// each stream must deliver its calls in send order with a duplicate right
+// after its original, the handler and the observers must see the same
+// transactions, and Stats must balance at every delivery and end with
+// nothing in flight.
+func TestPropertyFaultedStreamsDeliverWhatWasSent(t *testing.T) {
+	// Bits of op: 0-2 the stream, 3 duplicate, 4 drop (when 3-4 are both
+	// set, neither), 5-7 the latency in ms, 8-9 an injected delay of 0, 1,
+	// 3 or 20 ms, 10-11 how many clock steps follow the call.
+	prop := func(ops []uint16) bool {
+		clock := simclock.New()
+		bus, err := NewBus(Config{Clock: clock, RNG: simrand.New(1)})
+		if err != nil {
+			return false
+		}
+		type key struct {
+			from, to ProcessID
+			method   string
+		}
+		want := map[key][]Transaction{}
+		handled := map[key][]Transaction{}
+		observed := map[key][]Transaction{}
+		ok := true
+		for _, to := range []ProcessID{SystemServer, SystemUI} {
+			if err := bus.Register(to, func(tx Transaction) {
+				k := key{tx.From, tx.To, tx.Method}
+				handled[k] = append(handled[k], tx)
+			}); err != nil {
+				return false
+			}
+		}
+		bus.Observe(func(tx Transaction) {
+			k := key{tx.From, tx.To, tx.Method}
+			observed[k] = append(observed[k], tx)
+			ok = ok && bus.Stats().Balanced() && tx.DeliveredAt >= tx.SentAt
+		})
+		var op uint16
+		bus.latency = func(_, _ ProcessID, _ string) simrand.Dist {
+			return simrand.Constant(float64(op >> 5 & 7))
+		}
+		bus.SetFaultInjector(&scriptedInjector{decide: func(int, string) TxFault {
+			dup, drop := op&8 != 0, op&16 != 0
+			return TxFault{
+				Duplicate: dup && !drop,
+				Drop:      drop && !dup,
+				Delay:     []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 20 * time.Millisecond}[op>>8&3],
+			}
+		}})
+		for i, o := range ops {
+			op = o
+			k := key{[]ProcessID{"a", "b"}[o&1], []ProcessID{SystemServer, SystemUI}[o>>1&1], []string{"addView", "removeView"}[o>>2&1]}
+			id, err := bus.Call(k.from, k.to, k.method, i)
+			if err != nil {
+				return false
+			}
+			sent := Transaction{ID: id, From: k.from, To: k.to, Method: k.method, Payload: i, SentAt: clock.Now()}
+			if o&16 == 0 || o&8 != 0 { // not dropped
+				want[k] = append(want[k], sent)
+				if o&8 != 0 && o&16 == 0 {
+					want[k] = append(want[k], sent)
+				}
+			}
+			for s := 0; s < int(o>>10&3); s++ {
+				clock.Step()
+			}
+		}
+		if err := clock.Run(); err != nil || !ok {
+			return false
+		}
+		st := bus.Stats()
+		if !st.Balanced() || st.InFlight != 0 || st.Calls != uint64(len(ops)) {
+			return false
+		}
+		for _, got := range []map[key][]Transaction{handled, observed} {
+			if len(got) > len(want) {
+				return false
+			}
+			for k, txs := range want {
+				if len(got[k]) != len(txs) {
+					return false
+				}
+				for i, tx := range got[k] {
+					tx.DeliveredAt = 0
+					if tx != txs[i] {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

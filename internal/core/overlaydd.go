@@ -52,7 +52,13 @@ type OverlayAttack struct {
 	cfg   OverlayAttackConfig
 
 	running bool
-	tick    *simclock.Event
+	// addReqs holds the addView payload of each overlay handle, boxed
+	// once so a swap allocates no interface value.
+	addReqs [2]any
+	tick    simclock.Handle
+	// tickFn is the swap timer's callback, bound once so arming the timer
+	// allocates nothing.
+	tickFn func()
 	// cur alternates between the two pre-created overlay handles.
 	cur    uint64
 	cycles uint64
@@ -84,7 +90,22 @@ func NewOverlayAttack(stack *sysserver.Stack, cfg OverlayAttackConfig) (*Overlay
 	if cfg.Bounds.Empty() {
 		return nil, fmt.Errorf("core: empty overlay bounds %v", cfg.Bounds)
 	}
-	return &OverlayAttack{stack: stack, cfg: cfg, cur: overlayHandle1}, nil
+	a := &OverlayAttack{stack: stack, cfg: cfg, cur: overlayHandle1}
+	flags := wm.FlagTransparent
+	if cfg.NotTouchable {
+		flags |= wm.FlagNotTouchable
+	}
+	for i, handle := range []uint64{overlayHandle1, overlayHandle2} {
+		a.addReqs[i] = sysserver.AddViewRequest{
+			Handle:  handle,
+			Type:    wm.TypeApplicationOverlay,
+			Bounds:  cfg.Bounds,
+			Flags:   flags,
+			OnTouch: cfg.OnTouch,
+		}
+	}
+	a.tickFn = a.onTick
+	return a, nil
 }
 
 // Cycles reports how many draw-and-destroy swaps have run.
@@ -121,13 +142,16 @@ func (a *OverlayAttack) armTimer() {
 		// load experiment argues the attack tolerates.
 		d += pl.PreemptPause()
 	}
-	a.tick = a.stack.Clock.MustAfter(d, "attack/overlaySwap", func() {
-		if !a.running {
-			return
-		}
-		a.swap()
-		a.armTimer()
-	})
+	a.tick = a.stack.Clock.MustAfter(d, "attack/overlaySwap", a.tickFn)
+}
+
+// onTick is one timer notification: swap the overlays and re-arm.
+func (a *OverlayAttack) onTick() {
+	if !a.running {
+		return
+	}
+	a.swap()
+	a.armTimer()
 }
 
 // swap is Step 2: remove the displayed overlay, then add the other one.
@@ -159,17 +183,7 @@ func (a *OverlayAttack) swap() {
 }
 
 func (a *OverlayAttack) addView(handle uint64) {
-	flags := wm.FlagTransparent
-	if a.cfg.NotTouchable {
-		flags |= wm.FlagNotTouchable
-	}
-	if _, err := a.stack.Bus.Call(a.cfg.App, binder.SystemServer, sysserver.MethodAddView, sysserver.AddViewRequest{
-		Handle:  handle,
-		Type:    wm.TypeApplicationOverlay,
-		Bounds:  a.cfg.Bounds,
-		Flags:   flags,
-		OnTouch: a.cfg.OnTouch,
-	}); err != nil {
+	if _, err := a.stack.Bus.Call(a.cfg.App, binder.SystemServer, sysserver.MethodAddView, a.addReqs[handle-overlayHandle1]); err != nil {
 		a.fail(fmt.Errorf("core: addView binder call: %w", err))
 	}
 }
@@ -188,9 +202,6 @@ func (a *OverlayAttack) Stop() {
 		return
 	}
 	a.running = false
-	if a.tick != nil {
-		a.stack.Clock.Cancel(a.tick)
-		a.tick = nil
-	}
+	a.stack.Clock.Cancel(a.tick)
 	a.removeView(a.cur)
 }

@@ -41,8 +41,11 @@ type ToastAttack struct {
 	stack *sysserver.Stack
 	cfg   ToastAttackConfig
 
-	running  bool
-	refill   *simclock.Event
+	running bool
+	refill  simclock.Handle
+	// refillFn is the refill timer's callback, bound once so arming the
+	// timer allocates nothing.
+	refillFn func()
 	enqueued uint64
 	// firstErr records the first binder failure of the refill loop.
 	firstErr error
@@ -81,7 +84,9 @@ func NewToastAttack(stack *sysserver.Stack, cfg ToastAttackConfig) (*ToastAttack
 	if cfg.TargetQueueDepth < 0 || cfg.TargetQueueDepth >= sysserver.MaxToastTokensPerApp {
 		return nil, fmt.Errorf("core: target queue depth %d out of range", cfg.TargetQueueDepth)
 	}
-	return &ToastAttack{stack: stack, cfg: cfg}, nil
+	a := &ToastAttack{stack: stack, cfg: cfg}
+	a.refillFn = a.onRefill
+	return a, nil
 }
 
 // Enqueued reports how many toasts the attack has posted.
@@ -115,18 +120,20 @@ func (a *ToastAttack) armRefill() {
 	if pl := a.stack.Faults; pl != nil {
 		d += pl.PreemptPause() // scheduler preemption on the worker thread
 	}
-	a.refill = a.stack.Clock.MustAfter(d, "attack/toastRefill", func() {
-		if !a.running {
-			return
-		}
-		// The app's local token accounting; QueuedToasts stands in for
-		// the count the app can maintain itself from its enqueue/expiry
-		// timing.
-		if a.stack.Server.QueuedToasts(a.cfg.App) < a.cfg.TargetQueueDepth {
-			a.enqueue()
-		}
-		a.armRefill()
-	})
+	a.refill = a.stack.Clock.MustAfter(d, "attack/toastRefill", a.refillFn)
+}
+
+// onRefill is one refill timer notification: top the queue up and re-arm.
+func (a *ToastAttack) onRefill() {
+	if !a.running {
+		return
+	}
+	// The app's local token accounting; QueuedToasts stands in for the
+	// count the app can maintain itself from its enqueue/expiry timing.
+	if a.stack.Server.QueuedToasts(a.cfg.App) < a.cfg.TargetQueueDepth {
+		a.enqueue()
+	}
+	a.armRefill()
 }
 
 func (a *ToastAttack) enqueue() {
@@ -162,10 +169,7 @@ func (a *ToastAttack) Stop() {
 		return
 	}
 	a.running = false
-	if a.refill != nil {
-		a.stack.Clock.Cancel(a.refill)
-		a.refill = nil
-	}
+	a.stack.Clock.Cancel(a.refill)
 	if _, err := a.stack.Bus.Call(a.cfg.App, binder.SystemServer, sysserver.MethodCancelToast, sysserver.CancelToastRequest{}); err != nil {
 		a.fail(fmt.Errorf("core: cancelToast binder call: %w", err))
 	}

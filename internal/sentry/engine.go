@@ -34,7 +34,6 @@ package sentry
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -314,10 +313,26 @@ func (e *Engine) Restore(ds []Detection) error {
 	return nil
 }
 
+// shardFor is the device's shard: the only one when there is one, else
+// the 32-bit FNV-1a hash of the token modulo the shard count.
 func (e *Engine) shardFor(device string) *shard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(device)) // fnv writes never fail
-	return e.shards[h.Sum32()%uint32(len(e.shards))]
+	if len(e.shards) == 1 {
+		return e.shards[0]
+	}
+	return e.shards[fnv32a(device)%uint32(len(e.shards))]
+}
+
+// fnv32a is the 32-bit FNV-1a hash of s, the value hash/fnv's New32a
+// computes, taken over the string in place so routing a record allocates
+// nothing.
+func fnv32a(s string) uint32 {
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= prime32
+	}
+	return h
 }
 
 // state returns the device's state, creating it if absent. Callers hold

@@ -1,6 +1,7 @@
 package sentry
 
 import (
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"time"
@@ -249,5 +250,33 @@ func TestEngineConfigValidation(t *testing.T) {
 		cfg.MaxSwapGap != 50*time.Millisecond || cfg.MinSwaps != 4 ||
 		cfg.NotifFlood != 30 || cfg.RingCap != 128 || cfg.SketchBuckets != 16 {
 		t.Fatalf("defaults drifted: %+v", cfg)
+	}
+}
+
+// TestShardHashMatchesFNV pins the inline shard hash to hash/fnv's
+// 32-bit FNV-1a over a table of device tokens, so serving shard placement
+// is what it was when the engine hashed through hash/fnv, and checks that
+// shardFor places each token by that hash.
+func TestShardHashMatchesFNV(t *testing.T) {
+	tokens := []string{
+		"", "a", "dev", "flood", "device-0", "device-1", "device-17",
+		"dev.000042", "fleet_attacker-7", "com.evil.app", "com.android.systemui",
+		"ZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZ",
+		"\x00\xff\x80 bytes past ASCII",
+	}
+	e, err := NewEngine(Config{Shards: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tok := range tokens {
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(tok))
+		want := h.Sum32()
+		if got := fnv32a(tok); got != want {
+			t.Errorf("fnv32a(%q) = %#x, hash/fnv = %#x", tok, got, want)
+		}
+		if got, want := e.shardFor(tok), e.shards[want%7]; got != want {
+			t.Errorf("shardFor(%q) is not shard fnv%%7", tok)
+		}
 	}
 }

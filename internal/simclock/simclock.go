@@ -21,52 +21,59 @@ type Duration = time.Duration
 // explicitly via Stop.
 var ErrStopped = errors.New("simclock: clock stopped")
 
-// Event is a scheduled callback. The callback runs at the event's virtual
-// time with the clock already advanced to that time.
-type Event struct {
-	when     Duration
-	seq      uint64
-	index    int // heap index; -1 when not queued
-	canceled bool
-	label    string
-	fn       func()
+// Handle refers to one scheduled event; Cancel takes it. It is a small
+// value: the event's slot in the clock's slab and the event's sequence
+// number, which doubles as the slot's generation. The zero Handle refers
+// to no event.
+type Handle struct {
+	slot uint32
+	seq  uint64
 }
 
-// Label reports the debug label given at scheduling time.
-func (e *Event) Label() string { return e.label }
+// event is one slab slot. A slot holds a queued event while seq is
+// nonzero; fn is nil once the event is canceled. A fired or popped slot
+// is cleared (seq 0) and goes back on the free list, so a Handle to the
+// event it held no longer matches: sequence numbers are never reused.
+type event struct {
+	fn    func()
+	label string
+	seq   uint64
+}
 
-// Canceled reports whether the event was canceled before firing.
-func (e *Event) Canceled() bool { return e.canceled }
+// entry is one heap element: an event's firing time and sequence number,
+// which order it, and its slab slot.
+type entry struct {
+	when Duration
+	seq  uint64
+	slot uint32
+}
 
-// eventQueue is a binary min-heap ordered by (when, seq). The order is
-// total, so events scheduled for the same instant fire in scheduling order
-// whatever the heap's shape. A queued event's index is its slot; a popped
-// event's index is -1.
-type eventQueue []*Event
-
-func (e *Event) before(o *Event) bool {
+// before orders entries by (when, seq). The order is total, so events
+// scheduled for the same instant fire in scheduling order whatever the
+// heap's shape.
+func (e entry) before(o entry) bool {
 	return e.when < o.when || e.when == o.when && e.seq < o.seq
 }
 
-func (q eventQueue) set(i int, ev *Event) { q[i], ev.index = ev, i }
+// eventQueue is a binary min-heap of entries ordered by before.
+type eventQueue []entry
 
-// push queues ev, sifting it up from the last slot.
-func (q *eventQueue) push(ev *Event) {
-	*q = append(*q, ev)
+// push queues e, sifting it up from the last slot.
+func (q *eventQueue) push(e entry) {
+	*q = append(*q, e)
 	h, i := *q, len(*q)-1
-	for ; i > 0 && ev.before(h[(i-1)/2]); i = (i - 1) / 2 {
-		h.set(i, h[(i-1)/2])
+	for ; i > 0 && e.before(h[(i-1)/2]); i = (i - 1) / 2 {
+		h[i] = h[(i-1)/2]
 	}
-	h.set(i, ev)
+	h[i] = e
 }
 
-// pop removes and returns the earliest event; the queue must not be
-// empty. The last event takes the root's place and sifts down.
-func (q *eventQueue) pop() *Event {
+// pop removes and returns the earliest entry; the queue must not be
+// empty. The last entry takes the root's place and sifts down.
+func (q *eventQueue) pop() entry {
 	h := *q
 	top, n := h[0], len(h)-1
 	last := h[n]
-	h[n] = nil
 	h = h[:n]
 	*q = h
 	i := 0
@@ -77,13 +84,12 @@ func (q *eventQueue) pop() *Event {
 		if !h[c].before(last) {
 			break
 		}
-		h.set(i, h[c])
+		h[i] = h[c]
 		i = c
 	}
 	if n > 0 {
-		h.set(i, last)
+		h[i] = last
 	}
-	top.index = -1
 	return top
 }
 
@@ -93,18 +99,33 @@ type TraceFunc func(at Duration, label string)
 // Clock is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; simulated concurrency is expressed by scheduling events,
 // not by goroutines, so runs are deterministic.
+//
+// Events live by value in a slab whose freed slots are reused, so once
+// the slab and the heap have grown to the run's peak queue, scheduling
+// and firing an event allocate nothing.
 type Clock struct {
 	now     Duration
 	queue   eventQueue
+	slab    []event
+	free    []uint32 // free slab slots
 	seq     uint64
 	stopped bool
 	trace   TraceFunc
 	fired   uint64
 }
 
+// initialSlots is the slab and heap capacity a new Clock starts with,
+// enough for the queue of most attack trials (about nine in ten of a
+// fleet sweep's clocks never hold more); a deeper queue grows both.
+const initialSlots = 8
+
 // New returns a Clock at virtual time zero.
 func New() *Clock {
-	return &Clock{}
+	return &Clock{
+		queue: make(eventQueue, 0, initialSlots),
+		slab:  make([]event, 0, initialSlots),
+		free:  make([]uint32, 0, initialSlots),
+	}
 }
 
 // SetTrace installs fn to observe every fired event. A nil fn disables
@@ -114,41 +135,37 @@ func (c *Clock) SetTrace(fn TraceFunc) { c.trace = fn }
 // Now reports the current virtual time.
 func (c *Clock) Now() Duration { return c.now }
 
-// Len reports the number of pending (non-canceled) events.
-func (c *Clock) Len() int {
-	n := 0
-	for _, ev := range c.queue {
-		if !ev.canceled {
-			n++
-		}
-	}
-	return n
-}
-
 // Fired reports how many events have fired since the clock was created.
 func (c *Clock) Fired() uint64 { return c.fired }
 
 // At schedules fn to run at absolute virtual time when. Scheduling in the
 // past (before Now) is an error; scheduling exactly at Now is allowed and
-// fires on the next step. The returned Event can be canceled.
-func (c *Clock) At(when Duration, label string, fn func()) (*Event, error) {
+// fires on the next step. The returned Handle can be canceled.
+func (c *Clock) At(when Duration, label string, fn func()) (Handle, error) {
 	if fn == nil {
-		return nil, errors.New("simclock: nil event callback")
+		return Handle{}, errors.New("simclock: nil event callback")
 	}
 	if when < c.now {
-		return nil, fmt.Errorf("simclock: schedule %q at %v before now %v", label, when, c.now)
+		return Handle{}, fmt.Errorf("simclock: schedule %q at %v before now %v", label, when, c.now)
 	}
 	c.seq++
-	ev := &Event{when: when, seq: c.seq, label: label, fn: fn}
-	c.queue.push(ev)
-	return ev, nil
+	var slot uint32
+	if n := len(c.free); n > 0 {
+		slot, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		slot = uint32(len(c.slab))
+		c.slab = append(c.slab, event{})
+	}
+	c.slab[slot] = event{fn: fn, label: label, seq: c.seq}
+	c.queue.push(entry{when: when, seq: c.seq, slot: slot})
+	return Handle{slot: slot, seq: c.seq}, nil
 }
 
 // After schedules fn to run delay after the current virtual time. A
 // negative delay is an error.
-func (c *Clock) After(delay Duration, label string, fn func()) (*Event, error) {
+func (c *Clock) After(delay Duration, label string, fn func()) (Handle, error) {
 	if delay < 0 {
-		return nil, fmt.Errorf("simclock: negative delay %v for %q", delay, label)
+		return Handle{}, fmt.Errorf("simclock: negative delay %v for %q", delay, label)
 	}
 	return c.At(c.now+delay, label, fn)
 }
@@ -156,23 +173,29 @@ func (c *Clock) After(delay Duration, label string, fn func()) (*Event, error) {
 // MustAfter is After for callers whose delay is known non-negative; it
 // panics on error and is intended for internal wiring where a failure is a
 // programming bug, not a runtime condition.
-func (c *Clock) MustAfter(delay Duration, label string, fn func()) *Event {
-	ev, err := c.After(delay, label, fn)
+func (c *Clock) MustAfter(delay Duration, label string, fn func()) Handle {
+	h, err := c.After(delay, label, fn)
 	if err != nil {
 		panic(err)
 	}
-	return ev
+	return h
 }
 
-// Cancel marks ev canceled. Canceling a nil, already-fired, or
-// already-canceled event is a no-op: an event that has left the queue
-// keeps the Canceled state it left with. Canceled events are skipped when
-// they reach the head of the queue.
-func (c *Clock) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 {
+// Cancel keeps the event h refers to from firing. Canceling the zero
+// Handle, an event that already fired or was canceled, or a stale handle
+// whose slot now holds a later event is a no-op. A canceled event stays
+// queued until it reaches the head of the queue, where it is skipped.
+func (c *Clock) Cancel(h Handle) {
+	if h.seq == 0 || int(h.slot) >= len(c.slab) || c.slab[h.slot].seq != h.seq {
 		return
 	}
-	ev.canceled = true
+	c.slab[h.slot].fn = nil // also drops what the callback captured
+}
+
+// release clears a popped event's slot and returns it to the free list.
+func (c *Clock) release(slot uint32) {
+	c.slab[slot] = event{}
+	c.free = append(c.free, slot)
 }
 
 // Step fires the earliest pending event, advancing Now to its time. It
@@ -184,18 +207,20 @@ func (c *Clock) Step() bool {
 	}
 	for len(c.queue) > 0 {
 		next := c.queue.pop()
-		if next.canceled {
-			continue
+		ev := c.slab[next.slot]
+		c.release(next.slot)
+		if ev.fn == nil {
+			continue // canceled
 		}
 		if next.when < c.now {
-			panic(fmt.Sprintf("simclock: event %q at %v fires before now %v", next.label, next.when, c.now))
+			panic(fmt.Sprintf("simclock: event %q at %v fires before now %v", ev.label, next.when, c.now))
 		}
 		c.now = next.when
 		c.fired++
 		if c.trace != nil {
-			c.trace(c.now, next.label)
+			c.trace(c.now, ev.label)
 		}
-		next.fn()
+		ev.fn()
 		return true
 	}
 	return false
@@ -219,8 +244,8 @@ func (c *Clock) RunUntil(deadline Duration) error {
 		return fmt.Errorf("simclock: deadline %v before now %v", deadline, c.now)
 	}
 	for !c.stopped {
-		next := c.peek()
-		if next == nil || next.when > deadline {
+		next, ok := c.peek()
+		if !ok || next.when > deadline {
 			break
 		}
 		c.Step()
@@ -249,22 +274,25 @@ func (c *Clock) Stop() { c.stopped = true }
 // Stopped reports whether Stop has been called.
 func (c *Clock) Stopped() bool { return c.stopped }
 
-func (c *Clock) peek() *Event {
+// peek returns the earliest pending entry, popping canceled entries at
+// the head of the queue on the way; ok is false when none is pending.
+func (c *Clock) peek() (head entry, ok bool) {
 	for len(c.queue) > 0 {
-		head := c.queue[0]
-		if !head.canceled {
-			return head
+		head = c.queue[0]
+		if c.slab[head.slot].fn != nil {
+			return head, true
 		}
 		c.queue.pop()
+		c.release(head.slot)
 	}
-	return nil
+	return entry{}, false
 }
 
 // NextEventTime reports the virtual time of the earliest pending event, or
 // math.MaxInt64 if none is queued.
 func (c *Clock) NextEventTime() Duration {
-	next := c.peek()
-	if next == nil {
+	next, ok := c.peek()
+	if !ok {
 		return Duration(math.MaxInt64)
 	}
 	return next.when

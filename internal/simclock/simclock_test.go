@@ -13,9 +13,20 @@ func TestNewClockStartsAtZero(t *testing.T) {
 	if got := c.Now(); got != 0 {
 		t.Fatalf("Now() = %v, want 0", got)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len() = %d, want 0", c.Len())
+	if n := c.pending(); n != 0 {
+		t.Fatalf("pending() = %d, want 0", n)
 	}
+}
+
+// pending counts the queued events that are not canceled.
+func (c *Clock) pending() int {
+	n := 0
+	for _, e := range c.queue {
+		if c.slab[e.slot].fn != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestAtFiresInOrder(t *testing.T) {
@@ -107,14 +118,14 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if c.Fired() != 0 {
+		t.Fatalf("Fired() = %d after canceling the only event, want 0", c.Fired())
 	}
 }
 
 func TestCancelNilAndDoubleCancelAreNoOps(t *testing.T) {
 	c := New()
-	c.Cancel(nil)
+	c.Cancel(Handle{})
 	ev, err := c.After(time.Millisecond, "x", func() {})
 	if err != nil {
 		t.Fatalf("After: %v", err)
@@ -127,7 +138,8 @@ func TestCancelNilAndDoubleCancelAreNoOps(t *testing.T) {
 }
 
 // TestCancelAfterFiringIsNoOp checks that canceling an event that already
-// ran leaves it reported as fired, not canceled.
+// ran changes nothing, even once its slot holds a later event: the stale
+// handle must not cancel the new one.
 func TestCancelAfterFiringIsNoOp(t *testing.T) {
 	c := New()
 	fired := 0
@@ -139,8 +151,16 @@ func TestCancelAfterFiringIsNoOp(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("event fired %d times, want 1", fired)
 	}
-	if ev.Canceled() {
-		t.Fatal("Canceled() = true for an event that fired")
+	next := c.MustAfter(time.Millisecond, "y", func() { fired++ })
+	if next.slot != ev.slot {
+		t.Fatalf("second event took slot %d, want the freed slot %d", next.slot, ev.slot)
+	}
+	c.Cancel(ev) // stale: its slot now holds next
+	if err := c.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if fired != 2 {
+		t.Fatalf("events fired %d times, want 2: a stale handle canceled a reused slot", fired)
 	}
 }
 
@@ -262,8 +282,8 @@ func TestLenSkipsCanceled(t *testing.T) {
 	ev := c.MustAfter(time.Millisecond, "x", func() {})
 	c.MustAfter(2*time.Millisecond, "y", func() {})
 	c.Cancel(ev)
-	if got := c.Len(); got != 1 {
-		t.Fatalf("Len() = %d, want 1", got)
+	if got := c.pending(); got != 1 {
+		t.Fatalf("pending() = %d, want 1", got)
 	}
 }
 
@@ -332,27 +352,46 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 }
 
+// slabExact reports whether every slab slot is either queued, holding
+// the sequence number of its one heap entry, or free and cleared.
+func (c *Clock) slabExact() bool {
+	if len(c.queue)+len(c.free) != len(c.slab) {
+		return false
+	}
+	seen := make(map[uint32]bool, len(c.slab))
+	for _, e := range c.queue {
+		if seen[e.slot] || c.slab[e.slot].seq != e.seq {
+			return false
+		}
+		seen[e.slot] = true
+	}
+	for _, slot := range c.free {
+		if ev := c.slab[slot]; seen[slot] || ev.fn != nil || ev.label != "" || ev.seq != 0 {
+			return false
+		}
+		seen[slot] = true
+	}
+	return true
+}
+
 // TestPropertyHeapOrder drives the event heap with random schedules: many
 // events at equal times, events scheduled from inside callbacks, and
 // cancels both before and after firing. Events must fire in exactly the
-// order of a reference sort on (when, seq); every queued event's index
-// must be its slot in the queue and every fired event's index -1.
+// order of a reference sort on (when, seq), and every slab slot must be
+// either queued under its own sequence number or free.
 func TestPropertyHeapOrder(t *testing.T) {
+	type sched struct {
+		h    Handle
+		when time.Duration
+	}
 	prop := func(ops []uint16) bool {
 		c := New()
-		var all, fired []*Event
-		indexesExact := func() bool {
-			for i, ev := range c.queue {
-				if ev.index != i {
-					return false
-				}
-			}
-			for _, ev := range fired {
-				if ev.index != -1 {
-					return false
-				}
-			}
-			return true
+		var all []sched
+		var fired []Handle
+		done := map[Handle]bool{} // fired or canceled while queued
+		cancel := func(h Handle) {
+			done[h] = true
+			c.Cancel(h)
 		}
 		ok := true
 		// Bits of op: 0-1 the delay in µs (so times collide often), 2
@@ -361,10 +400,11 @@ func TestPropertyHeapOrder(t *testing.T) {
 		// from the callback.
 		var schedule func(op uint16)
 		schedule = func(op uint16) {
-			var ev *Event
-			ev = c.MustAfter(time.Duration(op&3)*time.Microsecond, "p", func() {
-				fired = append(fired, ev)
-				ok = ok && indexesExact()
+			var h Handle
+			h = c.MustAfter(time.Duration(op&3)*time.Microsecond, "p", func() {
+				fired = append(fired, h)
+				done[h] = true
+				ok = ok && c.slabExact()
 				if op&4 != 0 {
 					schedule(op >> 5)
 				}
@@ -372,50 +412,170 @@ func TestPropertyHeapOrder(t *testing.T) {
 					c.Cancel(fired[len(fired)/2])
 				}
 				if op&16 != 0 && len(c.queue) > 0 {
-					c.Cancel(c.queue[len(c.queue)-1])
+					last := c.queue[len(c.queue)-1]
+					cancel(Handle{slot: last.slot, seq: last.seq})
 				}
 			})
-			all = append(all, ev)
+			all = append(all, sched{h, c.Now() + time.Duration(op&3)*time.Microsecond})
 		}
 		for i, op := range ops {
 			schedule(op)
 			if op&32 != 0 {
-				c.Cancel(all[i/2]) // before any event fires
+				cancel(all[i/2].h) // before any event fires
 			}
 		}
-		ok = ok && indexesExact()
+		ok = ok && c.slabExact()
 		if err := c.Run(); err != nil || !ok || len(c.queue) != 0 {
 			return false
 		}
-		var want []*Event
-		for _, ev := range all {
-			if !ev.Canceled() {
-				want = append(want, ev)
+		firedSet := map[Handle]bool{}
+		for _, h := range fired {
+			firedSet[h] = true
+		}
+		var want []sched
+		for _, s := range all {
+			// An event canceled before it fired never fires; every
+			// other event does.
+			if firedSet[s.h] || !done[s.h] {
+				want = append(want, s)
 			}
 		}
 		sort.Slice(want, func(i, j int) bool {
 			if want[i].when != want[j].when {
 				return want[i].when < want[j].when
 			}
-			return want[i].seq < want[j].seq
+			return want[i].h.seq < want[j].h.seq
 		})
 		if len(fired) != len(want) {
 			return false
 		}
 		for i := range want {
-			if fired[i] != want[i] {
+			if fired[i] != want[i].h {
 				return false
 			}
 		}
-		return indexesExact()
+		return c.slabExact()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAtStepAllocBudget: scheduling one event and firing it allocates the
-// event and nothing else. Allocation counts do not drift with host speed.
+// TestPropertyMatchesReferenceModel runs random interleavings of At,
+// Cancel (of queued, fired and stale handles, and of the zero handle),
+// Step, RunUntil and Stop against a reference model that keeps pending
+// events in a list and fires the least by (when, seq). Both must fire the
+// same (when, seq, label) sequence and end at the same Now.
+func TestPropertyMatchesReferenceModel(t *testing.T) {
+	type fire struct {
+		when  time.Duration
+		seq   uint64
+		label string
+	}
+	type modelEvent struct {
+		fire
+		h Handle
+	}
+	labels := []string{"a", "b", "c", "d"}
+	prop := func(ops []uint32) bool {
+		c := New()
+		var got, want []fire
+		var handles []Handle
+		var queued []modelEvent // the model's pending events
+		var now time.Duration
+		stopped := false
+		var seq uint64
+		modelStep := func(deadline time.Duration) bool {
+			if stopped || len(queued) == 0 {
+				return false
+			}
+			min := 0
+			for i, e := range queued {
+				if e.when < queued[min].when || e.when == queued[min].when && e.seq < queued[min].seq {
+					min = i
+				}
+			}
+			if queued[min].when > deadline {
+				return false
+			}
+			e := queued[min]
+			queued = append(queued[:min], queued[min+1:]...)
+			now = e.when
+			want = append(want, e.fire)
+			return true
+		}
+		for _, op := range ops {
+			arg := op >> 3
+			switch op & 7 {
+			case 0, 1, 2: // At
+				when := c.Now() + time.Duration(arg%5)*time.Microsecond
+				label := labels[arg%uint32(len(labels))]
+				seq++
+				f := fire{when, seq, label}
+				h, err := c.At(when, label, func() { got = append(got, f) })
+				if err != nil {
+					return false
+				}
+				handles = append(handles, h)
+				queued = append(queued, modelEvent{f, h})
+			case 3: // Cancel any handle ever issued, or the zero handle
+				var h Handle
+				if len(handles) > 0 && arg%8 != 0 {
+					h = handles[int(arg)%len(handles)]
+				}
+				c.Cancel(h)
+				for i, e := range queued {
+					if e.h == h {
+						queued = append(queued[:i], queued[i+1:]...)
+						break
+					}
+				}
+			case 4, 5: // Step
+				if c.Step() != modelStep(time.Duration(math.MaxInt64)) {
+					return false
+				}
+			case 6: // RunUntil
+				deadline := c.Now() + time.Duration(arg%7)*time.Microsecond
+				err := c.RunUntil(deadline)
+				for modelStep(deadline) {
+				}
+				if stopped {
+					if err != ErrStopped {
+						return false
+					}
+				} else if err != nil {
+					return false
+				} else if now < deadline {
+					now = deadline
+				}
+			case 7: // Stop, rarely
+				if arg%16 == 0 {
+					c.Stop()
+					stopped = true
+				}
+			}
+			if c.Now() != now {
+				return false
+			}
+		}
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return c.Fired() == uint64(len(got)) && c.slabExact()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAtStepAllocBudget: once the slab and the heap have room, scheduling
+// one event and firing it allocates nothing. Allocation counts do not
+// drift with host speed.
 func TestAtStepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
@@ -428,8 +588,8 @@ func TestAtStepAllocBudget(t *testing.T) {
 		}
 		c.Step()
 	})
-	if allocs > 1 {
-		t.Fatalf("At + Step allocates %.1f times, budget 1", allocs)
+	if allocs > 0 {
+		t.Fatalf("At + Step allocates %.1f times, budget 0", allocs)
 	}
 }
 

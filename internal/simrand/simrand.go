@@ -19,8 +19,10 @@ import (
 // its 4.9 KB state only if the stream draws more than 273 values; the
 // draws themselves (Float64, NormFloat64, ExpFloat64, Intn, Perm) are
 // math/rand's rand.Rand code on top of it.
+//
+// The rand.Rand is held by value, so a Source is one allocation.
 type Source struct {
-	rng *rand.Rand
+	rng rand.Rand
 	src fibSource
 }
 
@@ -29,7 +31,7 @@ func New(seed int64) *Source {
 	s := &Source{}
 	s.src.Seed(seed)
 	s.src.owner = s
-	s.rng = rand.New(&s.src)
+	s.rng = *rand.New(&s.src)
 	return s
 }
 

@@ -181,7 +181,7 @@ func (r *fibSource) Uint64() uint64 {
 		}
 		r.full = r.build()
 		if r.owner != nil {
-			r.owner.rng = rand.New(r.full)
+			r.owner.rng = *rand.New(r.full)
 		}
 	}
 	return r.full.Uint64()

@@ -119,13 +119,13 @@ type Server struct {
 	// alertPosted tracks whether the overlay alert for an app has been
 	// sent to System UI; pendingPost holds the ANA-delay timer.
 	alertPosted map[binder.ProcessID]bool
-	pendingPost map[binder.ProcessID]*simclock.Event
+	pendingPost map[binder.ProcessID]simclock.Handle
 
 	// Enhanced-notification defense (Section VII-B): when defenseDelay
 	// is positive, alert removal is postponed by that long and canceled
 	// if the app re-adds an overlay meanwhile.
 	defenseDelay   time.Duration
-	pendingRemoval map[binder.ProcessID]*simclock.Event
+	pendingRemoval map[binder.ProcessID]simclock.Handle
 
 	// anaDelay is the delay before the alert is sent (normally the
 	// version's ANA delay; ablations override it).
@@ -150,7 +150,7 @@ type Server struct {
 	// drive the queue into invariant-violating territory).
 	toastCapOverride int
 
-	toasts *toastService
+	toasts toastService
 	stats  Stats
 }
 
@@ -182,8 +182,8 @@ func New(cfg Config) (*Server, error) {
 		handles:        make(map[viewKey][]wm.WindowID),
 		pendingRemoves: make(map[viewKey]int),
 		alertPosted:    make(map[binder.ProcessID]bool),
-		pendingPost:    make(map[binder.ProcessID]*simclock.Event),
-		pendingRemoval: make(map[binder.ProcessID]*simclock.Event),
+		pendingPost:    make(map[binder.ProcessID]simclock.Handle),
+		pendingRemoval: make(map[binder.ProcessID]simclock.Handle),
 		anaDelay:       cfg.Profile.Version.ANADelay(),
 		toastFade:      anim.ToastFadeDuration,
 	}
@@ -340,11 +340,9 @@ func (s *Server) removeView(from binder.ProcessID, req RemoveViewRequest) {
 		return
 	}
 	id := ids[0]
-	if len(ids) == 1 {
-		delete(s.handles, key)
-	} else {
-		s.handles[key] = ids[1:]
-	}
+	// Shift in place so the handle keeps its slice, and the next attach
+	// of the handle appends without allocating.
+	s.handles[key] = ids[:copy(ids, ids[1:])]
 	if err := s.wm.RemoveWindow(id); err != nil {
 		s.stats.RemovesUnknown++
 		return
@@ -370,7 +368,7 @@ func (s *Server) overlayAppeared(app binder.ProcessID) {
 		delete(s.pendingRemoval, app)
 		return
 	}
-	if s.alertPosted[app] || s.pendingPost[app] != nil {
+	if _, pending := s.pendingPost[app]; pending || s.alertPosted[app] {
 		return
 	}
 	send := func() {

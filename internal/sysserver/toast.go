@@ -86,20 +86,20 @@ type toastService struct {
 	displayed int
 	// curExpiry is the pending expiry timer for the current toast;
 	// curExpire runs the expiry early on Toast.cancel().
-	curExpiry *simclock.Event
+	curExpiry simclock.Handle
 	curExpire func()
 
 	// nextAllowed tracks, per app, the earliest instant the toast-gap
 	// defense permits that app's next toast to start; retry is the
 	// pending deferred showNext.
 	nextAllowed map[binder.ProcessID]time.Duration
-	retry       *simclock.Event
+	retry       simclock.Handle
 
 	records []*ToastRecord
 }
 
-func newToastService(s *Server) *toastService {
-	return &toastService{
+func newToastService(s *Server) toastService {
+	return toastService{
 		s:           s,
 		perApp:      make(map[binder.ProcessID]int),
 		nextAllowed: make(map[binder.ProcessID]time.Duration),
@@ -156,9 +156,9 @@ func (t *toastService) showNext() {
 	// toast until the mandated gap after the previous fade-out.
 	if t.s.toastGapDefense > 0 {
 		if allowed, ok := t.nextAllowed[tok.app]; ok && t.s.clock.Now() < allowed {
-			if t.retry == nil {
+			if t.retry == (simclock.Handle{}) {
 				t.retry = t.s.clock.MustAfter(allowed-t.s.clock.Now(), "sysserver/toastGapDefense", func() {
-					t.retry = nil
+					t.retry = simclock.Handle{}
 					t.showNext()
 				})
 			}
@@ -197,7 +197,6 @@ func (t *toastService) showNext() {
 		// After the on-screen duration, fade out and release the slot.
 		expire := func() {
 			t.current = nil
-			t.curExpiry = nil
 			t.curExpire = nil
 			t.displayed--
 			if t.s.monitor != nil {

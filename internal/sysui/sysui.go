@@ -153,10 +153,10 @@ type Config struct {
 // alertState tracks one app's active alert.
 type alertState struct {
 	episode  *Episode
-	buildEv  *simclock.Event // pending view construction
+	buildEv  simclock.Handle // pending view construction
 	slide    *anim.Animation
 	msgStart time.Duration // when message rendering began; -1 if not yet
-	msgEv    *simclock.Event
+	msgEv    simclock.Handle
 }
 
 // SystemUI is the System UI process model.
@@ -259,7 +259,6 @@ func (ui *SystemUI) postAlert(app binder.ProcessID) {
 	// Construct the notification view (Tv), then start the slide-down.
 	tv := ui.cfg.Tv.Sample(ui.rng)
 	st.buildEv = ui.clock.MustAfter(tv, "sysui/buildNotifView", func() {
-		st.buildEv = nil
 		ui.startSlide(app, st)
 	})
 }
@@ -301,7 +300,6 @@ func (ui *SystemUI) startMessageRender(app binder.ProcessID, st *alertState) {
 	st.msgEv = ui.clock.MustAfter(MessageLayoutDelay, "sysui/layoutMessage", func() {
 		st.msgStart = ui.clock.Now()
 		st.msgEv = ui.clock.MustAfter(MessageRenderDuration, "sysui/renderMessage", func() {
-			st.msgEv = nil
 			st.episode.MessageProgress = 1
 			st.episode.IconShown = true
 		})
@@ -324,14 +322,8 @@ func (ui *SystemUI) removeAlert(app binder.ProcessID) {
 			ep.MessageProgress = frac
 		}
 	}
-	if st.buildEv != nil {
-		ui.clock.Cancel(st.buildEv) // view never constructed: clean Λ1
-		st.buildEv = nil
-	}
-	if st.msgEv != nil {
-		ui.clock.Cancel(st.msgEv)
-		st.msgEv = nil
-	}
+	ui.clock.Cancel(st.buildEv) // view never constructed: clean Λ1
+	ui.clock.Cancel(st.msgEv)
 	finish := func() {
 		ep.RemovedAt = ui.clock.Now()
 		ep.Active = false

@@ -13,9 +13,10 @@
 package wm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/binder"
@@ -408,15 +409,14 @@ func (m *Manager) attach(spec Spec) WindowID {
 }
 
 func (m *Manager) sortOrder() {
-	sort.SliceStable(m.order, func(i, j int) bool {
-		li, lj := m.order[i].Type.Layer(), m.order[j].Type.Layer()
-		if li != lj {
-			return li < lj
+	slices.SortStableFunc(m.order, func(a, b *Window) int {
+		if c := cmp.Compare(a.Type.Layer(), b.Type.Layer()); c != 0 {
+			return c
 		}
-		if m.order[i].AddedAt != m.order[j].AddedAt {
-			return m.order[i].AddedAt < m.order[j].AddedAt
+		if c := cmp.Compare(a.AddedAt, b.AddedAt); c != 0 {
+			return c
 		}
-		return m.order[i].ID < m.order[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

@@ -1,21 +1,22 @@
 #!/bin/sh
-# bench.sh — benchmark emitter for the static-analysis pipeline and the
-# serving planes. Three passes: the corpus-scan throughput benchmark
+# bench.sh — benchmark emitter for the static-analysis pipeline, the
+# serving planes and the simulator. Six passes: the corpus-scan throughput benchmark
 # plus the per-tier analyzer benchmarks are written to BENCH_static.json,
 # the vetting-plane benchmarks (single-node vetd cold/warm, the vetring
 # ring healthy vs one-peer-down) to BENCH_vetd.json, and the streaming
 # detection ingest benchmark (a full labeled-fleet replay through
 # sentryd's HTTP stack) to BENCH_sentry.json, the multi-node sentry
 # benchmark (a fleet replay through the sentring router, healthy vs
-# one-peer-down) to BENCH_sentring.json, and the device-fleet
+# one-peer-down) to BENCH_sentring.json, the device-fleet
 # benchmarks (population generation, the 200-device market-weighted
-# sweep at 1 and 4 workers, its per-trial construction layer:
+# sweep at 1 and 4 workers, and its per-trial construction layer:
 # seeding one random stream, one stream's life at 8, 100 and 1000
-# draws, and assembling one faulted stack, and the two event layers
-# every trial runs on: one Binder call with its delivery and one clock
-# event, each with its allocations) to BENCH_fleet.json — all at the
-# repo root so throughput regressions show up as a diff, not an
-# anecdote. Run from anywhere:
+# draws, and assembling one faulted stack) to BENCH_fleet.json, and the
+# simulator's layers with their allocations (one clock event, one Binder
+# call with its delivery, one interpolator frame, one attack second and
+# one IPC-detector observation, run with -benchmem) to BENCH_sim.json —
+# all at the repo root so throughput regressions show up as a diff, not
+# an anecdote. Run from anywhere:
 #
 #     sh scripts/bench.sh
 #     BENCHTIME=10x sh scripts/bench.sh       # steadier numbers
@@ -31,6 +32,7 @@
 #     OUT_SENTRY=/tmp/s.json sh scripts/bench.sh
 #     OUT_SENTRING=/tmp/r.json sh scripts/bench.sh
 #     OUT_FLEET=/tmp/f.json sh scripts/bench.sh
+#     OUT_SIM=/tmp/m.json sh scripts/bench.sh
 #
 # Each benchmark entry records the go test line verbatim: iterations,
 # ns/op, and every custom metric (apps/sec, %static-precision,
@@ -49,16 +51,17 @@ OUT_VETD="${OUT_VETD:-BENCH_vetd.json}"
 OUT_SENTRY="${OUT_SENTRY:-BENCH_sentry.json}"
 OUT_SENTRING="${OUT_SENTRING:-BENCH_sentring.json}"
 OUT_FLEET="${OUT_FLEET:-BENCH_fleet.json}"
+OUT_SIM="${OUT_SIM:-BENCH_sim.json}"
 
-# emit PATTERN SUITE OUTFILE — run the matching benchmarks and write the
-# parsed results as JSON. With BENCHCOUNT > 1 each benchmark runs that
+# emit PATTERN SUITE OUTFILE [FLAG] — run the matching benchmarks, with
+# the extra go test FLAG if given, and write the parsed results as JSON. With BENCHCOUNT > 1 each benchmark runs that
 # many times and the entry with the lowest ns/op wins: the minimum is a
 # stable lower bound on a shared host (scheduler noise only inflates a
 # run, never deflates it), which is what lets verify.sh hold a tight
 # regression tolerance against the committed snapshots.
 emit() {
 	TMP="$(mktemp)"
-	go test -run '^$' -bench "$1" -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$TMP"
+	go test -run '^$' -bench "$1" -benchtime "$BENCHTIME" -count "$BENCHCOUNT" ${4:-} . | tee "$TMP"
 	awk -v go_version="$(go env GOVERSION)" -v benchtime="$BENCHTIME" -v benchcount="$BENCHCOUNT" -v suite="$2" '
 	/^Benchmark/ {
 		name = $1
@@ -93,4 +96,5 @@ emit 'CorpusScan$|AnalyzeTier' static "$OUT"
 emit 'VetServe$|RingServe$' vetd "$OUT_VETD"
 emit 'SentryIngest$' sentry "$OUT_SENTRY"
 emit 'RouterIngest$' sentring "$OUT_SENTRING"
-emit 'FleetGenerate$|FleetSweep$|SimrandNew$|SimrandStream$|Assemble$|BinderCall$|SimClock$' fleet "$OUT_FLEET"
+emit 'FleetGenerate$|FleetSweep$|SimrandNew$|SimrandStream$|Assemble$' fleet "$OUT_FLEET"
+emit 'SimClock$|BinderCall$|InterpolatorFastOutSlowIn$|FullAttackSecond$|DetectorObserve$' sim "$OUT_SIM" -benchmem

@@ -23,7 +23,8 @@
 # mismatches against a single-node reference required), and a benchmark
 # regression gate (every benchmark in the committed BENCH_*.json
 # snapshots re-run and required within BENCH_TOL percent of its
-# committed ns/op, best of up to three passes).
+# committed ns/op and at or under its committed allocs/op, best of up
+# to three passes).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -230,7 +231,8 @@ rm -f "$SENTRYD" "$FLEETLOAD" "$SENTRYROUTER"
 
 # Benchmark regression gate: re-run every benchmark recorded in the
 # committed BENCH_*.json snapshots and require each ns/op within
-# BENCH_TOL percent (default 10) of its committed value. Both sides are
+# BENCH_TOL percent (default 10) of its committed value, and each
+# recorded allocs/op at or under its committed count. Both sides are
 # min-of-BENCHCOUNT numbers (see bench.sh): the minimum is a stable
 # lower bound on a shared host, since scheduler noise only inflates a
 # run. A pass can still spike, so the gate takes the best of up to
@@ -241,7 +243,7 @@ BENCH_TOL="${BENCH_TOL:-10}"
 echo "==> bench regression gate (tolerance ${BENCH_TOL}%)"
 BENCHDIR=/tmp/verify-bench.$$
 mkdir -p "$BENCHDIR"
-cat BENCH_static.json BENCH_vetd.json BENCH_sentry.json BENCH_sentring.json BENCH_fleet.json >"$BENCHDIR/base.json"
+cat BENCH_static.json BENCH_vetd.json BENCH_sentry.json BENCH_sentring.json BENCH_fleet.json BENCH_sim.json >"$BENCHDIR/base.json"
 BENCH_OK=0
 for ATTEMPT in 1 2 3; do
 	BENCHTIME=200ms BENCHCOUNT=3 \
@@ -250,21 +252,38 @@ for ATTEMPT in 1 2 3; do
 	OUT_SENTRY="$BENCHDIR/run$ATTEMPT-sentry.json" \
 	OUT_SENTRING="$BENCHDIR/run$ATTEMPT-sentring.json" \
 	OUT_FLEET="$BENCHDIR/run$ATTEMPT-fleet.json" \
+	OUT_SIM="$BENCHDIR/run$ATTEMPT-sim.json" \
 		sh scripts/bench.sh >/dev/null
 	cat "$BENCHDIR"/run*-*.json >"$BENCHDIR/new.json"
 	if awk -v tol="$BENCH_TOL" '
 		function parse(line) {
 			name = line; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
 			ns = line; sub(/.*"ns_per_op": /, "", ns); sub(/[,}].*/, "", ns)
+			allocs = ""
+			if (line ~ /"allocs\/op": /) { allocs = line; sub(/.*"allocs\/op": /, "", allocs); sub(/[,}].*/, "", allocs) }
 		}
-		NR == FNR { if (/"name":/) { parse($0); base[name] = ns + 0 }; next }
-		/"name":/ { parse($0); if (!(name in best) || ns + 0 < best[name]) best[name] = ns + 0 }
+		NR == FNR { if (/"name":/) { parse($0); base[name] = ns + 0; if (allocs != "") baseAllocs[name] = allocs + 0 }; next }
+		/"name":/ {
+			parse($0)
+			if (!(name in best) || ns + 0 < best[name]) best[name] = ns + 0
+			if (allocs != "" && (!(name in fewest) || allocs + 0 < fewest[name])) fewest[name] = allocs + 0
+		}
 		END {
 			for (name in base) {
 				if (!(name in best)) { print "bench gate: " name " missing from fresh run"; bad = 1 }
 				else if (best[name] > base[name] * (1 + tol / 100)) {
 					printf "bench gate: %s regressed: %.0f ns/op vs %.0f committed (+%.1f%%)\n",
 						name, best[name], base[name], 100 * (best[name] / base[name] - 1)
+					bad = 1
+				}
+			}
+			# Allocation counts do not drift with the host, so they are
+			# held exactly: no benchmark may allocate more per op than
+			# its committed entry records.
+			for (name in baseAllocs) {
+				if (!(name in fewest)) { print "bench gate: " name " reports no allocs/op in the fresh run"; bad = 1 }
+				else if (fewest[name] > baseAllocs[name]) {
+					printf "bench gate: %s allocates %d times per op vs %d committed\n", name, fewest[name], baseAllocs[name]
 					bad = 1
 				}
 			}
