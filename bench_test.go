@@ -688,9 +688,11 @@ func BenchmarkFleetSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSimrandNew measures seeding one random stream, which every
-// assembled stack does eleven times (four in Assemble, seven in
-// faults.NewPlane). scripts/bench.sh records it in BENCH_fleet.json.
+// BenchmarkSimrandNew measures building one random stream. A fleet
+// device builds its eleven (four in its stack, seven in its fault plane)
+// once and reseeds them in place for each of its runs; a new stack or
+// plane still builds them. scripts/bench.sh records it in
+// BENCH_fleet.json.
 func BenchmarkSimrandNew(b *testing.B) {
 	b.ReportAllocs()
 	var sink float64
@@ -720,31 +722,73 @@ func BenchmarkSimrandStream(b *testing.B) {
 	}
 }
 
-// BenchmarkAssemble measures the per-trial construction the fleet sweep
-// repeats about ten times per device: sysserver.Assemble with the fault
-// plane of one fleet device, seeded the way the sweep seeds device i.
-// scripts/bench.sh records it in BENCH_fleet.json.
-func BenchmarkAssemble(b *testing.B) {
+// benchFaultedDevice returns the first faulted device of a 32-device
+// fleet sample and the seed the sweep gives it.
+func benchFaultedDevice(b *testing.B) (fleet.Entry, int64) {
 	fl, err := fleet.Generate(32, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx := -1
 	for i, e := range fl.Entries() {
 		if !e.Faults.Zero() {
-			idx = i
-			break
+			return e, benchSeed + int64(i)*7919
 		}
 	}
-	if idx < 0 {
-		b.Fatal("no faulted device in the fleet sample")
-	}
-	ent := fl.Entries()[idx]
-	seed := benchSeed + int64(idx)*7919
+	b.Fatal("no faulted device in the fleet sample")
+	return fleet.Entry{}, 0
+}
+
+// BenchmarkAssemble measures building a stack from nothing:
+// sysserver.Assemble with a new fault plane of one fleet device, seeded
+// the way the sweep seeds device i. A fleet device pays it once, on its
+// first run. scripts/bench.sh records it in BENCH_fleet.json.
+func BenchmarkAssemble(b *testing.B) {
+	ent, seed := benchFaultedDevice(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sysserver.Assemble(ent.Profile, seed, sysserver.WithFaults(faults.NewPlane(ent.Faults, seed))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStackReset measures what a fleet device pays before each of
+// its other runs: Stack.Reset of its one stack with its one fault plane,
+// reset in place, for the device BenchmarkAssemble builds.
+// scripts/bench.sh records it in BENCH_fleet.json.
+func BenchmarkStackReset(b *testing.B) {
+	ent, seed := benchFaultedDevice(b)
+	st, pl := new(sysserver.Stack), new(faults.Plane)
+	reset := func() {
+		pl.Reset(ent.Faults, seed)
+		if err := st.Reset(ent.Profile, seed, sysserver.WithFaults(pl)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reset()
+	}
+}
+
+// BenchmarkFleetDevice measures one trial of the fleet sweep: the fleet
+// experiment on a one-device fleet, collected without rendering. That is
+// the device's four measurements — the attack at 0.9× its bound, the
+// coarse Λ1 bound search, the §VII-B and the §VII-A runs, all on one
+// stack reset per run — plus the trial's framing: generating the device,
+// keying the trial and its JSON round trip. scripts/bench.sh records it
+// in BENCH_sim.json with its allocations.
+func BenchmarkFleetDevice(b *testing.B) {
+	exp, err := experiment.New("fleet", experiment.Config{FleetSize: 1, FleetSeed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiment.Collect(exp, experiment.RunOpts{Seed: benchSeed, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -815,12 +859,15 @@ func fullAttackSecond(tb testing.TB, p device.Profile, seed int64) {
 
 // TestFullAttackSecondAllocBudget holds BenchmarkFullAttackSecond's body
 // to its allocation count, which, unlike its time, does not drift with
-// the host: assembling the stack plus the attack's alert episodes.
+// the host. OutcomeForD assembles a new stack, so the count is that
+// construction, the attack, and what each stack builds once: the first
+// call of each binder stream, the attacker's alert state and an alert
+// slot. The alert episodes themselves allocate nothing.
 func TestFullAttackSecondAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
 	}
-	const budget = 99
+	const budget = 67
 	p := device.Seed().Default()
 	seed := int64(0)
 	allocs := testing.AllocsPerRun(100, func() {

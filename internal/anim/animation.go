@@ -98,14 +98,27 @@ func New(clock *simclock.Clock, cfg Config) (*Animation, error) {
 	if clock == nil {
 		return nil, errors.New("anim: nil clock")
 	}
+	a := &Animation{clock: clock}
+	a.frameFn = a.frame
+	if err := a.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Reset returns the animation to the idle state New leaves it in, under
+// cfg, which it validates as New does; a pending frame is canceled. An
+// animation reset under the name it had keeps its frame label, so
+// resetting it allocates nothing.
+func (a *Animation) Reset(cfg Config) error {
 	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("anim: non-positive duration %v", cfg.Duration)
+		return fmt.Errorf("anim: non-positive duration %v", cfg.Duration)
 	}
 	if cfg.FrameInterval == 0 {
 		cfg.FrameInterval = DefaultFrameInterval
 	}
 	if cfg.FrameInterval < 0 {
-		return nil, fmt.Errorf("anim: negative frame interval %v", cfg.FrameInterval)
+		return fmt.Errorf("anim: negative frame interval %v", cfg.FrameInterval)
 	}
 	if cfg.Interpolator == nil {
 		cfg.Interpolator = Linear{}
@@ -113,9 +126,12 @@ func New(clock *simclock.Clock, cfg Config) (*Animation, error) {
 	if cfg.Name == "" {
 		cfg.Name = "anim"
 	}
-	a := &Animation{clock: clock, cfg: cfg, state: StateIdle, frameLabel: cfg.Name + "/frame"}
-	a.frameFn = a.frame
-	return a, nil
+	if a.frameLabel == "" || cfg.Name != a.cfg.Name {
+		a.frameLabel = cfg.Name + "/frame"
+	}
+	a.clock.Cancel(a.frameEv)
+	*a = Animation{clock: a.clock, cfg: cfg, state: StateIdle, frameLabel: a.frameLabel, frameFn: a.frameFn}
+	return nil
 }
 
 // State reports the current lifecycle state.

@@ -342,3 +342,61 @@ func TestSlowInSuppressionWindow(t *testing.T) {
 		t.Fatalf("first visible pixel at %v; curve too slow", firstVisible)
 	}
 }
+
+// TestResetMatchesNew resets a reversing animation under a new
+// configuration and checks that it then renders exactly the frames, at
+// exactly the times, of an animation New builds from that configuration,
+// and that its old frame never fires.
+func TestResetMatchesNew(t *testing.T) {
+	c := simclock.New()
+	var old frameLog
+	a := mustAnim(t, c, Config{Name: "slide", Duration: 300 * time.Millisecond, OnFrame: old.observe})
+	if err := a.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := c.RunFor(95 * time.Millisecond); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	if err := a.ReverseNow(); err != nil {
+		t.Fatalf("ReverseNow: %v", err)
+	}
+	stale := old.frames
+	type frame struct {
+		at time.Duration
+		v  float64
+	}
+	var got, want []frame
+	cfg := func(out *[]frame) Config {
+		return Config{Name: "slide", Duration: 120 * time.Millisecond, Interpolator: FastOutSlowIn(),
+			OnFrame: func(v float64) { *out = append(*out, frame{c.Now(), v}) }}
+	}
+	if err := a.Reset(cfg(&got)); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if a.State() != StateIdle || a.Value() != 0 {
+		t.Fatalf("after Reset: state %v, value %v; want idle at 0", a.State(), a.Value())
+	}
+	b := mustAnim(t, c, cfg(&want))
+	for _, x := range []*Animation{a, b} {
+		if err := x.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+	}
+	if err := c.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if old.frames != stale {
+		t.Fatalf("the frame pending at Reset fired")
+	}
+	if len(got) != len(want) || a.State() != b.State() {
+		t.Fatalf("reset animation rendered %d frames (%v), a new one %d (%v)", len(got), a.State(), len(want), b.State())
+	}
+	for i := range got {
+		if got[i].v != want[i].v || got[i].at-want[i].at != 0 {
+			t.Fatalf("frame %d: reset %+v, new %+v", i, got[i], want[i])
+		}
+	}
+	if err := a.Reset(Config{}); err == nil {
+		t.Fatal("Reset accepted a zero duration")
+	}
+}

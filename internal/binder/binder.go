@@ -18,7 +18,13 @@
 // and the clock breaks ties by scheduling order, so the stream's events
 // fire in the order they were pushed, duplicates included, and each one
 // pops the FIFO's head. A call therefore allocates no closure: once the
-// stream exists, Call and its delivery allocate nothing of their own.
+// stream exists, Call and its delivery allocate nothing of their own. A
+// stream also binds its latency distribution when it opens, so a call
+// samples it without asking the latency model again.
+//
+// Reset returns a used bus to the state NewBus leaves it in. Its streams
+// survive a Reset closed, with empty FIFOs, and reopen on their next call,
+// so a reused bus allocates nothing for the streams it carried before.
 package binder
 
 import (
@@ -62,8 +68,10 @@ type Handler func(tx Transaction)
 // installs one to collect the per-caller add/remove pattern.
 type Observer func(tx Transaction)
 
-// LatencyFunc supplies the latency distribution for a call; the device
-// profile implements it. Returning the zero Dist means instant delivery.
+// LatencyFunc supplies the latency distribution for a stream; the device
+// profile implements it. The bus asks once per stream, when the stream
+// opens, so the answer must depend on (from, to, method) alone. Returning
+// the zero Dist means instant delivery.
 type LatencyFunc func(from, to ProcessID, method string) simrand.Dist
 
 // TxFault describes injected misbehaviour for one transaction: Drop
@@ -93,7 +101,8 @@ type Bus struct {
 	nextID   uint64
 
 	// streams holds each (from,to,method) stream's delivery state,
-	// created on the stream's first routable call.
+	// created on the stream's first routable call and closed, not
+	// deleted, by Reset.
 	streams map[streamKey]*stream
 
 	observers []Observer
@@ -126,14 +135,16 @@ type streamKey struct {
 // stream is one (from,to,method) stream's state, built on the stream's
 // first routable call: the latest delivery time scheduled on it, which
 // keeps a later call from being delivered before an earlier one; the
-// callee's handler; the event labels of a delivery and of an injected
-// duplicate; the FIFO of transactions awaiting delivery, pending[head:];
-// and the delivery callback every event on the stream runs. pending
-// starts out on first, which holds the one transaction a stream has in
-// flight at a time in the common case.
+// callee's handler, nil while the stream is closed; the latency
+// distribution bound when it opened; the event labels of a delivery and
+// of an injected duplicate; the FIFO of transactions awaiting delivery,
+// pending[head:]; and the delivery callback every event on the stream
+// runs. pending starts out on first, which holds the one transaction a
+// stream has in flight at a time in the common case.
 type stream struct {
 	last            time.Duration
 	handler         Handler
+	dist            simrand.Dist
 	label, dupLabel string
 	pending         []Transaction
 	head            int
@@ -191,6 +202,24 @@ func NewBus(cfg Config) (*Bus, error) {
 	}, nil
 }
 
+// Reset returns the bus to the state NewBus leaves it in, on the same
+// clock and random stream, with latency as its latency model: no
+// handlers, observers or fault injector, zero stats and transaction ids,
+// and every stream closed with an empty FIFO. The clock must be reset
+// with it, since the deliveries it held are dropped here.
+func (b *Bus) Reset(latency LatencyFunc) {
+	b.latency = latency
+	clear(b.handlers)
+	for _, st := range b.streams {
+		st.close()
+	}
+	clear(b.observers)
+	b.observers = b.observers[:0]
+	b.faults = nil
+	b.nextID = 0
+	b.stats = Stats{}
+}
+
 // Register installs the handler for a process. Registering a process twice
 // is an error; registering a nil handler is an error.
 func (b *Bus) Register(id ProcessID, h Handler) error {
@@ -225,14 +254,20 @@ func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, erro
 	b.stats.Calls++
 	key := streamKey{from: from, to: to, method: method}
 	st := b.streams[key]
-	if st == nil {
+	if st == nil || st.handler == nil {
 		handler, ok := b.handlers[to]
 		if !ok {
 			b.stats.Unroutable++
 			return 0, fmt.Errorf("binder: no process %q registered (call %s from %q)", to, method, from)
 		}
-		st = b.newStream(key, handler)
-		b.streams[key] = st
+		if st == nil {
+			st = b.newStream(key)
+			b.streams[key] = st
+		}
+		st.handler = handler
+		if b.latency != nil {
+			st.dist = b.latency(from, to, method)
+		}
 	}
 	b.nextID++
 	tx := Transaction{
@@ -254,11 +289,7 @@ func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, erro
 		b.stats.InjectedDrops++
 		return tx.ID, nil
 	}
-	delay := time.Duration(0)
-	if b.latency != nil {
-		delay = b.latency(from, to, method).Sample(b.rng)
-	}
-	delay += fault.Delay
+	delay := st.dist.Sample(b.rng) + fault.Delay
 	deliverAt := b.clock.Now() + delay
 	if deliverAt < st.last {
 		deliverAt = st.last // per-stream FIFO
@@ -280,14 +311,24 @@ func (b *Bus) Call(from, to ProcessID, method string, payload any) (uint64, erro
 	return tx.ID, nil
 }
 
-// newStream builds the state of the stream key, delivering to handler.
-func (b *Bus) newStream(key streamKey, handler Handler) *stream {
+// newStream builds the state of the stream key, closed; Call opens it.
+func (b *Bus) newStream(key streamKey) *stream {
 	// One string backs both labels.
 	dup := "binder:" + string(key.from) + "→" + string(key.to) + "." + key.method + "/dup"
-	st := &stream{handler: handler, label: dup[:len(dup)-len("/dup")], dupLabel: dup}
+	st := &stream{label: dup[:len(dup)-len("/dup")], dupLabel: dup}
 	st.pending = st.first[:0]
 	st.deliver = func() { b.deliver(st) }
 	return st
+}
+
+// close empties the stream and unbinds its handler and latency, so its
+// next call reopens it as a new stream would start.
+func (st *stream) close() {
+	clear(st.pending)
+	st.pending, st.head = st.pending[:0], 0
+	st.last = 0
+	st.handler = nil
+	st.dist = simrand.Dist{}
 }
 
 // deliver hands the stream's oldest in-flight transaction, stamped with

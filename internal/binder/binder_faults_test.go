@@ -238,8 +238,9 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 // nothing in flight.
 func TestPropertyFaultedStreamsDeliverWhatWasSent(t *testing.T) {
 	// Bits of op: 0-2 the stream, 3 duplicate, 4 drop (when 3-4 are both
-	// set, neither), 5-7 the latency in ms, 8-9 an injected delay of 0, 1,
-	// 3 or 20 ms, 10-11 how many clock steps follow the call.
+	// set, neither), 8-9 an injected delay of 0, 1, 3 or 20 ms, 10-11 how
+	// many clock steps follow the call. Each stream's latency is a
+	// high-variance normal with its own mean, sampled per call.
 	prop := func(ops []uint16) bool {
 		clock := simclock.New()
 		bus, err := NewBus(Config{Clock: clock, RNG: simrand.New(1)})
@@ -268,8 +269,9 @@ func TestPropertyFaultedStreamsDeliverWhatWasSent(t *testing.T) {
 			ok = ok && bus.Stats().Balanced() && tx.DeliveredAt >= tx.SentAt
 		})
 		var op uint16
-		bus.latency = func(_, _ ProcessID, _ string) simrand.Dist {
-			return simrand.Constant(float64(op >> 5 & 7))
+		bus.latency = func(from, to ProcessID, method string) simrand.Dist {
+			mean := (len(from) + len(to) + len(method)) % 7
+			return simrand.NormalDist(float64(mean), 4)
 		}
 		bus.SetFaultInjector(&scriptedInjector{decide: func(int, string) TxFault {
 			dup, drop := op&8 != 0, op&16 != 0

@@ -283,3 +283,87 @@ func TestCallAllocBudget(t *testing.T) {
 		t.Fatalf("Call + delivery allocates %.1f times, budget 0", allocs)
 	}
 }
+
+// TestResetMatchesNewBus dirties a bus (transactions in flight on several
+// streams, an observer, a fault injector, counted traffic), resets it and
+// its clock, and checks that a script of calls then delivers exactly what
+// it delivers on a new bus: the same transactions at the same times, the
+// same stats, under the latency model given to Reset rather than the old
+// one. A call to a process no longer registered is unroutable again.
+func TestResetMatchesNewBus(t *testing.T) {
+	slow := func(_, _ ProcessID, _ string) simrand.Dist { return simrand.Constant(50) }
+	fast := func(_, to ProcessID, method string) simrand.Dist {
+		return simrand.NormalDist(float64(len(to)+len(method)), 3)
+	}
+	type delivery struct {
+		tx Transaction
+		at time.Duration
+	}
+	script := func(bus *Bus, clock *simclock.Clock) ([]delivery, Stats) {
+		var got []delivery
+		for _, to := range []ProcessID{SystemServer, SystemUI} {
+			if err := bus.Register(to, func(tx Transaction) { got = append(got, delivery{tx, clock.Now()}) }); err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			to := []ProcessID{SystemServer, SystemUI}[i%2]
+			if _, err := bus.Call("app", to, []string{"addView", "removeView", "post"}[i%3], i); err != nil {
+				t.Fatalf("Call: %v", err)
+			}
+			if i%4 == 0 {
+				clock.Step()
+			}
+		}
+		if _, err := bus.Call("app", "gone", "m", nil); err == nil {
+			t.Fatal("call to an unregistered process succeeded")
+		}
+		if err := clock.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return got, bus.Stats()
+	}
+
+	clock := simclock.New()
+	rng := simrand.New(4)
+	bus, err := NewBus(Config{Clock: clock, RNG: rng, Latency: slow})
+	if err != nil {
+		t.Fatalf("NewBus: %v", err)
+	}
+	for _, to := range []ProcessID{SystemServer, SystemUI, "gone"} {
+		if err := bus.Register(to, func(Transaction) { t.Fatal("a dirty transaction was delivered after Reset") }); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
+	bus.Observe(func(Transaction) { t.Fatal("a dirty observer saw a transaction after Reset") })
+	bus.SetFaultInjector(&scriptedInjector{decide: func(int, string) TxFault { return TxFault{Duplicate: true} }})
+	for i := 0; i < 10; i++ {
+		for _, to := range []ProcessID{SystemServer, SystemUI, "gone"} {
+			if _, err := bus.Call("app", to, "addView", i); err != nil {
+				t.Fatalf("Call: %v", err)
+			}
+		}
+	}
+	clock.Reset()
+	rng.Reseed(9)
+	bus.Reset(fast)
+	got, gotStats := script(bus, clock)
+
+	freshClock := simclock.New()
+	fresh, err := NewBus(Config{Clock: freshClock, RNG: simrand.New(9), Latency: fast})
+	if err != nil {
+		t.Fatalf("NewBus: %v", err)
+	}
+	want, wantStats := script(fresh, freshClock)
+	if gotStats != wantStats {
+		t.Fatalf("stats after Reset %+v, on a new bus %+v", gotStats, wantStats)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d after Reset, %d on a new bus", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d after Reset %+v, on a new bus %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -70,16 +70,15 @@ func runOverlayAttackOn(st *sysserver.Stack, d, attackDur, settle time.Duration,
 // the user could have seen. Extra assembly options (fault plane, invariant
 // monitor) pass through to the stack.
 func OutcomeForD(p device.Profile, d, attackDur time.Duration, seed int64, opts ...sysserver.Option) (sysui.Outcome, error) {
-	return attackOutcome(p, d, attackDur, false, 0, seed, opts...)
+	return attackOutcome(new(sysserver.Stack), p, d, attackDur, false, 0, seed, opts...)
 }
 
-// attackOutcome runs the overlay attack at window d for attackDur on a
-// fresh stack, with the §VII-B delayed-removal patch enabled when defend,
-// and reports the worst alert outcome (Λ5 under defend means the defense
-// won). until is runOverlayAttackOn's early stop.
-func attackOutcome(p device.Profile, d, attackDur time.Duration, defend bool, until sysui.Outcome, seed int64, opts ...sysserver.Option) (sysui.Outcome, error) {
-	st, err := assembleAttackStack(p, seed, opts...)
-	if err != nil {
+// attackOutcome resets st to p and seed under opts, runs the overlay
+// attack at window d for attackDur, with the §VII-B delayed-removal patch
+// enabled when defend, and reports the worst alert outcome (Λ5 under
+// defend means the defense won). until is runOverlayAttackOn's early stop.
+func attackOutcome(st *sysserver.Stack, p device.Profile, d, attackDur time.Duration, defend bool, until sysui.Outcome, seed int64, opts ...sysserver.Option) (sysui.Outcome, error) {
+	if err := resetAttackStack(st, p, seed, opts...); err != nil {
 		return 0, err
 	}
 	if defend {

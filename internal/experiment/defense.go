@@ -53,7 +53,7 @@ func DefenseIPC(seed int64, prof faults.Profile) (DefenseIPCReport, error) {
 	// Scenario 1: the draw-and-destroy overlay attack, detector armed to
 	// terminate.
 	opts, pl := planeFor(prof, seed)
-	rep, err := ipcAttack(p, time.Duration(float64(p.PaperUpperBoundD)*0.9), seed, opts...)
+	rep, err := ipcAttack(new(sysserver.Stack), p, time.Duration(float64(p.PaperUpperBoundD)*0.9), seed, opts...)
 	if err != nil {
 		return rep, err
 	}
@@ -106,14 +106,14 @@ func DefenseIPC(seed int64, prof faults.Profile) (DefenseIPCReport, error) {
 	return rep, nil
 }
 
-// ipcAttack runs the overlay attack at window d against the §VII-A
-// detector armed to terminate, and fills the report's attack-scenario
-// fields: the verdict, its latency, the alert outcome and the bus
-// accounting behind the detector's transaction stream.
-func ipcAttack(p device.Profile, d time.Duration, seed int64, opts ...sysserver.Option) (DefenseIPCReport, error) {
+// ipcAttack resets st to p and seed under opts, runs the overlay attack
+// at window d against the §VII-A detector armed to terminate, and fills
+// the report's attack-scenario fields: the verdict, its latency, the
+// alert outcome and the bus accounting behind the detector's transaction
+// stream.
+func ipcAttack(st *sysserver.Stack, p device.Profile, d time.Duration, seed int64, opts ...sysserver.Option) (DefenseIPCReport, error) {
 	var rep DefenseIPCReport
-	st, err := assembleAttackStack(p, seed, opts...)
-	if err != nil {
+	if err := resetAttackStack(st, p, seed, opts...); err != nil {
 		return rep, err
 	}
 	det, err := defense.NewIPCDetector()
@@ -189,19 +189,19 @@ func DefenseNotif(seed int64, prof faults.Profile) (DefenseNotifReport, error) {
 		return rep, err
 	}
 	d := time.Duration(float64(boundOf(p)) * 0.9)
+	st := new(sysserver.Stack)
 	opts, _ := planeFor(prof, seed+100)
-	if rep.OutcomeWithout, err = attackOutcome(p, d, 10*time.Second, false, 0, seed, opts...); err != nil {
+	if rep.OutcomeWithout, err = attackOutcome(st, p, d, 10*time.Second, false, 0, seed, opts...); err != nil {
 		return rep, err
 	}
 	opts, _ = planeFor(prof, seed+101)
-	if rep.OutcomeWith, err = attackOutcome(p, d, 10*time.Second, true, 0, seed+1, opts...); err != nil {
+	if rep.OutcomeWith, err = attackOutcome(st, p, d, 10*time.Second, true, 0, seed+1, opts...); err != nil {
 		return rep, err
 	}
 
 	// Honest overlay app under the defense: correct lifecycle.
 	opts, _ = planeFor(prof, seed+102)
-	st, err := sysserver.Assemble(p, seed+2, opts...)
-	if err != nil {
+	if err := st.Reset(p, seed+2, opts...); err != nil {
 		return rep, fmt.Errorf("experiment: honest stack: %w", err)
 	}
 	st.Server.EnableEnhancedNotificationDefense(notifDelayT)

@@ -29,12 +29,21 @@ const NumParticipants = 30
 // overlay app and granted it, per the threat model). Extra assembly
 // options (fault plane, invariant monitor) pass through to Assemble.
 func assembleAttackStack(p device.Profile, seed int64, opts ...sysserver.Option) (*sysserver.Stack, error) {
-	st, err := sysserver.Assemble(p, seed, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: assemble stack: %w", err)
+	st := new(sysserver.Stack)
+	if err := resetAttackStack(st, p, seed, opts...); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// resetAttackStack is assembleAttackStack on a stack that may have run
+// before.
+func resetAttackStack(st *sysserver.Stack, p device.Profile, seed int64, opts ...sysserver.Option) error {
+	if err := st.Reset(p, seed, opts...); err != nil {
+		return fmt.Errorf("experiment: assemble stack: %w", err)
 	}
 	st.WM.GrantOverlayPermission(AttackerApp)
-	return st, nil
+	return nil
 }
 
 func screenOf(p device.Profile) geom.Rect {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/fleet"
+	"repro/internal/sysserver"
 	"repro/internal/sysui"
 )
 
@@ -63,17 +64,38 @@ func (e *fleetExp) Params() string {
 	return fmt.Sprintf("size=%d fleet-seed=%d", e.size, e.fleetSeed)
 }
 
+// fleetRig is one fleet device's stack and fault plane. Every run of the
+// device resets both, so the device's runs allocate almost nothing, and
+// each run still starts from exactly what a new stack and plane would.
+type fleetRig struct {
+	st   sysserver.Stack
+	pl   faults.Plane
+	prof faults.Profile
+	opt  [1]sysserver.Option
+}
+
+// faults resets the plane to the device's profile and seed and returns
+// the assembly options that put a run under it: none for a zero profile,
+// so unfaulted runs keep the exact unfaulted stack.
+func (r *fleetRig) faults(seed int64) []sysserver.Option {
+	if r.prof.Zero() {
+		return nil
+	}
+	r.pl.Reset(r.prof, seed)
+	r.opt[0] = sysserver.WithFaults(&r.pl)
+	return r.opt[:]
+}
+
 // fleetCoarseBound is the Λ1 bound search on a 20 ms grid with a single
-// vote per probe — each probe under a fresh instance of the device's
-// fault plane, and each stopped at the first visible alert pixel (Λ2),
-// which settles its verdict.
-func fleetCoarseBound(p device.Profile, prof faults.Profile, seed int64) (time.Duration, error) {
+// vote per probe — each probe on the rig's stack under a reset instance
+// of the device's fault plane, and each stopped at the first visible
+// alert pixel (Λ2), which settles its verdict.
+func fleetCoarseBound(r *fleetRig, p device.Profile, seed int64) (time.Duration, error) {
 	probe := int64(0)
 	return largestPassingD(fleetBoundResol, fleetBoundCeil, func(d time.Duration) (bool, error) {
 		probe++
 		s := seed + probe*101
-		opts, _ := planeFor(prof, s)
-		o, err := attackOutcome(p, d, fleetBoundTrialDur, false, sysui.Lambda2, s, opts...)
+		o, err := attackOutcome(&r.st, p, d, fleetBoundTrialDur, false, sysui.Lambda2, s, r.faults(s)...)
 		return o == sysui.Lambda1, err
 	})
 }
@@ -96,7 +118,7 @@ func (e *fleetExp) Trials(seed int64) ([]Trial, error) {
 			func() (fleetRec, error) {
 				var rec fleetRec
 				err := safeTrial(label, func() error {
-					return measureFleetDevice(&rec, ent, seed+int64(i)*fleetTrialSeedStep)
+					return measureFleetDevice(new(fleetRig), &rec, ent, seed+int64(i)*fleetTrialSeedStep)
 				})
 				if err != nil {
 					// A deterministic per-device failure is journaled as a
@@ -109,35 +131,34 @@ func (e *fleetExp) Trials(seed int64) ([]Trial, error) {
 	return trials, nil
 }
 
-// measureFleetDevice runs the four sweep measurements on one device. Each
-// attack run whose verdict is a threshold on the worst alert outcome stops
-// at the event that settles it; every run has its own stack and fault
-// plane, so stopping one early changes no draw of another.
-func measureFleetDevice(rec *fleetRec, ent fleet.Entry, seed int64) error {
+// measureFleetDevice runs the four sweep measurements on one device, all
+// on the rig r, new or used. Each attack run whose verdict is a threshold
+// on the worst alert outcome stops at the event that settles it; every run
+// resets the stack and the fault plane from its own seeds, so stopping one
+// early changes no draw of another.
+func measureFleetDevice(r *fleetRig, rec *fleetRec, ent fleet.Entry, seed int64) error {
 	p := ent.Profile
 	d := time.Duration(float64(boundOf(p)) * 0.9)
+	r.prof = ent.Faults
 
-	opts, _ := planeFor(ent.Faults, seed)
-	o, err := attackOutcome(p, d, fleetAttackDur, false, sysui.Lambda2, seed, opts...)
+	o, err := attackOutcome(&r.st, p, d, fleetAttackDur, false, sysui.Lambda2, seed, r.faults(seed)...)
 	if err != nil {
 		return err
 	}
 	rec.Suppressed = o == sysui.Lambda1
 
-	if rec.BoundD, err = fleetCoarseBound(p, ent.Faults, seed+1000); err != nil {
+	if rec.BoundD, err = fleetCoarseBound(r, p, seed+1000); err != nil {
 		return err
 	}
 	// §VII-B: the delayed-removal patch wins when the alert completes its
 	// lifecycle in front of the user (Λ5).
-	opts, _ = planeFor(ent.Faults, seed+2001)
-	if o, err = attackOutcome(p, d, fleetAttackDur, true, sysui.Lambda5, seed+2000, opts...); err != nil {
+	if o, err = attackOutcome(&r.st, p, d, fleetAttackDur, true, sysui.Lambda5, seed+2000, r.faults(seed+2001)...); err != nil {
 		return err
 	}
 	rec.NotifHolds = o == sysui.Lambda5
 	// §VII-A: the armed Binder detector flags the attacker and revokes
 	// its overlays.
-	opts, _ = planeFor(ent.Faults, seed+3001)
-	ipc, err := ipcAttack(p, d, seed+3000, opts...)
+	ipc, err := ipcAttack(&r.st, p, d, seed+3000, r.faults(seed+3001)...)
 	if err != nil {
 		return err
 	}

@@ -104,9 +104,11 @@ func TestFleetJournalResume(t *testing.T) {
 // probe and the NotifHolds run — once stopping at its deciding outcome and
 // once full length. Both must give the same verdict and error, the stopped
 // run may fire no more events than the full one, and the replayed
-// verdicts must be the ones measureFleetDevice records.
+// verdicts must be the ones measureFleetDevice records, on one rig reused
+// across every device.
 func TestFleetEarlyStopMatchesFullRuns(t *testing.T) {
 	stopped, runs := 0, 0
+	rig := new(fleetRig)
 	for _, c := range goldenSeeds() {
 		fl, err := fleet.Generate(fleetTestSize, c.seed)
 		if err != nil {
@@ -154,7 +156,7 @@ func TestFleetEarlyStopMatchesFullRuns(t *testing.T) {
 			}
 
 			var got fleetRec
-			gotErr := measureFleetDevice(&got, ent, seed)
+			gotErr := measureFleetDevice(rig, &got, ent, seed)
 			if fmt.Sprint(gotErr) != fmt.Sprint(err) {
 				t.Fatalf("seed %d device %d: measureFleetDevice error %v, replay error %v", c.seed, i, gotErr, err)
 			}
@@ -186,4 +188,34 @@ func fleetVerdictRun(t *testing.T, ent fleet.Entry, d, dur time.Duration, defend
 	}
 	o, err := runOverlayAttackOn(st, d, dur, 5*time.Second, false, until)
 	return o, st.Clock.Fired(), err
+}
+
+// TestFleetDeviceAllocBudget holds a warm fleet device's measurements —
+// the attack run, the bound probes and both defense runs, on a rig that
+// has measured the device before — to the allocations that remain per
+// run: the overlay attack and its stop callback, and the §VII-A run's
+// detector and engine. The stack and plane allocate nothing once reset,
+// and no alert episode allocates. Allocation counts do not drift with
+// host speed.
+func TestFleetDeviceAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	const budget = 87
+	fl, err := fleet.Generate(32, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent := fl.Entries()[1]
+	seed := int64(42 + fleetTrialSeedStep)
+	r := new(fleetRig)
+	var rec fleetRec
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := measureFleetDevice(r, &rec, ent, seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("a warm fleet device allocates %.0f times, budget %d", allocs, budget)
+	}
 }

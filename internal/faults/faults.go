@@ -342,18 +342,21 @@ func (s Stats) String() string {
 }
 
 // Plane is a live fault injector for one simulation run. It is not safe
-// for concurrent use; like the clock it belongs to exactly one run.
+// for concurrent use; like the clock it belongs to exactly one run, and
+// Reset readies it for the next.
 type Plane struct {
 	prof Profile
 
 	// One private sub-stream per fault class, so enabling one class never
-	// perturbs the draws of another.
-	binderRng  *simrand.Source
-	animRng    *simrand.Source
-	schedRng   *simrand.Source
-	toastRng   *simrand.Source
-	burstRng   *simrand.Source
-	thermalRng *simrand.Source
+	// perturbs the draws of another; root seeds them. They are held by
+	// value and reseeded in place.
+	root       simrand.Source
+	binderRng  simrand.Source
+	animRng    simrand.Source
+	schedRng   simrand.Source
+	toastRng   simrand.Source
+	burstRng   simrand.Source
+	thermalRng simrand.Source
 
 	// inBurst is the binder burst gate's Markov state.
 	inBurst bool
@@ -373,16 +376,28 @@ type Plane struct {
 // deliberately independent of the stack's root seed: deriving from the
 // stack root would consume a draw there and change an unfaulted run.
 func NewPlane(p Profile, seed int64) *Plane {
-	root := simrand.New(seed)
-	return &Plane{
-		prof:       p,
-		binderRng:  root.Derive("faults/binder"),
-		animRng:    root.Derive("faults/anim"),
-		schedRng:   root.Derive("faults/sched"),
-		toastRng:   root.Derive("faults/toast"),
-		burstRng:   root.Derive("faults/burst"),
-		thermalRng: root.Derive("faults/thermal"),
-	}
+	pl := new(Plane)
+	pl.Reset(p, seed)
+	return pl
+}
+
+// Reset returns the plane to the state NewPlane(p, seed) builds: its
+// streams reseeded in place, no burst or thermal state, zero stats. A
+// reset plane injects exactly what a new one would.
+func (pl *Plane) Reset(p Profile, seed int64) {
+	pl.prof = p
+	pl.root.Reseed(seed)
+	pl.root.DeriveInto(&pl.binderRng, "faults/binder")
+	pl.root.DeriveInto(&pl.animRng, "faults/anim")
+	pl.root.DeriveInto(&pl.schedRng, "faults/sched")
+	pl.root.DeriveInto(&pl.toastRng, "faults/toast")
+	pl.root.DeriveInto(&pl.burstRng, "faults/burst")
+	pl.root.DeriveInto(&pl.thermalRng, "faults/thermal")
+	pl.inBurst = false
+	pl.thermalDecided, pl.thermalArmed = false, false
+	pl.thermalMaxDrift = 0
+	pl.frames = 0
+	pl.stats = Stats{}
 }
 
 // Profile returns the profile the plane was built from.
@@ -435,11 +450,11 @@ func (pl *Plane) TransactionFault(from, to binder.ProcessID, method string) bind
 	}
 	if p.SpikeProb > 0 && pl.binderRng.Bool(p.SpikeProb) {
 		pl.stats.TxSpiked++
-		f.Delay += p.Spike.Sample(pl.binderRng)
+		f.Delay += p.Spike.Sample(&pl.binderRng)
 	}
 	if p.ReorderProb > 0 && pl.binderRng.Bool(p.ReorderProb) {
 		pl.stats.TxReordered++
-		f.Delay += p.ReorderDelay.Sample(pl.binderRng)
+		f.Delay += p.ReorderDelay.Sample(&pl.binderRng)
 	}
 	return f
 }
@@ -454,7 +469,7 @@ func (pl *Plane) FrameFault(name string) (dropFrame bool, jitter time.Duration) 
 		dropFrame = true
 	}
 	if p.FrameJitterProb > 0 && pl.animRng.Bool(p.FrameJitterProb) {
-		jitter = p.FrameJitter.Sample(pl.animRng)
+		jitter = p.FrameJitter.Sample(&pl.animRng)
 		if jitter > 0 {
 			pl.stats.FramesJittered++
 		}
@@ -478,7 +493,7 @@ func (pl *Plane) thermalDrift() time.Duration {
 		pl.thermalArmed = pl.thermalRng.Bool(p.ThermalProb)
 		if pl.thermalArmed {
 			pl.stats.ThermalRuns++
-			pl.thermalMaxDrift = p.ThermalMaxDrift.Sample(pl.thermalRng)
+			pl.thermalMaxDrift = p.ThermalMaxDrift.Sample(&pl.thermalRng)
 		}
 	}
 	if !pl.thermalArmed || pl.thermalMaxDrift <= 0 {
@@ -507,7 +522,7 @@ func (pl *Plane) PreemptPause() time.Duration {
 	if p.PreemptProb <= 0 || !pl.schedRng.Bool(p.PreemptProb) {
 		return 0
 	}
-	d := p.Preempt.Sample(pl.schedRng)
+	d := p.Preempt.Sample(&pl.schedRng)
 	if d > 0 {
 		pl.stats.Preemptions++
 		pl.stats.PreemptTotal += d

@@ -234,3 +234,39 @@ func TestThermalProbabilistic(t *testing.T) {
 		t.Fatalf("ThermalProb=0.5 armed %d/200 runs", armed)
 	}
 }
+
+// drive runs every hook of pl n times in a fixed interleaving and returns
+// what they injected.
+func drive(pl *Plane, n int) []any {
+	var out []any
+	for i := 0; i < n; i++ {
+		out = append(out, pl.TransactionFault("a", binder.SystemServer, "addView"))
+		drop, jitter := pl.FrameFault("slide")
+		out = append(out, drop, jitter, pl.PreemptPause(), pl.ToastBurst())
+	}
+	return append(out, pl.Stats())
+}
+
+// TestResetMatchesNewPlane dirties a plane under one profile, resets it
+// under each named profile, and checks that it injects exactly what a new
+// plane built from that profile and seed injects.
+func TestResetMatchesNewPlane(t *testing.T) {
+	for _, name := range Names() {
+		prof, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := NewPlane(Chaos(), 5)
+		drive(pl, 700)
+		pl.Reset(prof, 77)
+		got, want := drive(pl, 400), drive(NewPlane(prof, 77), 400)
+		if pl.Profile().Name != prof.Name {
+			t.Fatalf("%s: reset plane reports profile %q", name, pl.Profile().Name)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: injection %d after Reset is %v, a new plane injects %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}

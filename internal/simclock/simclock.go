@@ -128,6 +128,23 @@ func New() *Clock {
 	}
 }
 
+// Reset returns the clock to the state New leaves it in, whatever it was
+// doing: pending events are dropped unfired, the trace is removed, and
+// Now, Fired and Stopped start over. The slab and heap keep their grown
+// capacity, so a reset clock schedules without allocating. Sequence
+// numbers keep counting across a Reset, so a Handle taken before it
+// never matches a later event and canceling it stays a no-op.
+func (c *Clock) Reset() {
+	clear(c.slab) // drops what pending callbacks captured
+	c.slab = c.slab[:0]
+	c.queue = c.queue[:0]
+	c.free = c.free[:0]
+	c.now = 0
+	c.stopped = false
+	c.trace = nil
+	c.fired = 0
+}
+
 // SetTrace installs fn to observe every fired event. A nil fn disables
 // tracing.
 func (c *Clock) SetTrace(fn TraceFunc) { c.trace = fn }
@@ -135,7 +152,8 @@ func (c *Clock) SetTrace(fn TraceFunc) { c.trace = fn }
 // Now reports the current virtual time.
 func (c *Clock) Now() Duration { return c.now }
 
-// Fired reports how many events have fired since the clock was created.
+// Fired reports how many events have fired since the clock was created
+// or last Reset.
 func (c *Clock) Fired() uint64 { return c.fired }
 
 // At schedules fn to run at absolute virtual time when. Scheduling in the

@@ -615,3 +615,51 @@ func TestChainedTimersSimulatePeriodicWork(t *testing.T) {
 		t.Fatalf("Now() = %v, want %v", got, want)
 	}
 }
+
+// TestResetMatchesNew stops a clock with events pending, a trace installed
+// and handles outstanding, resets it, and checks that it behaves as a new
+// clock: time zero, nothing pending, nothing fired, no trace, and a stale
+// handle that cannot cancel the event now occupying its slot. A reset
+// clock then fires the same schedule at the same times as a new one.
+func TestResetMatchesNew(t *testing.T) {
+	c := New()
+	traced := 0
+	c.SetTrace(func(Duration, string) { traced++ })
+	var stale []Handle
+	for i := 0; i < 20; i++ {
+		stale = append(stale, c.MustAfter(time.Duration(i)*time.Millisecond, "dirty", func() {}))
+	}
+	if err := c.RunFor(5 * time.Millisecond); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	c.Stop()
+	c.Reset()
+	if c.Now() != 0 || c.Fired() != 0 || c.Stopped() || c.pending() != 0 || c.trace != nil || !c.slabExact() {
+		t.Fatalf("after Reset: now %v, fired %d, stopped %v, pending %d, trace set %v",
+			c.Now(), c.Fired(), c.Stopped(), c.pending(), c.trace != nil)
+	}
+	fresh := New()
+	var got, want []Duration
+	for i := 0; i < 30; i++ {
+		d := time.Duration(i*7%11) * time.Millisecond
+		c.MustAfter(d, "clean", func() { got = append(got, c.Now()) })
+		fresh.MustAfter(d, "clean", func() { want = append(want, fresh.Now()) })
+	}
+	for _, h := range stale {
+		c.Cancel(h)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := fresh.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(got) != len(want) || c.Fired() != fresh.Fired() || traced != 6 {
+		t.Fatalf("reset clock fired %d events (%d), new clock %d; trace saw %d before Reset, want 6", len(got), c.Fired(), len(want), traced)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("event %d fired at %v on the reset clock, %v on a new one", i, got[i], want[i])
+		}
+	}
+}

@@ -7,7 +7,6 @@ package simrand
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"time"
@@ -20,7 +19,11 @@ import (
 // draws themselves (Float64, NormFloat64, ExpFloat64, Intn, Perm) are
 // math/rand's rand.Rand code on top of it.
 //
-// The rand.Rand is held by value, so a Source is one allocation.
+// The rand.Rand is held by value, so a Source is one allocation. A
+// Source refers to itself and must not be copied; Reseed returns one to
+// the state New starts in, keeping the built generator state for reuse,
+// so a zero Source that is reseeded before use needs no allocation of its
+// own.
 type Source struct {
 	rng rand.Rand
 	src fibSource
@@ -28,22 +31,48 @@ type Source struct {
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	s := &Source{}
+	s := new(Source)
+	s.Reseed(seed)
+	return s
+}
+
+// Reseed returns s to the state New(seed) starts in. The 4.9 KB generator
+// state a stream builds at its 273rd draw is kept and rebuilt in place the
+// next time it is needed, so reseeding allocates nothing.
+func (s *Source) Reseed(seed int64) {
 	s.src.Seed(seed)
 	s.src.owner = s
 	s.rng = *rand.New(&s.src)
-	return s
 }
 
 // Derive returns a child Source whose seed is a hash of the parent seed
 // space and name. Distinct names yield independent streams, so adding draws
 // to one component does not perturb another ("seed hygiene").
 func (s *Source) Derive(name string) *Source {
-	h := fnv.New64a()
-	// Writing to an fnv hash never fails.
-	_, _ = h.Write([]byte(name))
-	mix := int64(h.Sum64()) //nolint:gosec // deliberate wraparound mix
-	return New(mix ^ s.rng.Int63())
+	child := new(Source)
+	s.DeriveInto(child, name)
+	return child
+}
+
+// DeriveInto reseeds child to the stream Derive(name) would return,
+// drawing the same value from s.
+func (s *Source) DeriveInto(child *Source, name string) {
+	child.Reseed(int64(fnv64a(name)) ^ s.rng.Int63()) //nolint:gosec // deliberate wraparound mix
+}
+
+// fnv64a is the 64-bit FNV-1a hash of name, as hash/fnv's New64a computes
+// it, without the hasher and byte-slice allocations.
+func fnv64a(name string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	return h
 }
 
 // DeriveIndexed returns a child stream for name[i]; convenient for

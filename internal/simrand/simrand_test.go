@@ -1,6 +1,7 @@
 package simrand
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -232,5 +233,40 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("Perm produced invalid permutation %v", p)
 		}
 		seen[v] = true
+	}
+}
+
+// TestFNV64aMatchesHashFNV pins the inline hash Derive seeds with to
+// hash/fnv's FNV-1a.
+func TestFNV64aMatchesHashFNV(t *testing.T) {
+	for _, name := range []string{"", "binder", "sysserver", "sysui", "faults/thermal", "user[12]", "Λ1"} {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(name))
+		if got, want := fnv64a(name), h.Sum64(); got != want {
+			t.Fatalf("fnv64a(%q) = %#x, hash/fnv gives %#x", name, got, want)
+		}
+	}
+}
+
+// TestDeriveIntoMatchesDerive checks that reseeding a used stream with
+// DeriveInto yields the stream Derive returns, and draws the same value
+// from the parent.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	a, b := New(9), New(9)
+	child := New(1)
+	for i := 0; i < 600; i++ {
+		child.Float64()
+	}
+	for _, name := range []string{"binder", "sysserver", "sysui"} {
+		want := a.Derive(name)
+		b.DeriveInto(child, name)
+		for i := 0; i < 400; i++ {
+			if g, w := child.Float64(), want.Float64(); g != w {
+				t.Fatalf("%s: draw %d = %v, Derive gives %v", name, i, g, w)
+			}
+		}
+	}
+	if a.Float64() != b.Float64() {
+		t.Fatal("DeriveInto drew from the parent differently than Derive")
 	}
 }

@@ -12,23 +12,24 @@ import "math/rand"
 //
 // Most simulator streams draw a handful of values, so the 4.9 KB state is
 // built only when a stream needs it. A fresh source is lazy: it keeps the
-// reduced seed x and the feed index, and full is nil. Draw n writes word
+// reduced seed x and the feed index, which is never negative. Draw n writes word
 // 333−n, the sum of words 333−n and 606−n. The first fibTap draws write
 // words 333 down to 61 and read words 333 down to 61 and 606 down to 334,
 // so each reads a word no earlier draw wrote: its value follows from the
 // seed alone, and nothing needs storing. Draw fibTap is the first to read
 // a written word (333, as its tap), so it first builds full: the state
 // seeded as math/rand seeds it, plus the lap's writes so far. From there
-// full runs the recurrence. Seed returns the source to the lazy mode.
-// fibTap is the generator's tap distance, not a tuning choice.
+// full runs the recurrence, and feed is −1. Seed returns the source to the
+// lazy mode and keeps full, which the next build overwrites instead of
+// allocating. fibTap is the generator's tap distance, not a tuning choice.
 type fibSource struct {
 	x    uint64
 	feed int
 	full *fibState
 	// owner is the Source drawing from this source, if any. Building full
 	// repoints owner.rng at it, so later draws run fibState's code
-	// directly instead of through the lazy check. A Source never reseeds,
-	// so the repointing is never undone.
+	// directly instead of through the lazy check. Source.Reseed points
+	// owner.rng back at the lazy source.
 	owner *Source
 }
 
@@ -111,7 +112,6 @@ func recoverCooked(seed int64) [fibLen]int64 {
 func (r *fibSource) Seed(seed int64) {
 	r.x = reduceSeed(seed)
 	r.feed = fibLen - fibTap
-	r.full = nil
 }
 
 // reduceSeed maps seed into [1, seedMod) as math/rand's seeding does.
@@ -139,19 +139,23 @@ func seedWord(x uint64, i int) int64 {
 // word returns state word i as seeding leaves it for the reduced seed x.
 func word(x uint64, i int) int64 { return seedWord(x, i) ^ fibCooked[i] }
 
-// build returns the state the lazy source stands for: the seeded words
-// plus the writes of the draws made so far. Those draws wrote words
-// feed … fibLen−fibTap−1 from words fibTap places above, which no draw
-// has written, so the writes commute.
-func (r *fibSource) build() *fibState {
-	s := new(fibState)
+// build makes full the state the lazy source stands for, in the buffer a
+// previous build left if there is one: the seeded words plus the writes
+// of the draws made so far. Those draws wrote words feed … fibLen−fibTap−1
+// from words fibTap places above, which no draw has written, so the
+// writes commute. It leaves the source out of the lazy mode.
+func (r *fibSource) build() {
+	if r.full == nil {
+		r.full = new(fibState)
+	}
+	s := r.full
 	s.Seed(int64(r.x))
 	for i := r.feed; i < fibLen-fibTap; i++ {
 		s.vec[i] += s.vec[i+fibTap]
 	}
 	s.tap = r.feed + fibTap
 	s.feed = r.feed
-	return s
+	r.feed = -1
 }
 
 // mulMod returns a·x mod seedMod for a, x in [1, seedMod). Two Mersenne
@@ -172,14 +176,14 @@ func (r *fibSource) Int63() int64 { return int64(r.Uint64() & fibMask) }
 
 // Uint64 returns the next 64-bit value.
 func (r *fibSource) Uint64() uint64 {
-	if r.full == nil {
+	if r.feed >= 0 {
 		// A lazy source's tap is feed+fibTap; while feed stays above
 		// fibLen−2·fibTap, both words it reads are still as seeded.
 		if r.feed > fibLen-2*fibTap {
 			r.feed--
 			return uint64(word(r.x, r.feed) + word(r.x, r.feed+fibTap))
 		}
-		r.full = r.build()
+		r.build()
 		if r.owner != nil {
 			r.owner.rng = *rand.New(r.full)
 		}

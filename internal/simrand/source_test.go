@@ -80,7 +80,8 @@ func TestReseedMatchesMathRand(t *testing.T) {
 
 // TestStateBuiltAtFirstLap checks that a source allocates its state only
 // at the draw that first reads a rewritten word: draws 0 … fibTap−1 read
-// seeded words only, and draw fibTap reads the word draw 0 wrote.
+// seeded words only, and draw fibTap reads the word draw 0 wrote. Seed
+// returns it to the lazy mode and keeps the buffer.
 func TestStateBuiltAtFirstLap(t *testing.T) {
 	var r fibSource
 	r.Seed(42)
@@ -94,9 +95,13 @@ func TestStateBuiltAtFirstLap(t *testing.T) {
 	if r.full == nil {
 		t.Fatalf("state still lazy after %d draws", fibTap+1)
 	}
+	built := r.full
 	r.Seed(42)
-	if r.full != nil {
-		t.Fatal("Seed left the state allocated; want the lazy mode")
+	if r.feed < 0 {
+		t.Fatal("Seed left the state built; want the lazy mode")
+	}
+	if r.full != built {
+		t.Fatal("Seed dropped the built state's buffer; want it kept for the next build")
 	}
 }
 
@@ -182,5 +187,50 @@ func TestCookedTableIsSeedIndependent(t *testing.T) {
 		if got := recoverCooked(seed); got != fibCooked {
 			t.Fatalf("cooked table recovered from seed %d differs from the one seeding uses", seed)
 		}
+	}
+}
+
+// TestSourceReseedMatchesNew checks that Source.Reseed on a used stream,
+// still lazy or with its state built, restarts it exactly where New does,
+// and that the reseeded stream rebuilds its state in the buffer it kept
+// instead of allocating another.
+func TestSourceReseedMatchesNew(t *testing.T) {
+	for _, used := range []int{0, fibTap - 1, fibTap + 1, 1000} {
+		got := New(3)
+		for i := 0; i < used; i++ {
+			got.Float64()
+		}
+		built := got.src.full
+		got.Reseed(5)
+		want := New(5)
+		for i := 0; i < sourceDraws; i++ {
+			if g, w := got.Normal(0, 1), want.Normal(0, 1); g != w {
+				t.Fatalf("reseeded after %d draws: draw %d = %v, New gives %v", used, i, g, w)
+			}
+		}
+		if built != nil && got.src.full != built {
+			t.Fatalf("reseeded after %d draws: the state was rebuilt in a new buffer", used)
+		}
+	}
+}
+
+// TestReseedAllocBudget holds a reseeded stream's life, seeding plus enough
+// draws to build its state, to zero allocations once the stream has built
+// it once.
+func TestReseedAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	s := New(1)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		s.Reseed(seed)
+		for i := 0; i < 2*fibTap; i++ {
+			s.Float64()
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("reseeding and drawing %d values allocates %.1f times, budget 0", 2*fibTap, allocs)
 	}
 }

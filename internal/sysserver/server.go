@@ -6,11 +6,17 @@
 // 10/11's ANA delay before the alert is sent — and hosts the Section VII-B
 // enhanced-notification defense (delay the alert-removal notice by t,
 // cancel the removal if the same app re-adds an overlay).
+//
+// A Stack is reusable: Reset returns it to the state Assemble leaves, and
+// Assemble is a new Stack plus Reset. The server's scheduled callbacks are
+// bound once per pending-attach slot or per app, not per call, so a reset
+// stack runs an attack's alert episodes without allocating.
 package sysserver
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/anim"
@@ -108,7 +114,8 @@ type Server struct {
 	// handles maps (app, handle) → attached windows in attach order.
 	// addView/removeView pair FIFO per handle: on a real device addView
 	// blocks until the window is attached, so a removeView always
-	// targets the oldest outstanding attachment of that view object.
+	// targets the oldest outstanding attachment of that view object. A
+	// handle keeps its slice, emptied, across removals and Reset.
 	handles map[viewKey][]wm.WindowID
 	// pendingRemoves counts removeViews that raced ahead of their
 	// still-processing addView (possible in the simulation when a
@@ -116,16 +123,21 @@ type Server struct {
 	// immediately detaches.
 	pendingRemoves map[viewKey]int
 
-	// alertPosted tracks whether the overlay alert for an app has been
-	// sent to System UI; pendingPost holds the ANA-delay timer.
-	alertPosted map[binder.ProcessID]bool
-	pendingPost map[binder.ProcessID]simclock.Handle
+	// attaches are the addViews waiting out Tas, in the order they were
+	// scheduled. Their clock events all run attachFn, and the clock
+	// fires them in (time, scheduling) order, so each firing attaches
+	// the entry due first, the earliest-scheduled of those due together.
+	attaches []pendingAttach
+	attachFn func()
+
+	// alerts holds each app's alert-protocol state, made at the app's
+	// first overlay and kept, cleared, across Reset.
+	alerts map[binder.ProcessID]*appAlert
 
 	// Enhanced-notification defense (Section VII-B): when defenseDelay
 	// is positive, alert removal is postponed by that long and canceled
 	// if the app re-adds an overlay meanwhile.
-	defenseDelay   time.Duration
-	pendingRemoval map[binder.ProcessID]simclock.Handle
+	defenseDelay time.Duration
 
 	// anaDelay is the delay before the alert is sent (normally the
 	// version's ANA delay; ablations override it).
@@ -152,6 +164,11 @@ type Server struct {
 
 	toasts toastService
 	stats  Stats
+
+	// handleFn and countFn are the binder endpoint and the overlay-count
+	// listener, bound once.
+	handleFn binder.Handler
+	countFn  wm.OverlayCountListener
 }
 
 type viewKey struct {
@@ -159,40 +176,85 @@ type viewKey struct {
 	handle uint64
 }
 
+// pendingAttach is one addView waiting out Tas until at.
+type pendingAttach struct {
+	at   time.Duration
+	from binder.ProcessID
+	req  AddViewRequest
+}
+
+// appAlert is one app's side of the alert protocol: whether the alert was
+// sent to System UI, the pending ANA-delay send and defense-delay removal
+// (zero Handles when none is pending), the callbacks those timers run,
+// bound once, and the app name boxed once as the payload of its calls to
+// System UI.
+type appAlert struct {
+	app           binder.ProcessID
+	payload       any
+	posted        bool
+	post, removal simclock.Handle
+	send, remove  func()
+}
+
 // New builds the system server and registers its Binder endpoint.
 func New(cfg Config) (*Server, error) {
-	if cfg.Clock == nil {
-		return nil, errors.New("sysserver: nil clock")
-	}
-	if cfg.Bus == nil {
-		return nil, errors.New("sysserver: nil bus")
-	}
-	if cfg.RNG == nil {
-		return nil, errors.New("sysserver: nil rng")
-	}
-	if cfg.WM == nil {
-		return nil, errors.New("sysserver: nil window manager")
-	}
 	s := &Server{
-		clock:          cfg.Clock,
-		bus:            cfg.Bus,
-		rng:            cfg.RNG,
-		profile:        cfg.Profile,
-		wm:             cfg.WM,
 		handles:        make(map[viewKey][]wm.WindowID),
 		pendingRemoves: make(map[viewKey]int),
-		alertPosted:    make(map[binder.ProcessID]bool),
-		pendingPost:    make(map[binder.ProcessID]simclock.Handle),
-		pendingRemoval: make(map[binder.ProcessID]simclock.Handle),
-		anaDelay:       cfg.Profile.Version.ANADelay(),
-		toastFade:      anim.ToastFadeDuration,
+		alerts:         make(map[binder.ProcessID]*appAlert),
 	}
 	s.toasts = newToastService(s)
-	if err := cfg.Bus.Register(binder.SystemServer, s.handle); err != nil {
-		return nil, fmt.Errorf("sysserver: register endpoint: %w", err)
+	s.handleFn = s.handle
+	s.countFn = s.onOverlayCountChange
+	s.attachFn = s.attachNext
+	if err := s.reset(cfg); err != nil {
+		return nil, err
 	}
-	cfg.WM.OnOverlayCountChange(s.onOverlayCountChange)
 	return s, nil
+}
+
+// reset returns the server to the state New(cfg) leaves it in: endpoint
+// registered on cfg.Bus, which must not have one, and overlay-count
+// listener installed on cfg.WM; no views, pending attaches, alerts,
+// toasts or stats; the profile's ANA delay and every override and defense
+// off. The bus, window manager and clock must be reset with it.
+func (s *Server) reset(cfg Config) error {
+	if cfg.Clock == nil {
+		return errors.New("sysserver: nil clock")
+	}
+	if cfg.Bus == nil {
+		return errors.New("sysserver: nil bus")
+	}
+	if cfg.RNG == nil {
+		return errors.New("sysserver: nil rng")
+	}
+	if cfg.WM == nil {
+		return errors.New("sysserver: nil window manager")
+	}
+	s.clock, s.bus, s.rng, s.profile, s.wm = cfg.Clock, cfg.Bus, cfg.RNG, cfg.Profile, cfg.WM
+	for k, ids := range s.handles {
+		s.handles[k] = ids[:0]
+	}
+	clear(s.pendingRemoves)
+	clear(s.attaches) // drops the touch handlers
+	s.attaches = s.attaches[:0]
+	for _, a := range s.alerts {
+		a.posted, a.post, a.removal = false, simclock.Handle{}, simclock.Handle{}
+	}
+	s.defenseDelay = 0
+	s.anaDelay = cfg.Profile.Version.ANADelay()
+	s.toastFade = anim.ToastFadeDuration
+	s.toastGapDefense = 0
+	s.frameFault = nil
+	s.monitor = nil
+	s.toastCapOverride = 0
+	s.toasts.reset()
+	s.stats = Stats{}
+	if err := cfg.Bus.Register(binder.SystemServer, s.handleFn); err != nil {
+		return fmt.Errorf("sysserver: register endpoint: %w", err)
+	}
+	cfg.WM.OnOverlayCountChange(s.countFn)
+	return nil
 }
 
 // Stats returns the server's counters.
@@ -296,33 +358,49 @@ func (s *Server) handle(tx binder.Transaction) {
 // drives the alert protocol).
 func (s *Server) addView(from binder.ProcessID, req AddViewRequest) {
 	tas := s.profile.Tas.Sample(s.rng)
-	s.clock.MustAfter(tas, "sysserver/attachWindow", func() {
-		key := viewKey{app: from, handle: req.Handle}
-		id, err := s.wm.AddWindow(wm.Spec{
-			Owner:   from,
-			Type:    req.Type,
-			Bounds:  req.Bounds,
-			Flags:   req.Flags,
-			OnTouch: req.OnTouch,
-		})
-		if err != nil {
-			s.stats.AddsRejected++
-			return
+	s.attaches = append(s.attaches, pendingAttach{at: s.clock.Now() + tas, from: from, req: req})
+	s.clock.MustAfter(tas, "sysserver/attachWindow", s.attachFn)
+}
+
+// attachNext completes the pending addView that is due first.
+func (s *Server) attachNext() {
+	next := 0
+	for i := range s.attaches {
+		if s.attaches[i].at < s.attaches[next].at {
+			next = i
 		}
-		s.stats.AddsCompleted++
-		if s.pendingRemoves[key] > 0 {
-			// The paired remove raced ahead; honor it now.
-			s.pendingRemoves[key]--
-			if s.pendingRemoves[key] == 0 {
-				delete(s.pendingRemoves, key)
-			}
-			if err := s.wm.RemoveWindow(id); err == nil {
-				s.stats.RemovesCompleted++
-			}
-			return
-		}
-		s.handles[key] = append(s.handles[key], id)
+	}
+	from, req := s.attaches[next].from, s.attaches[next].req
+	s.attaches = slices.Delete(s.attaches, next, next+1)
+	key := viewKey{app: from, handle: req.Handle}
+	id, err := s.wm.AddWindow(wm.Spec{
+		Owner:   from,
+		Type:    req.Type,
+		Bounds:  req.Bounds,
+		Flags:   req.Flags,
+		OnTouch: req.OnTouch,
 	})
+	if err != nil {
+		s.stats.AddsRejected++
+		return
+	}
+	s.stats.AddsCompleted++
+	if s.pendingRemoves[key] > 0 {
+		// The paired remove raced ahead; honor it now.
+		s.pendingRemoves[key]--
+		if s.pendingRemoves[key] == 0 {
+			delete(s.pendingRemoves, key)
+		}
+		if err := s.wm.RemoveWindow(id); err == nil {
+			s.stats.RemovesCompleted++
+		}
+		return
+	}
+	ids := s.handles[key]
+	if ids == nil {
+		ids = make([]wm.WindowID, 0, 4)
+	}
+	s.handles[key] = append(ids, id)
 }
 
 // removeView processes a removeView transaction. Removal is instantaneous
@@ -360,83 +438,74 @@ func (s *Server) onOverlayCountChange(app binder.ProcessID, old, new int) {
 	}
 }
 
-func (s *Server) overlayAppeared(app binder.ProcessID) {
-	// If a (possibly defense-delayed) removal is pending, the overlay is
-	// back: cancel the removal and keep the alert.
-	if ev, ok := s.pendingRemoval[app]; ok {
-		s.clock.Cancel(ev)
-		delete(s.pendingRemoval, app)
-		return
+// alert returns the app's alert-protocol state, making it on the app's
+// first overlay.
+func (s *Server) alert(app binder.ProcessID) *appAlert {
+	if a := s.alerts[app]; a != nil {
+		return a
 	}
-	if _, pending := s.pendingPost[app]; pending || s.alertPosted[app] {
-		return
+	a := &appAlert{app: app, payload: app}
+	a.send = func() {
+		a.post = simclock.Handle{}
+		a.posted = true
+		s.callSysUI(sysui.MethodPostOverlayAlert, a)
 	}
-	send := func() {
-		delete(s.pendingPost, app)
-		s.alertPosted[app] = true
-		s.callSysUI(sysui.MethodPostOverlayAlert, app)
-	}
-	if s.anaDelay > 0 {
-		// Android 10/11: wait for the Android Notification Assistant.
-		s.pendingPost[app] = s.clock.MustAfter(s.anaDelay, "sysserver/anaDelay", send)
-		return
-	}
-	send()
-}
-
-func (s *Server) overlayGone(app binder.ProcessID) {
-	// Overlay disappeared while the post is still held by the ANA delay:
-	// never send the alert at all.
-	if ev, ok := s.pendingPost[app]; ok {
-		s.clock.Cancel(ev)
-		delete(s.pendingPost, app)
-		return
-	}
-	if !s.alertPosted[app] {
-		return
-	}
-	remove := func() {
-		delete(s.pendingRemoval, app)
+	a.remove = func() {
+		a.removal = simclock.Handle{}
 		if s.wm.OverlayCount(app) > 0 {
 			return // re-added during the defense delay
 		}
-		delete(s.alertPosted, app)
-		s.callSysUI(sysui.MethodRemoveOverlayAlert, app)
+		a.posted = false
+		s.callSysUI(sysui.MethodRemoveOverlayAlert, a)
 	}
-	if s.defenseDelay > 0 {
-		s.pendingRemoval[app] = s.clock.MustAfter(s.defenseDelay, "sysserver/defenseDelay", remove)
-		return
-	}
-	remove()
+	s.alerts[app] = a
+	return a
 }
 
-func (s *Server) callSysUI(method string, app binder.ProcessID) {
-	if _, err := s.bus.Call(binder.SystemServer, binder.SystemUI, method, app); err != nil {
+func (s *Server) overlayAppeared(app binder.ProcessID) {
+	a := s.alert(app)
+	// If a (possibly defense-delayed) removal is pending, the overlay is
+	// back: cancel the removal and keep the alert.
+	if a.removal != (simclock.Handle{}) {
+		s.clock.Cancel(a.removal)
+		a.removal = simclock.Handle{}
+		return
+	}
+	if a.post != (simclock.Handle{}) || a.posted {
+		return
+	}
+	if s.anaDelay > 0 {
+		// Android 10/11: wait for the Android Notification Assistant.
+		a.post = s.clock.MustAfter(s.anaDelay, "sysserver/anaDelay", a.send)
+		return
+	}
+	a.send()
+}
+
+func (s *Server) overlayGone(app binder.ProcessID) {
+	a := s.alert(app)
+	// Overlay disappeared while the post is still held by the ANA delay:
+	// never send the alert at all.
+	if a.post != (simclock.Handle{}) {
+		s.clock.Cancel(a.post)
+		a.post = simclock.Handle{}
+		return
+	}
+	if !a.posted {
+		return
+	}
+	if s.defenseDelay > 0 {
+		a.removal = s.clock.MustAfter(s.defenseDelay, "sysserver/defenseDelay", a.remove)
+		return
+	}
+	a.remove()
+}
+
+func (s *Server) callSysUI(method string, a *appAlert) {
+	if _, err := s.bus.Call(binder.SystemServer, binder.SystemUI, method, a.payload); err != nil {
 		// System UI missing is a wiring bug in a simulation assembly;
 		// record it and degrade instead of crashing the run.
 		s.violation("sysserver-sysui-call", err.Error())
-	}
-}
-
-// latencyForMethod maps a Binder method to the device profile's latency
-// distribution; Assemble wires it into the Bus.
-func latencyForMethod(p device.Profile) binder.LatencyFunc {
-	return func(from, to binder.ProcessID, method string) simrand.Dist {
-		switch {
-		case to == binder.SystemServer && method == MethodAddView:
-			return p.Tam
-		case to == binder.SystemServer && method == MethodRemoveView:
-			return p.Trm
-		case to == binder.SystemServer && method == MethodEnqueueToast,
-			to == binder.SystemServer && method == MethodCancelToast:
-			return p.ToastNotify
-		case to == binder.SystemUI && method == sysui.MethodPostOverlayAlert:
-			return p.TnShow
-		case to == binder.SystemUI && method == sysui.MethodRemoveOverlayAlert:
-			return p.TnRemove
-		default:
-			return simrand.Constant(1)
-		}
 	}
 }
 
@@ -455,23 +524,42 @@ type Stack struct {
 	// Monitor is the runtime invariant monitor when assembled
 	// WithMonitor; nil otherwise.
 	Monitor *invariant.Monitor
+
+	// root backs RNG; the bus, server and System UI draw from the three
+	// streams derived from it. Reset reseeds all four in place.
+	root, busRNG, serverRNG, uiRNG simrand.Source
+	// latencyFn is the bus's latency model, bound once; it reads Profile.
+	latencyFn binder.LatencyFunc
+	// frameFault is framePlane's frame-fault hook, bound once per plane.
+	framePlane *faults.Plane
+	frameFault anim.FaultFunc
+	// pump is the toast-pressure pump, bound once; noiseToast is its
+	// payload, boxed once per Reset.
+	pump       func()
+	noiseToast any
 }
 
 // Option adjusts stack assembly; the ablation experiments use these to
-// knock out individual mechanisms.
-type Option func(*assembleOptions)
-
-type assembleOptions struct {
+// knock out individual mechanisms. The zero Option changes nothing.
+type Option struct {
+	kind          optionKind
 	slideDuration time.Duration
 	plane         *faults.Plane
-	monitor       bool
 }
+
+type optionKind uint8
+
+const (
+	optSlideDuration optionKind = iota + 1
+	optFaults
+	optMonitor
+)
 
 // WithSlideDuration overrides the notification slide-down animation
 // duration (default: the profile's SlideDuration — stock 360 ms scaled
 // by the device's animator_duration_scale).
 func WithSlideDuration(d time.Duration) Option {
-	return func(o *assembleOptions) { o.slideDuration = d }
+	return Option{kind: optSlideDuration, slideDuration: d}
 }
 
 // WithFaults threads a fault-injection plane through the stack: binder
@@ -483,16 +571,12 @@ func WithSlideDuration(d time.Duration) Option {
 // A profile with toast pressure keeps a recurring pump event scheduled, so
 // such stacks must be driven with bounded runs (RunFor/RunUntil), never
 // the run-to-empty Run().
-func WithFaults(pl *faults.Plane) Option {
-	return func(o *assembleOptions) { o.plane = pl }
-}
+func WithFaults(pl *faults.Plane) Option { return Option{kind: optFaults, plane: pl} }
 
 // WithMonitor attaches a runtime invariant monitor to the assembled
 // stack's clock, bus, window manager and notification manager. The
 // monitor observes only; the run's event schedule is unchanged.
-func WithMonitor() Option {
-	return func(o *assembleOptions) { o.monitor = true }
-}
+func WithMonitor() Option { return Option{kind: optMonitor} }
 
 // faultsNoiseApp posts the toast-pressure bursts.
 const faultsNoiseApp binder.ProcessID = "com.noise.app"
@@ -503,102 +587,173 @@ const toastPumpInterval = 250 * time.Millisecond
 // Assemble wires a complete stack — clock, Binder bus with the profile's
 // latency model, window manager, system server and System UI — from a
 // device profile and seed. This is the entry point examples and the
-// experiment harness use.
+// experiment harness use. It is a new Stack plus Reset.
 func Assemble(profile device.Profile, seed int64, opts ...Option) (*Stack, error) {
-	var ao assembleOptions
-	for _, opt := range opts {
-		opt(&ao)
+	st := new(Stack)
+	if err := st.Reset(profile, seed, opts...); err != nil {
+		return nil, err
 	}
-	if ao.slideDuration == 0 {
+	return st, nil
+}
+
+// Reset returns the stack, new or used, to exactly the state
+// Assemble(profile, seed, opts...) leaves: the same event schedule, random
+// streams and wiring, so every run on it fires the same events as on a
+// freshly assembled stack. The stack may have been stopped anywhere, with
+// events pending, transactions in flight, alerts showing or a slide
+// mid-animation; Reset drops all of it. The components are reset in
+// place, keeping the storage they have grown, so resetting a stack that
+// has run before allocates little, and its runs' alert episodes nothing.
+// The Stack's component pointers stay the same. On error the stack is
+// unusable until a Reset succeeds.
+func (st *Stack) Reset(profile device.Profile, seed int64, opts ...Option) error {
+	var slide time.Duration
+	var plane *faults.Plane
+	monitor := false
+	for _, o := range opts {
+		switch o.kind {
+		case optSlideDuration:
+			slide = o.slideDuration
+		case optFaults:
+			plane = o.plane
+		case optMonitor:
+			monitor = true
+		}
+	}
+	if slide == 0 {
 		// The profile decides the slide animation's length: stock 360 ms
 		// for the seed devices, scaled by animator_duration_scale for
 		// generated ones, and a single frame for the animations-off
 		// accessibility population.
-		ao.slideDuration = profile.SlideDuration()
+		slide = profile.SlideDuration()
 	}
-	clock := simclock.New()
-	root := simrand.New(seed)
-	bus, err := binder.NewBus(binder.Config{
-		Clock:   clock,
-		RNG:     root.Derive("binder"),
-		Latency: latencyForMethod(profile),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sysserver: assemble bus: %w", err)
+	if st.Clock == nil {
+		st.Clock = simclock.New()
+	} else {
+		st.Clock.Reset()
+	}
+	st.Profile = profile
+	st.Monitor, st.Faults = nil, nil
+	if st.latencyFn == nil {
+		st.latencyFn = st.latency
+	}
+	st.RNG = &st.root
+	st.root.Reseed(seed)
+	st.root.DeriveInto(&st.busRNG, "binder")
+	if st.Bus == nil {
+		bus, err := binder.NewBus(binder.Config{Clock: st.Clock, RNG: &st.busRNG, Latency: st.latencyFn})
+		if err != nil {
+			return fmt.Errorf("sysserver: assemble bus: %w", err)
+		}
+		st.Bus = bus
+	} else {
+		st.Bus.Reset(st.latencyFn)
 	}
 	screen := geom.RectWH(0, 0, float64(profile.ScreenW), float64(profile.ScreenH))
-	manager, err := wm.NewManager(clock, screen)
-	if err != nil {
-		return nil, fmt.Errorf("sysserver: assemble wm: %w", err)
+	if st.WM == nil {
+		manager, err := wm.NewManager(st.Clock, screen)
+		if err != nil {
+			return fmt.Errorf("sysserver: assemble wm: %w", err)
+		}
+		st.WM = manager
+	} else if err := st.WM.Reset(screen); err != nil {
+		return fmt.Errorf("sysserver: assemble wm: %w", err)
 	}
-	server, err := New(Config{
-		Clock:   clock,
-		Bus:     bus,
-		RNG:     root.Derive("sysserver"),
-		Profile: profile,
-		WM:      manager,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sysserver: assemble server: %w", err)
+	st.root.DeriveInto(&st.serverRNG, "sysserver")
+	srvCfg := Config{Clock: st.Clock, Bus: st.Bus, RNG: &st.serverRNG, Profile: profile, WM: st.WM}
+	if st.Server == nil {
+		server, err := New(srvCfg)
+		if err != nil {
+			return fmt.Errorf("sysserver: assemble server: %w", err)
+		}
+		st.Server = server
+	} else if err := st.Server.reset(srvCfg); err != nil {
+		return fmt.Errorf("sysserver: assemble server: %w", err)
+	}
+	st.root.DeriveInto(&st.uiRNG, "sysui")
+	if plane != nil && plane != st.framePlane {
+		st.framePlane, st.frameFault = plane, plane.FrameFault
 	}
 	uiCfg := sysui.Config{
-		Clock:             clock,
-		Bus:               bus,
-		RNG:               root.Derive("sysui"),
+		Clock:             st.Clock,
+		Bus:               st.Bus,
+		RNG:               &st.uiRNG,
 		Tv:                profile.Tv,
 		NotifViewHeightPx: profile.NotifViewHeightPx,
-		SlideDuration:     ao.slideDuration,
+		SlideDuration:     slide,
 	}
-	if ao.plane != nil {
-		uiCfg.FrameFault = ao.plane.FrameFault
+	if plane != nil {
+		uiCfg.FrameFault = st.frameFault
 	}
-	ui, err := sysui.New(uiCfg)
-	if err != nil {
-		return nil, fmt.Errorf("sysserver: assemble sysui: %w", err)
+	if st.UI == nil {
+		ui, err := sysui.New(uiCfg)
+		if err != nil {
+			return fmt.Errorf("sysserver: assemble sysui: %w", err)
+		}
+		st.UI = ui
+	} else if err := st.UI.Reset(uiCfg); err != nil {
+		return fmt.Errorf("sysserver: assemble sysui: %w", err)
 	}
-	st := &Stack{
-		Clock:   clock,
-		Bus:     bus,
-		WM:      manager,
-		Server:  server,
-		UI:      ui,
-		Profile: profile,
-		RNG:     root,
-	}
-	if ao.monitor {
-		mon := invariant.New(clock)
+	if monitor {
+		mon := invariant.New(st.Clock)
 		mon.AttachClock()
-		mon.AttachBus(bus)
-		mon.AttachWM(manager)
-		server.SetMonitor(mon)
-		ui.SetViolationHandler(func(rule, detail string) { mon.Report(rule, detail) })
+		mon.AttachBus(st.Bus)
+		mon.AttachWM(st.WM)
+		st.Server.SetMonitor(mon)
+		st.UI.SetViolationHandler(func(rule, detail string) { mon.Report(rule, detail) })
 		st.Monitor = mon
 	}
-	if ao.plane != nil {
-		st.Faults = ao.plane
-		bus.SetFaultInjector(ao.plane)
-		server.SetFrameFault(ao.plane.FrameFault)
-		if ao.plane.ToastPressureActive() {
+	if plane != nil {
+		st.Faults = plane
+		st.Bus.SetFaultInjector(plane)
+		st.Server.SetFrameFault(st.frameFault)
+		if plane.ToastPressureActive() {
 			// The pump is armed only when the profile actually exerts
 			// toast pressure; otherwise the event queue must stay exactly
 			// as an unfaulted run would leave it (the clock would also
 			// never drain with a perpetual pump scheduled).
-			noiseBounds := geom.RectWH(0, float64(profile.ScreenH)-200, float64(profile.ScreenW), 120)
-			var pump func()
-			pump = func() {
-				for i := 0; i < ao.plane.ToastBurst(); i++ {
-					// system_server is always registered in an assembled
-					// stack; a failed call is recorded by the bus.
-					_, _ = bus.Call(faultsNoiseApp, binder.SystemServer, MethodEnqueueToast, EnqueueToastRequest{
-						Duration: ToastShort,
-						Bounds:   noiseBounds,
-						Content:  "faults/noise",
-					})
-				}
-				clock.MustAfter(toastPumpInterval, "faults/toastPump", pump)
+			st.noiseToast = EnqueueToastRequest{
+				Duration: ToastShort,
+				Bounds:   geom.RectWH(0, float64(profile.ScreenH)-200, float64(profile.ScreenW), 120),
+				Content:  "faults/noise",
 			}
-			clock.MustAfter(toastPumpInterval, "faults/toastPump", pump)
+			if st.pump == nil {
+				st.pump = st.pumpToasts
+			}
+			st.Clock.MustAfter(toastPumpInterval, "faults/toastPump", st.pump)
 		}
 	}
-	return st, nil
+	return nil
+}
+
+// pumpToasts is one toast-pressure tick: a burst of noise toasts, then the
+// next tick.
+func (st *Stack) pumpToasts() {
+	for i := 0; i < st.Faults.ToastBurst(); i++ {
+		// system_server is always registered in an assembled stack; a
+		// failed call is recorded by the bus.
+		_, _ = st.Bus.Call(faultsNoiseApp, binder.SystemServer, MethodEnqueueToast, st.noiseToast)
+	}
+	st.Clock.MustAfter(toastPumpInterval, "faults/toastPump", st.pump)
+}
+
+// latency maps a Binder stream to the device profile's latency
+// distribution; it is the bus's latency model.
+func (st *Stack) latency(from, to binder.ProcessID, method string) simrand.Dist {
+	p := &st.Profile
+	switch {
+	case to == binder.SystemServer && method == MethodAddView:
+		return p.Tam
+	case to == binder.SystemServer && method == MethodRemoveView:
+		return p.Trm
+	case to == binder.SystemServer && method == MethodEnqueueToast,
+		to == binder.SystemServer && method == MethodCancelToast:
+		return p.ToastNotify
+	case to == binder.SystemUI && method == sysui.MethodPostOverlayAlert:
+		return p.TnShow
+	case to == binder.SystemUI && method == sysui.MethodRemoveOverlayAlert:
+		return p.TnRemove
+	default:
+		return simrand.Constant(1)
+	}
 }

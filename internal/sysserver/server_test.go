@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/binder"
 	"repro/internal/device"
+	"repro/internal/faults"
 	"repro/internal/geom"
+	"repro/internal/simclock"
 	"repro/internal/simrand"
 	"repro/internal/sysui"
 	"repro/internal/wm"
@@ -271,7 +273,7 @@ func TestLatencyMappingUsesProfileDistributions(t *testing.T) {
 	p.ToastNotify = simrand.Constant(33)
 	p.TnShow = simrand.Constant(44)
 	p.TnRemove = simrand.Constant(55)
-	fn := latencyForMethod(p)
+	fn := (&Stack{Profile: p}).latency
 	tests := []struct {
 		to     binder.ProcessID
 		method string
@@ -303,5 +305,74 @@ func TestMalformedPayloadsIgnored(t *testing.T) {
 	s := st.Server.Stats()
 	if s.AddsCompleted != 0 && s.AddsRejected != 0 {
 		t.Fatalf("malformed payload processed: %+v", s)
+	}
+}
+
+// TestStackResetClearsServer dirties a stack's server (toasts queued and
+// showing under the toast-gap defense, an ANA-held alert post, a
+// defense-delayed removal, attaches in flight, every override, a monitor
+// and a fault plane), resets the stack unfaulted, and checks the server
+// field by field against a freshly assembled one.
+func TestStackResetClearsServer(t *testing.T) {
+	p := device.Seed().Default()
+	pl := faults.NewPlane(faults.Chaos(), 3)
+	st, err := Assemble(p, 5, WithFaults(pl), WithMonitor())
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	s := st.Server
+	st.WM.GrantOverlayPermission(evilApp)
+	s.EnableEnhancedNotificationDefense(690 * time.Millisecond)
+	s.EnableToastGapDefense(400 * time.Millisecond)
+	s.SetANADelay(50 * time.Millisecond)
+	s.SetToastFade(100 * time.Millisecond)
+	s.SetToastCapOverride(60)
+	for i := 0; i < 6; i++ {
+		addOverlay(t, st, uint64(i%2+1))
+		st.Clock.MustAfter(time.Duration(i)*80*time.Millisecond, "remove", func() {
+			if _, err := st.Bus.Call(evilApp, binder.SystemServer, MethodRemoveView, RemoveViewRequest{Handle: uint64(i%2 + 1)}); err != nil {
+				t.Errorf("removeView: %v", err)
+			}
+		})
+	}
+	if err := st.Clock.RunFor(3 * time.Second); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	addOverlay(t, st, 7)
+	for i := 0; i < 100 && len(s.attaches) == 0; i++ {
+		st.Clock.Step()
+	}
+	if s.toasts.nextToken == 0 || len(s.alerts) == 0 || len(s.attaches) == 0 {
+		t.Fatalf("the dirty run queued %d toasts, made %d alert states and left %d attaches; want all three",
+			s.toasts.nextToken, len(s.alerts), len(s.attaches))
+	}
+	if err := st.Reset(p, 5); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	fresh, err := Assemble(p, 5)
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	f := fresh.Server
+	if s != st.Server || s.monitor != nil || s.frameFault != nil || s.defenseDelay != f.defenseDelay ||
+		s.anaDelay != f.anaDelay || s.toastFade != f.toastFade || s.toastGapDefense != f.toastGapDefense ||
+		s.toastCapOverride != f.toastCapOverride || s.stats != f.stats || len(s.pendingRemoves) != 0 || len(s.attaches) != 0 {
+		t.Fatal("Reset left a server setting or counter New does not")
+	}
+	for k, ids := range s.handles {
+		if len(ids) != 0 {
+			t.Fatalf("Reset left windows %v under handle %+v", ids, k)
+		}
+	}
+	for app, a := range s.alerts {
+		if a.posted || a.post != (simclock.Handle{}) || a.removal != (simclock.Handle{}) {
+			t.Fatalf("Reset left %s's alert state %+v", app, a)
+		}
+	}
+	tt := &s.toasts
+	if tt.nextToken != 0 || len(tt.queue) != 0 || len(tt.perApp) != 0 || tt.current != nil || tt.displayed != 0 ||
+		tt.curExpiry != (simclock.Handle{}) || tt.curExpire != nil || len(tt.nextAllowed) != 0 ||
+		tt.retry != (simclock.Handle{}) || len(tt.records) != 0 {
+		t.Fatal("Reset left toast state New does not")
 	}
 }

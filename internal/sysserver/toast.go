@@ -106,6 +106,22 @@ func newToastService(s *Server) toastService {
 	}
 }
 
+// reset empties the queue, frees the display slot and drops the records,
+// as newToastService leaves them.
+func (t *toastService) reset() {
+	t.nextToken = 0
+	clear(t.queue)
+	t.queue = t.queue[:0]
+	clear(t.perApp)
+	t.current = nil
+	t.displayed = 0
+	t.curExpiry, t.curExpire = simclock.Handle{}, nil
+	clear(t.nextAllowed)
+	t.retry = simclock.Handle{}
+	clear(t.records)
+	t.records = t.records[:0]
+}
+
 // enqueue admits a token to the queue, enforcing the per-app cap, and
 // starts display if the slot is free.
 func (t *toastService) enqueue(from binder.ProcessID, req EnqueueToastRequest) {

@@ -150,13 +150,83 @@ type Config struct {
 	FrameFault anim.FaultFunc
 }
 
-// alertState tracks one app's active alert.
-type alertState struct {
-	episode  *Episode
+// initialEpisodes is the episode buffer a new System UI starts with,
+// enough for the alert episodes of most attack runs; a longer run grows
+// it, and Reset keeps what it has grown.
+const initialEpisodes = 16
+
+// slideInterpolator eases every alert's slide. It is stateless, so all
+// System UIs share one boxed value.
+var slideInterpolator anim.Interpolator = anim.FastOutSlowIn()
+
+// alertSlot is the state of one alert: its app, its episode (by index,
+// since episodes live by value in SystemUI.episodes), the pending view
+// build, the slide, and the message render. A slot outlives its alert and
+// serves the next one: it binds its event callbacks once and keeps its
+// slide Animation, so an alert episode allocates nothing once the slot
+// exists.
+//
+// A slot goes back on the free list only when nothing scheduled can still
+// reach it: its alert has finished, no reversal watch is pending and its
+// slide is not animating. An alert removed twice while its slide reverses
+// has two watches, and the second one to end finishes it again; that
+// repeat ends whatever alert the app has by then, as a removal does. The
+// alert it ends that way is orphaned: its events keep running but nothing
+// removes it, so its slot is retired until Reset.
+type alertSlot struct {
+	app binder.ProcessID
+	// ep is the absolute index of the slot's episode: the number of
+	// episodes posted before it since New or Reset.
+	ep       uint64
 	buildEv  simclock.Handle // pending view construction
-	slide    *anim.Animation
-	msgStart time.Duration // when message rendering began; -1 if not yet
+	slide    *anim.Animation // built on the slot's first slide, then reset
+	sliding  bool            // the current alert's slide was started
+	msgStart time.Duration   // when message rendering began; -1 if not yet
 	msgEv    simclock.Handle
+	watches  int // pending reversal watches
+
+	active, retired, free bool
+
+	build, layout, render, watch func()
+	onFrame                      func(float64)
+	onEnd                        func(bool)
+}
+
+// newAlertSlot builds a slot and binds its callbacks.
+func newAlertSlot(ui *SystemUI) *alertSlot {
+	st := &alertSlot{}
+	st.build = func() { ui.startSlide(st) }
+	st.layout = func() {
+		st.msgStart = ui.clock.Now()
+		st.msgEv = ui.clock.MustAfter(MessageRenderDuration, "sysui/renderMessage", st.render)
+	}
+	st.render = func() {
+		if ep := ui.episode(st); ep != nil {
+			ep.MessageProgress = 1
+			ep.IconShown = true
+		}
+	}
+	st.watch = func() { ui.pollReversal(st) }
+	st.onFrame = func(v float64) {
+		ep := ui.episode(st)
+		if ep == nil {
+			return // trimmed from the history
+		}
+		if v > ep.PeakCompleteness {
+			ep.PeakCompleteness = v
+		}
+		if px := anim.VisiblePixels(ui.cfg.NotifViewHeightPx, v); px > ep.PeakVisiblePx {
+			ep.PeakVisiblePx = px
+		}
+	}
+	st.onEnd = func(completed bool) {
+		if completed {
+			st.msgEv = ui.clock.MustAfter(MessageLayoutDelay, "sysui/layoutMessage", st.layout)
+			return
+		}
+		ui.release(st)
+	}
+	return st
 }
 
 // SystemUI is the System UI process model.
@@ -166,8 +236,16 @@ type SystemUI struct {
 	rng   *simrand.Source
 	cfg   Config
 
-	alerts   map[binder.ProcessID]*alertState
-	episodes []*Episode
+	// active holds the alerts in the drawer, at most one per app; a
+	// handful at most, so lookups scan it.
+	active []*alertSlot
+	slots  []*alertSlot
+	free   []*alertSlot
+
+	// episodes holds the retained episodes; trimmed counts the ones
+	// dropped from its front.
+	episodes []Episode
+	trimmed  uint64
 
 	// Exact aggregates over all episodes ever, independent of trimming.
 	episodesTotal uint64
@@ -177,6 +255,9 @@ type SystemUI struct {
 	// installed they go unreported. Either way the process degrades
 	// instead of crashing.
 	onViolation func(rule, detail string)
+
+	// handleFn is the binder endpoint, bound once.
+	handleFn binder.Handler
 }
 
 // SetViolationHandler installs fn to receive internal-consistency
@@ -192,17 +273,31 @@ func (ui *SystemUI) violation(rule, detail string) {
 
 // New builds and registers the System UI endpoint on the bus.
 func New(cfg Config) (*SystemUI, error) {
+	ui := &SystemUI{episodes: make([]Episode, 0, initialEpisodes)}
+	ui.handleFn = ui.handle
+	if err := ui.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return ui, nil
+}
+
+// Reset returns the System UI to the state New(cfg) leaves it in and
+// registers its endpoint on cfg.Bus, which must not have one: no alerts,
+// episodes or violation handler, and the worst outcome back at Λ1. The
+// alert slots and the episode buffer are kept for reuse. The clock must
+// be reset with it, since the events the alerts had pending are dropped.
+func (ui *SystemUI) Reset(cfg Config) error {
 	if cfg.Clock == nil {
-		return nil, errors.New("sysui: nil clock")
+		return errors.New("sysui: nil clock")
 	}
 	if cfg.Bus == nil {
-		return nil, errors.New("sysui: nil bus")
+		return errors.New("sysui: nil bus")
 	}
 	if cfg.RNG == nil {
-		return nil, errors.New("sysui: nil rng")
+		return errors.New("sysui: nil rng")
 	}
 	if cfg.NotifViewHeightPx <= 0 {
-		return nil, fmt.Errorf("sysui: non-positive notification view height %d", cfg.NotifViewHeightPx)
+		return fmt.Errorf("sysui: non-positive notification view height %d", cfg.NotifViewHeightPx)
 	}
 	if cfg.FrameInterval == 0 {
 		cfg.FrameInterval = anim.DefaultFrameInterval
@@ -211,26 +306,38 @@ func New(cfg Config) (*SystemUI, error) {
 		cfg.SlideDuration = anim.NotificationSlideDuration
 	}
 	if cfg.SlideDuration < 0 {
-		return nil, fmt.Errorf("sysui: negative slide duration %v", cfg.SlideDuration)
+		return fmt.Errorf("sysui: negative slide duration %v", cfg.SlideDuration)
 	}
 	if cfg.EpisodeHistory == 0 {
 		cfg.EpisodeHistory = 4096
 	}
 	if cfg.EpisodeHistory < 0 {
-		return nil, fmt.Errorf("sysui: negative episode history %d", cfg.EpisodeHistory)
+		return fmt.Errorf("sysui: negative episode history %d", cfg.EpisodeHistory)
 	}
-	ui := &SystemUI{
-		clock:     cfg.Clock,
-		bus:       cfg.Bus,
-		rng:       cfg.RNG,
-		cfg:       cfg,
-		alerts:    make(map[binder.ProcessID]*alertState),
-		worstEver: Lambda1,
+	if cfg.Clock != ui.clock {
+		// The slots' slides run on the old clock.
+		clear(ui.slots)
+		ui.slots = ui.slots[:0]
 	}
-	if err := cfg.Bus.Register(binder.SystemUI, ui.handle); err != nil {
-		return nil, fmt.Errorf("sysui: register endpoint: %w", err)
+	ui.clock, ui.bus, ui.rng, ui.cfg = cfg.Clock, cfg.Bus, cfg.RNG, cfg
+	clear(ui.active)
+	ui.active = ui.active[:0]
+	ui.free = ui.free[:0]
+	for _, st := range ui.slots {
+		*st = alertSlot{slide: st.slide, free: true,
+			build: st.build, layout: st.layout, render: st.render, watch: st.watch, onFrame: st.onFrame, onEnd: st.onEnd}
+		ui.free = append(ui.free, st)
 	}
-	return ui, nil
+	clear(ui.episodes)
+	ui.episodes = ui.episodes[:0]
+	ui.trimmed = 0
+	ui.episodesTotal = 0
+	ui.worstEver = Lambda1
+	ui.onViolation = nil
+	if err := cfg.Bus.Register(binder.SystemUI, ui.handleFn); err != nil {
+		return fmt.Errorf("sysui: register endpoint: %w", err)
+	}
+	return nil
 }
 
 func (ui *SystemUI) handle(tx binder.Transaction) {
@@ -246,72 +353,83 @@ func (ui *SystemUI) handle(tx binder.Transaction) {
 	}
 }
 
-func (ui *SystemUI) postAlert(app binder.ProcessID) {
-	if _, exists := ui.alerts[app]; exists {
-		return // alert already active for this app
+// alert returns the app's alert in the drawer and its index in active,
+// or nil and -1.
+func (ui *SystemUI) alert(app binder.ProcessID) (*alertSlot, int) {
+	for i, st := range ui.active {
+		if st.app == app {
+			return st, i
+		}
 	}
-	ep := &Episode{App: app, PostedAt: ui.clock.Now(), Active: true}
-	ui.episodes = append(ui.episodes, ep)
-	ui.episodesTotal++
-	ui.trimEpisodes()
-	st := &alertState{episode: ep, msgStart: -1}
-	ui.alerts[app] = st
-	// Construct the notification view (Tv), then start the slide-down.
-	tv := ui.cfg.Tv.Sample(ui.rng)
-	st.buildEv = ui.clock.MustAfter(tv, "sysui/buildNotifView", func() {
-		ui.startSlide(app, st)
-	})
+	return nil, -1
 }
 
-func (ui *SystemUI) startSlide(app binder.ProcessID, st *alertState) {
-	slide, err := anim.New(ui.clock, anim.Config{
+// episode returns the slot's episode, or nil once it has been trimmed
+// from the history.
+func (ui *SystemUI) episode(st *alertSlot) *Episode {
+	if st.ep < ui.trimmed {
+		return nil
+	}
+	return &ui.episodes[st.ep-ui.trimmed]
+}
+
+func (ui *SystemUI) postAlert(app binder.ProcessID) {
+	if st, _ := ui.alert(app); st != nil {
+		return // alert already active for this app
+	}
+	ui.episodes = append(ui.episodes, Episode{App: app, PostedAt: ui.clock.Now(), Active: true})
+	ui.episodesTotal++
+	ui.trimEpisodes()
+	var st *alertSlot
+	if n := len(ui.free); n > 0 {
+		st, ui.free = ui.free[n-1], ui.free[:n-1]
+	} else {
+		st = newAlertSlot(ui)
+		ui.slots = append(ui.slots, st)
+	}
+	st.app, st.ep = app, ui.episodesTotal-1
+	st.active, st.free, st.sliding = true, false, false
+	st.msgStart = -1
+	ui.active = append(ui.active, st)
+	// Construct the notification view (Tv), then start the slide-down.
+	tv := ui.cfg.Tv.Sample(ui.rng)
+	st.buildEv = ui.clock.MustAfter(tv, "sysui/buildNotifView", st.build)
+}
+
+func (ui *SystemUI) startSlide(st *alertSlot) {
+	cfg := anim.Config{
 		Name:          "sysui/startTopAnimation",
 		Duration:      ui.cfg.SlideDuration,
 		FrameInterval: ui.cfg.FrameInterval,
 		FrameFault:    ui.cfg.FrameFault,
-		Interpolator:  anim.FastOutSlowIn(),
-		OnFrame: func(v float64) {
-			if v > st.episode.PeakCompleteness {
-				st.episode.PeakCompleteness = v
-			}
-			if px := anim.VisiblePixels(ui.cfg.NotifViewHeightPx, v); px > st.episode.PeakVisiblePx {
-				st.episode.PeakVisiblePx = px
-			}
-		},
-		OnEnd: func(completed bool) {
-			if completed {
-				ui.startMessageRender(app, st)
-			}
-		},
-	})
+		Interpolator:  slideInterpolator,
+		OnFrame:       st.onFrame,
+		OnEnd:         st.onEnd,
+	}
+	var err error
+	if st.slide == nil {
+		st.slide, err = anim.New(ui.clock, cfg)
+	} else {
+		err = st.slide.Reset(cfg)
+	}
 	if err != nil {
 		// The slide config is validated at New; record the breach and
 		// leave the alert unanimated (it classifies from its zero state).
 		ui.violation("sysui-slide", fmt.Sprintf("build slide animation: %v", err))
 		return
 	}
-	st.slide = slide
-	if err := slide.Start(); err != nil {
+	st.sliding = true
+	if err := st.slide.Start(); err != nil {
 		ui.violation("sysui-slide", fmt.Sprintf("start slide animation: %v", err))
 	}
 }
 
-func (ui *SystemUI) startMessageRender(app binder.ProcessID, st *alertState) {
-	st.msgEv = ui.clock.MustAfter(MessageLayoutDelay, "sysui/layoutMessage", func() {
-		st.msgStart = ui.clock.Now()
-		st.msgEv = ui.clock.MustAfter(MessageRenderDuration, "sysui/renderMessage", func() {
-			st.episode.MessageProgress = 1
-			st.episode.IconShown = true
-		})
-	})
-}
-
 func (ui *SystemUI) removeAlert(app binder.ProcessID) {
-	st, ok := ui.alerts[app]
-	if !ok {
+	st, _ := ui.alert(app)
+	if st == nil {
 		return
 	}
-	ep := st.episode
+	ep := ui.episode(st)
 	// Freeze message progress at the interruption point.
 	if st.msgStart >= 0 && ep.MessageProgress < 1 {
 		frac := float64(ui.clock.Now()-st.msgStart) / float64(MessageRenderDuration)
@@ -324,57 +442,81 @@ func (ui *SystemUI) removeAlert(app binder.ProcessID) {
 	}
 	ui.clock.Cancel(st.buildEv) // view never constructed: clean Λ1
 	ui.clock.Cancel(st.msgEv)
-	finish := func() {
+	if slide := st.slide; st.sliding && (slide.State() == anim.StateRunning || slide.Value() > 0) {
+		// Retract with the reverse animation; the episode ends when the
+		// view is fully off screen.
+		if err := slide.ReverseNow(); err != nil {
+			// ReverseNow on a running slide cannot fail; report and end
+			// the episode at its current visual state.
+			ui.violation("sysui-slide", fmt.Sprintf("reverse slide: %v", err))
+			ui.finish(st)
+			return
+		}
+		if slide.State() == anim.StateFinished {
+			ui.finish(st)
+			return
+		}
+		// The slide's OnEnd was consumed by the forward pass, so the
+		// reversal's end is polled at frame granularity — deterministic
+		// and cheap on the event clock.
+		st.watches++
+		ui.clock.MustAfter(ui.cfg.FrameInterval, "sysui/watchReversal", st.watch)
+		return
+	}
+	ui.finish(st)
+}
+
+// pollReversal is one reversal watch: it finishes the slot's alert once
+// the slide has stopped, and otherwise looks again a frame later.
+func (ui *SystemUI) pollReversal(st *alertSlot) {
+	if s := st.slide.State(); s == anim.StateFinished || s == anim.StateCanceled {
+		st.watches--
+		ui.finish(st)
+		return
+	}
+	ui.clock.MustAfter(ui.cfg.FrameInterval, "sysui/watchReversal", st.watch)
+}
+
+// finish ends the slot's episode and takes the app's alert out of the
+// drawer. That alert is the slot's own, unless this is a repeated finish
+// (see alertSlot), which orphans the alert the app has now.
+func (ui *SystemUI) finish(st *alertSlot) {
+	if ep := ui.episode(st); ep != nil {
 		ep.RemovedAt = ui.clock.Now()
 		ep.Active = false
 		if o := ep.Classify(); o > ui.worstEver {
 			ui.worstEver = o
 		}
-		delete(ui.alerts, app)
 	}
-	if st.slide != nil && (st.slide.State() == anim.StateRunning || st.slide.Value() > 0) {
-		// Retract with the reverse animation; the episode ends when the
-		// view is fully off screen.
-		slide := st.slide
-		if err := slide.ReverseNow(); err != nil {
-			// ReverseNow on a running slide cannot fail; report and end
-			// the episode at its current visual state.
-			ui.violation("sysui-slide", fmt.Sprintf("reverse slide: %v", err))
-			finish()
-			return
-		}
-		if slide.State() == anim.StateFinished {
-			finish()
-			return
-		}
-		// Poll the reversal end by scheduling at each frame; simpler: we
-		// re-wrap OnEnd by watching state via a chained check.
-		ui.watchReversal(slide, finish)
-		return
+	if cur, i := ui.alert(st.app); cur != nil {
+		last := len(ui.active) - 1
+		ui.active[i] = ui.active[last]
+		ui.active[last] = nil
+		ui.active = ui.active[:last]
+		cur.active = false
+		cur.retired = cur != st
 	}
-	finish()
+	ui.release(st)
 }
 
-// watchReversal invokes done when the reversing animation finishes. The
-// Animation's OnEnd was consumed by the forward pass, so we poll at frame
-// granularity — deterministic and cheap on the event clock.
-func (ui *SystemUI) watchReversal(a *anim.Animation, done func()) {
-	var check func()
-	check = func() {
-		if a.State() == anim.StateFinished || a.State() == anim.StateCanceled {
-			done()
-			return
-		}
-		ui.clock.MustAfter(ui.cfg.FrameInterval, "sysui/watchReversal", check)
+// release puts the slot back on the free list once nothing scheduled can
+// reach it.
+func (ui *SystemUI) release(st *alertSlot) {
+	if st.active || st.retired || st.free || st.watches > 0 {
+		return
 	}
-	ui.clock.MustAfter(ui.cfg.FrameInterval, "sysui/watchReversal", check)
+	if s := st.slide; st.sliding && (s.State() == anim.StateRunning || s.State() == anim.StateReversing) {
+		return // its last frame releases it
+	}
+	st.free = true
+	ui.free = append(ui.free, st)
 }
 
 // ActiveAlert reports whether an alert for app is currently in the drawer
 // (in any visual state, including still-invisible).
 func (ui *SystemUI) ActiveAlert(app binder.ProcessID) bool {
-	_, ok := ui.alerts[app]
-	return ok
+	st, _ := ui.alert(app)
+	return st != nil
 }
 
 // AlertVisiblePx reports how many pixels of the app's alert view are
@@ -382,8 +524,8 @@ func (ui *SystemUI) ActiveAlert(app binder.ProcessID) bool {
 // not yet drawn anything, which is the state the draw-and-destroy attack
 // pins the alert in. This is what a user swiping down mid-attack sees.
 func (ui *SystemUI) AlertVisiblePx(app binder.ProcessID) int {
-	st, ok := ui.alerts[app]
-	if !ok || st.slide == nil {
+	st, _ := ui.alert(app)
+	if st == nil || !st.sliding {
 		return 0
 	}
 	return anim.VisiblePixels(ui.cfg.NotifViewHeightPx, st.slide.Value())
@@ -392,10 +534,13 @@ func (ui *SystemUI) AlertVisiblePx(app binder.ProcessID) int {
 // trimEpisodes drops the oldest *finished* episodes beyond the retention
 // cap; exact aggregates live in episodesTotal and worstEver.
 func (ui *SystemUI) trimEpisodes() {
-	for len(ui.episodes) > ui.cfg.EpisodeHistory && !ui.episodes[0].Active {
-		ui.episodes[0] = nil
-		ui.episodes = ui.episodes[1:]
+	n := 0
+	for len(ui.episodes)-n > ui.cfg.EpisodeHistory && !ui.episodes[n].Active {
+		n++
 	}
+	clear(ui.episodes[:n])
+	ui.episodes = ui.episodes[n:]
+	ui.trimmed += uint64(n)
 }
 
 // Episodes returns snapshots of the retained alert episodes in post order
@@ -403,9 +548,7 @@ func (ui *SystemUI) trimEpisodes() {
 // lifetime count).
 func (ui *SystemUI) Episodes() []Episode {
 	out := make([]Episode, len(ui.episodes))
-	for i, ep := range ui.episodes {
-		out[i] = *ep
-	}
+	copy(out, ui.episodes)
 	return out
 }
 
@@ -418,8 +561,8 @@ func (ui *SystemUI) EpisodesTotal() uint64 { return ui.episodesTotal }
 // was ever shown).
 func (ui *SystemUI) WorstOutcome() Outcome {
 	worst := ui.worstEver
-	for _, st := range ui.alerts {
-		if o := st.episode.Classify(); o > worst {
+	for _, st := range ui.active {
+		if o := ui.episode(st).Classify(); o > worst {
 			worst = o
 		}
 	}

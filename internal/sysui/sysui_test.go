@@ -363,3 +363,116 @@ func TestMalformedPayloadIgnored(t *testing.T) {
 		t.Fatal("malformed payload created an episode")
 	}
 }
+
+// TestRepeatedRemovalOrphansLaterAlert pins what a second removal during
+// a reversal does. Removing an alert twice while its slide reverses
+// starts two reversal watches; each finishes the alert when it sees the
+// slide stopped. The later finish ends whatever alert the app has by then:
+// an alert posted between the two finishes leaves the drawer, and its
+// episode stays active, out of WorstOutcome, while its slide still plays.
+// The slot of the twice-removed alert serves the next alert; the orphan's
+// is never reused before Reset.
+func TestRepeatedRemovalOrphansLaterAlert(t *testing.T) {
+	ui, bus, clock := newUI(t)
+	post(t, bus, evilApp)
+	clock.MustAfter(100*time.Millisecond, "remove", func() { remove(t, bus, evilApp) })
+	clock.MustAfter(105*time.Millisecond, "post", func() { post(t, bus, evilApp) })
+	clock.MustAfter(106*time.Millisecond, "remove", func() { remove(t, bus, evilApp) })
+	var firstFinish time.Duration
+	var watch func()
+	watch = func() {
+		if !ui.ActiveAlert(evilApp) {
+			firstFinish = clock.Now()
+			post(t, bus, evilApp)
+			return
+		}
+		clock.MustAfter(time.Millisecond, "watch", watch)
+	}
+	clock.MustAfter(107*time.Millisecond, "watch", watch)
+	if err := clock.RunFor(time.Second); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	eps := ui.Episodes()
+	if len(eps) != 2 || firstFinish == 0 {
+		t.Fatalf("episodes %d, first finish at %v; want 2 episodes and a finish", len(eps), firstFinish)
+	}
+	// The second watch runs 6 ms behind the first, as its removal did.
+	if ep := eps[0]; ep.Active || ep.RemovedAt != firstFinish+6*time.Millisecond || ep.Classify() != Lambda2 {
+		t.Fatalf("twice-removed episode %+v: want finished again at %v, Λ2", ep, firstFinish+6*time.Millisecond)
+	}
+	if ep := eps[1]; !ep.Active || !ep.IconShown {
+		t.Fatalf("orphaned episode %+v: want active with its icon drawn", ep)
+	}
+	if ui.ActiveAlert(evilApp) || ui.WorstOutcome() != Lambda2 {
+		t.Fatalf("after the orphaning finish: active %v, worst %v; want no alert, Λ2", ui.ActiveAlert(evilApp), ui.WorstOutcome())
+	}
+	post(t, bus, evilApp)
+	if err := clock.RunFor(time.Second); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	if !ui.ActiveAlert(evilApp) || ui.WorstOutcome() != Lambda5 {
+		t.Fatalf("a later alert: active %v, worst %v; want active, Λ5", ui.ActiveAlert(evilApp), ui.WorstOutcome())
+	}
+	if len(ui.slots) != 2 || !ui.slots[1].retired || ui.slots[0].app != evilApp || !ui.slots[0].active {
+		t.Fatalf("slots: %d, want the first reused and the orphan's retired", len(ui.slots))
+	}
+}
+
+// TestResetMatchesNew dirties a System UI (alerts mid-slide and
+// mid-reversal, a trimmed history, a violation handler), resets it with
+// its clock and bus, and checks that it holds what New leaves and then
+// records the same episodes as a new System UI for the same script, on
+// its reused slots.
+func TestResetMatchesNew(t *testing.T) {
+	dirty, bus, clock := newUI(t)
+	dirty.cfg.EpisodeHistory = 2
+	dirty.SetViolationHandler(func(string, string) { t.Fatal("a stale violation handler ran") })
+	for i := 0; i < 8; i++ {
+		at := time.Duration(i) * 50 * time.Millisecond
+		clock.MustAfter(at, "post", func() { post(t, bus, evilApp) })
+		clock.MustAfter(at+5*time.Millisecond, "remove", func() { remove(t, bus, evilApp) })
+	}
+	clock.MustAfter(500*time.Millisecond, "post", func() { post(t, bus, evilApp) })
+	clock.MustAfter(560*time.Millisecond, "remove", func() { remove(t, bus, evilApp) })
+	clock.MustAfter(450*time.Millisecond, "post", func() { post(t, bus, "com.other.app") })
+	if err := clock.RunFor(570 * time.Millisecond); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	if dirty.trimmed == 0 || len(dirty.active) == 0 {
+		t.Fatalf("the dirty run trimmed %d episodes and left %d alerts; want both", dirty.trimmed, len(dirty.active))
+	}
+	slots := len(dirty.slots)
+	script := func(ui *SystemUI, bus *binder.Bus, clock *simclock.Clock) []Episode {
+		for i := 0; i < 5; i++ {
+			at := time.Duration(i) * 150 * time.Millisecond
+			clock.MustAfter(at, "post", func() { post(t, bus, evilApp) })
+			clock.MustAfter(at+70*time.Millisecond, "remove", func() { remove(t, bus, evilApp) })
+		}
+		if err := clock.RunFor(2 * time.Second); err != nil {
+			t.Fatalf("RunFor: %v", err)
+		}
+		return ui.Episodes()
+	}
+	cfg := dirty.cfg
+	cfg.EpisodeHistory, cfg.RNG = 0, simrand.New(2)
+	clock.Reset()
+	bus.Reset(nil)
+	if err := dirty.Reset(cfg); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if dirty.onViolation != nil || dirty.trimmed != 0 || len(dirty.active) != 0 || len(dirty.episodes) != 0 ||
+		dirty.EpisodesTotal() != 0 || dirty.WorstOutcome() != Lambda1 || len(dirty.free) != slots {
+		t.Fatal("Reset left state New does not")
+	}
+	got := script(dirty, bus, clock)
+	fresh, freshBus, freshClock := newUI(t)
+	want := script(fresh, freshBus, freshClock)
+	if len(got) != len(want) || len(dirty.slots) != slots {
+		t.Fatalf("reset System UI recorded %d episodes on %d slots, a new one %d (%d slots before)", len(got), len(dirty.slots), len(want), slots)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("episode %d: reset %+v, new %+v", i, got[i], want[i])
+		}
+	}
+}

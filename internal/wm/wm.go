@@ -13,7 +13,6 @@
 package wm
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -221,13 +220,18 @@ type WindowEventListener func(ev WindowEvent)
 
 // Manager is the window-management state machine. It is single-threaded on
 // the simulation clock.
+//
+// The attached windows live by value in one slice in z-order, which a
+// lookup by id scans: a device has a handful of windows at a time, and a
+// removed window's room in the slice takes the next attach, so attaching
+// and detaching allocate nothing once the slice has grown to the run's
+// peak.
 type Manager struct {
 	clock  *simclock.Clock
 	screen geom.Rect
 
 	nextID   WindowID
-	windows  map[WindowID]*Window
-	order    []*Window // kept sorted by (layer, AddedAt, ID)
+	order    []Window // kept sorted by (layer, AddedAt, ID)
 	perms    map[binder.ProcessID]bool
 	overlays map[binder.ProcessID]int
 
@@ -273,17 +277,41 @@ func NewManager(clock *simclock.Clock, screen geom.Rect) (*Manager, error) {
 	if clock == nil {
 		return nil, errors.New("wm: nil clock")
 	}
-	if screen.Empty() {
-		return nil, fmt.Errorf("wm: empty screen rect %v", screen)
-	}
-	return &Manager{
+	m := &Manager{
 		clock:    clock,
-		screen:   screen,
-		windows:  make(map[WindowID]*Window),
 		perms:    make(map[binder.ProcessID]bool),
 		overlays: make(map[binder.ProcessID]int),
 		gestures: make(map[uint64]*gesture),
-	}, nil
+	}
+	if err := m.Reset(screen); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Reset returns the manager to the state NewManager leaves it in, on the
+// same clock, for a screen rectangle: no windows, permissions, overlay
+// counts, gestures, listeners or violation handler, and zero stats and
+// ids. The storage the manager has grown is kept.
+func (m *Manager) Reset(screen geom.Rect) error {
+	if screen.Empty() {
+		return fmt.Errorf("wm: empty screen rect %v", screen)
+	}
+	m.screen = screen
+	m.nextID = 0
+	clear(m.order) // drops the touch handlers
+	m.order = m.order[:0]
+	clear(m.perms)
+	clear(m.overlays)
+	clear(m.countListeners)
+	m.countListeners = m.countListeners[:0]
+	clear(m.windowListeners)
+	m.windowListeners = m.windowListeners[:0]
+	m.onViolation = nil
+	m.nextGesture = 0
+	clear(m.gestures)
+	m.stats = Stats{}
+	return nil
 }
 
 // Screen reports the screen rectangle.
@@ -311,10 +339,17 @@ func (m *Manager) GrantOverlayPermission(app binder.ProcessID) { m.perms[app] = 
 // after pressing the alert).
 func (m *Manager) RevokeOverlayPermission(app binder.ProcessID) {
 	delete(m.perms, app)
-	for _, w := range m.windowsOf(app, TypeApplicationOverlay) {
+	var buf [4]WindowID
+	overlays := buf[:0]
+	for _, w := range m.order {
+		if w.Owner == app && w.Type == TypeApplicationOverlay {
+			overlays = append(overlays, w.ID)
+		}
+	}
+	for _, id := range overlays {
 		// Removal of an attached window cannot fail; report (not crash)
 		// if bookkeeping ever disagrees.
-		if err := m.RemoveWindow(w.ID); err != nil {
+		if err := m.RemoveWindow(id); err != nil {
 			m.violation("wm-revoke-removal", err.Error())
 		}
 	}
@@ -384,9 +419,12 @@ func (m *Manager) AddToastWindow(spec Spec) (WindowID, error) {
 	return m.attach(spec), nil
 }
 
+// attach inserts the window into the z-order. A new window has the
+// latest AddedAt and the largest ID, so it goes right above every window
+// of its layer and below those of higher layers.
 func (m *Manager) attach(spec Spec) WindowID {
 	m.nextID++
-	w := &Window{
+	w := Window{
 		ID:      m.nextID,
 		Owner:   spec.Owner,
 		Type:    spec.Type,
@@ -396,10 +434,13 @@ func (m *Manager) attach(spec Spec) WindowID {
 		AddedAt: m.clock.Now(),
 		onTouch: spec.OnTouch,
 	}
-	m.windows[w.ID] = w
-	m.order = append(m.order, w)
-	m.sortOrder()
-	m.notifyWindow(WindowAdded, *w)
+	layer := w.Type.Layer()
+	at := len(m.order)
+	for at > 0 && m.order[at-1].Type.Layer() > layer {
+		at--
+	}
+	m.order = slices.Insert(m.order, at, w)
+	m.notifyWindow(WindowAdded, w)
 	if w.Type == TypeApplicationOverlay {
 		old := m.overlays[w.Owner]
 		m.overlays[w.Owner] = old + 1
@@ -408,32 +449,25 @@ func (m *Manager) attach(spec Spec) WindowID {
 	return w.ID
 }
 
-func (m *Manager) sortOrder() {
-	slices.SortStableFunc(m.order, func(a, b *Window) int {
-		if c := cmp.Compare(a.Type.Layer(), b.Type.Layer()); c != 0 {
-			return c
+// find returns the index of window id in the z-order, or -1.
+func (m *Manager) find(id WindowID) int {
+	for i := range m.order {
+		if m.order[i].ID == id {
+			return i
 		}
-		if c := cmp.Compare(a.AddedAt, b.AddedAt); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	}
+	return -1
 }
 
 // RemoveWindow detaches a window. Any in-flight gesture bound to it is
 // canceled (the app receives ACTION_CANCEL).
 func (m *Manager) RemoveWindow(id WindowID) error {
-	w, ok := m.windows[id]
-	if !ok {
+	i := m.find(id)
+	if i < 0 {
 		return fmt.Errorf("%w: %d", ErrUnknownWindow, id)
 	}
-	delete(m.windows, id)
-	for i, ow := range m.order {
-		if ow.ID == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
+	w := m.order[i]
+	m.order = slices.Delete(m.order, i, i+1)
 	for _, g := range m.gestures {
 		if g.target == id && !g.done {
 			g.done = true
@@ -443,7 +477,7 @@ func (m *Manager) RemoveWindow(id WindowID) error {
 			}
 		}
 	}
-	m.notifyWindow(WindowRemoved, *w)
+	m.notifyWindow(WindowRemoved, w)
 	if w.Type == TypeApplicationOverlay {
 		old := m.overlays[w.Owner]
 		if old <= 0 {
@@ -471,10 +505,11 @@ func (m *Manager) notifyCount(app binder.ProcessID, old, new int) {
 // SetAlpha updates a window's rendered opacity (used by toast fade
 // animations). Alpha is clamped to [0,1].
 func (m *Manager) SetAlpha(id WindowID, alpha float64) error {
-	w, ok := m.windows[id]
-	if !ok {
+	i := m.find(id)
+	if i < 0 {
 		return fmt.Errorf("%w: %d", ErrUnknownWindow, id)
 	}
+	w := &m.order[i]
 	switch {
 	case alpha < 0:
 		w.Alpha = 0
@@ -486,20 +521,8 @@ func (m *Manager) SetAlpha(id WindowID, alpha float64) error {
 	return nil
 }
 
-// Get returns a snapshot of the window, or false if not attached.
-func (m *Manager) Get(id WindowID) (Window, bool) {
-	w, ok := m.windows[id]
-	if !ok {
-		return Window{}, false
-	}
-	return *w, true
-}
-
 // Attached reports whether the window id is attached.
-func (m *Manager) Attached(id WindowID) bool {
-	_, ok := m.windows[id]
-	return ok
-}
+func (m *Manager) Attached(id WindowID) bool { return m.find(id) >= 0 }
 
 // OverlayCount reports the app's current foreground overlay count.
 func (m *Manager) OverlayCount(app binder.ProcessID) int { return m.overlays[app] }
@@ -512,19 +535,7 @@ func (m *Manager) WindowCount() int { return len(m.order) }
 // (non-decreasing layer, FIFO within a layer) against it.
 func (m *Manager) ZOrder() []Window {
 	out := make([]Window, len(m.order))
-	for i, w := range m.order {
-		out[i] = *w
-	}
-	return out
-}
-
-func (m *Manager) windowsOf(app binder.ProcessID, t WindowType) []*Window {
-	var out []*Window
-	for _, w := range m.order {
-		if w.Owner == app && w.Type == t {
-			out = append(out, w)
-		}
-	}
+	copy(out, m.order)
 	return out
 }
 
@@ -532,7 +543,7 @@ func (m *Manager) windowsOf(app binder.ProcessID, t WindowType) []*Window {
 // restricted to touchable windows. ok is false when nothing matches.
 func (m *Manager) TopWindowAt(p geom.Point, touchableOnly bool) (Window, bool) {
 	for i := len(m.order) - 1; i >= 0; i-- {
-		w := m.order[i]
+		w := &m.order[i]
 		if !w.Bounds.Contains(p) {
 			continue
 		}
@@ -572,8 +583,8 @@ func (m *Manager) BeginGesture(p geom.Point) (id uint64, target Window, ok bool)
 		return gid, Window{}, false
 	}
 	m.gestures[gid] = &gesture{id: gid, target: top.ID, downAt: m.clock.Now()}
-	if w := m.windows[top.ID]; w.onTouch != nil {
-		w.onTouch(TouchEvent{Gesture: gid, Action: ActionDown, Pos: p, At: m.clock.Now()})
+	if top.onTouch != nil {
+		top.onTouch(TouchEvent{Gesture: gid, Action: ActionDown, Pos: p, At: m.clock.Now()})
 	}
 	return gid, top, true
 }
@@ -591,15 +602,15 @@ func (m *Manager) EndGesture(id uint64, p geom.Point) (completed bool, err error
 		return false, nil
 	}
 	g.done = true
-	w, attached := m.windows[g.target]
-	if !attached {
+	i := m.find(g.target)
+	if i < 0 {
 		// RemoveWindow cancels gestures eagerly, so this is unreachable,
 		// but guard anyway.
 		m.stats.Canceled++
 		return false, nil
 	}
 	m.stats.Completed++
-	if w.onTouch != nil {
+	if w := m.order[i]; w.onTouch != nil {
 		w.onTouch(TouchEvent{Gesture: id, Action: ActionUp, Pos: p, At: m.clock.Now()})
 	}
 	return true, nil

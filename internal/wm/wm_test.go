@@ -1,7 +1,9 @@
 package wm
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -438,5 +440,133 @@ func TestPropertyTouchTargetValid(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertyZOrderIsStableSort adds windows of random types at random
+// times and removes random ones; after every operation the z-order must
+// equal a stable sort of the attached windows by (layer, AddedAt, ID),
+// which is what the insertion in attach must keep without sorting.
+func TestPropertyZOrderIsStableSort(t *testing.T) {
+	prop := func(ops []uint8) bool {
+		m, c := newMgr(t)
+		m.GrantOverlayPermission(evilApp)
+		var ids []WindowID
+		for _, op := range ops {
+			if op&7 == 0 && len(ids) > 0 {
+				k := int(op>>3) % len(ids)
+				if m.RemoveWindow(ids[k]) != nil {
+					return false
+				}
+				ids = append(ids[:k], ids[k+1:]...)
+				continue
+			}
+			if err := c.RunFor(time.Duration(op>>6) * time.Millisecond); err != nil {
+				return false
+			}
+			spec := Spec{Owner: evilApp, Type: []WindowType{TypeActivity, TypeInputMethod, TypeApplicationOverlay, TypeToast}[op>>1&3], Bounds: screen()}
+			var id WindowID
+			var err error
+			if spec.Type == TypeToast {
+				id, err = m.AddToastWindow(spec)
+			} else {
+				id, err = m.AddWindow(spec)
+			}
+			if err != nil {
+				return false
+			}
+			ids = append(ids, id)
+			want := m.ZOrder()
+			slices.SortStableFunc(want, func(a, b Window) int {
+				if c := cmp.Compare(a.Type.Layer(), b.Type.Layer()); c != 0 {
+					return c
+				}
+				if c := cmp.Compare(a.AddedAt, b.AddedAt); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.ID, b.ID)
+			})
+			got := m.ZOrder()
+			for i := range got {
+				if got[i].ID != want[i].ID {
+					return false
+				}
+			}
+		}
+		return m.WindowCount() == len(ids)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetMatchesNewManager dirties a manager (windows, a permission, an
+// overlay count, a live gesture, listeners, a violation handler, stats),
+// resets it and checks that it is indistinguishable from a new one.
+func TestResetMatchesNewManager(t *testing.T) {
+	m, c := newMgr(t)
+	m.GrantOverlayPermission(evilApp)
+	fired := false
+	m.OnOverlayCountChange(func(binder.ProcessID, int, int) { fired = true })
+	m.OnWindowEvent(func(WindowEvent) { fired = true })
+	m.SetViolationHandler(func(string, string) { fired = true })
+	if _, err := m.AddWindow(Spec{Owner: evilApp, Type: TypeApplicationOverlay, Bounds: screen(), OnTouch: func(TouchEvent) { fired = true }}); err != nil {
+		t.Fatalf("AddWindow: %v", err)
+	}
+	m.BeginGesture(geom.Pt(10, 10))
+	if err := c.RunFor(time.Second); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	c.Reset()
+	small := geom.RectWH(0, 0, 720, 1280)
+	if err := m.Reset(small); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	fired = false
+	fresh, err := NewManager(c, small)
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	if m.Screen() != fresh.Screen() || m.WindowCount() != 0 || m.OverlayCount(evilApp) != 0 ||
+		m.HasOverlayPermission(evilApp) || m.Stats() != fresh.Stats() || len(m.gestures) != 0 ||
+		len(m.countListeners) != 0 || len(m.windowListeners) != 0 || m.onViolation != nil {
+		t.Fatal("Reset left state a new manager does not have")
+	}
+	if _, err := m.AddWindow(Spec{Owner: evilApp, Type: TypeApplicationOverlay, Bounds: small}); !errors.Is(err, ErrNoPermission) {
+		t.Fatalf("overlay after Reset: err %v, want ErrNoPermission", err)
+	}
+	id, err := m.AddWindow(Spec{Owner: victimApp, Type: TypeActivity, Bounds: small})
+	if err != nil || id != 1 {
+		t.Fatalf("first window after Reset: id %d, err %v; want id 1", id, err)
+	}
+	if gid, _, _ := m.BeginGesture(geom.Pt(10, 10)); gid != 1 || fired {
+		t.Fatalf("first gesture after Reset: id %d, old listeners fired %v", gid, fired)
+	}
+	if err := m.Reset(geom.Rect{}); err == nil {
+		t.Fatal("Reset accepted an empty screen")
+	}
+}
+
+// TestAttachRemoveAllocBudget: once the z-order has room, attaching and
+// removing an overlay allocate nothing. Allocation counts do not drift
+// with host speed.
+func TestAttachRemoveAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	m, _ := newMgr(t)
+	m.GrantOverlayPermission(evilApp)
+	spec := Spec{Owner: evilApp, Type: TypeApplicationOverlay, Bounds: screen()}
+	allocs := testing.AllocsPerRun(1000, func() {
+		id, err := m.AddWindow(spec)
+		if err != nil {
+			t.Fatalf("AddWindow: %v", err)
+		}
+		if err := m.RemoveWindow(id); err != nil {
+			t.Fatalf("RemoveWindow: %v", err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("attach + remove allocates %.1f times, budget 0", allocs)
 	}
 }

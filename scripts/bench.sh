@@ -11,10 +11,11 @@
 # benchmarks (population generation, the 200-device market-weighted
 # sweep at 1 and 4 workers, and its per-trial construction layer:
 # seeding one random stream, one stream's life at 8, 100 and 1000
-# draws, and assembling one faulted stack) to BENCH_fleet.json, and the
-# simulator's layers with their allocations (one clock event, one Binder
-# call with its delivery, one interpolator frame, one attack second and
-# one IPC-detector observation, run with -benchmem) to BENCH_sim.json —
+# draws, assembling one faulted stack and resetting it) to
+# BENCH_fleet.json, and the simulator's layers with their allocations
+# (one clock event, one Binder call with its delivery, one interpolator
+# frame, one attack second, one IPC-detector observation and one fleet
+# device, run with -benchmem) to BENCH_sim.json —
 # all at the repo root so throughput regressions show up as a diff, not
 # an anecdote. Run from anywhere:
 #
@@ -96,5 +97,5 @@ emit 'CorpusScan$|AnalyzeTier' static "$OUT"
 emit 'VetServe$|RingServe$' vetd "$OUT_VETD"
 emit 'SentryIngest$' sentry "$OUT_SENTRY"
 emit 'RouterIngest$' sentring "$OUT_SENTRING"
-emit 'FleetGenerate$|FleetSweep$|SimrandNew$|SimrandStream$|Assemble$' fleet "$OUT_FLEET"
-emit 'SimClock$|BinderCall$|InterpolatorFastOutSlowIn$|FullAttackSecond$|DetectorObserve$' sim "$OUT_SIM" -benchmem
+emit 'FleetGenerate$|FleetSweep$|SimrandNew$|SimrandStream$|Assemble$|StackReset$' fleet "$OUT_FLEET"
+emit 'SimClock$|BinderCall$|InterpolatorFastOutSlowIn$|FullAttackSecond$|DetectorObserve$|FleetDevice$' sim "$OUT_SIM" -benchmem
